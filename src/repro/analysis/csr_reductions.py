@@ -5,8 +5,7 @@ contiguous numpy arrays; every pass in :data:`CSR_PASSES` is the
 vectorized twin of one object pass, implementing the *same* reduction
 semantics: same tolerances, same visit order, same notes.  The object
 passes stay the property-tested oracle (``tests/test_ilp_csr.py``
-sweeps reduction equivalence), and arbitrary extra object passes still
-run via the :func:`to_object_work` / :func:`load_object_work` bridge.
+sweeps reduction equivalence).
 
 Design: each pass assumes a *compacted* state (no dead rows, no zeroed
 entries, a fresh column index -- the driver compacts before every
@@ -36,13 +35,10 @@ import numpy as np
 from repro.analysis.reductions import (
     _NORM_DIGITS,
     _TOL,
-    _Row,
-    Work,
     _unused_variable_value,
 )
 from repro.ilp.csr import (
     _CODE_TO_SENSE,
-    _SENSE_TO_CODE,
     SENSE_EQ,
     SENSE_GE,
     SENSE_LE,
@@ -1536,96 +1532,3 @@ def live_counts_csr(work: CsrWork) -> tuple[int, int, int]:
         len(ex.cols) for ex in work.extras if ex.live
     )
     return rows, cols, nonzeros
-
-
-# -- object-pass bridge -----------------------------------------------------
-
-
-def to_object_work(work: CsrWork) -> Work:
-    """Materialize the equivalent object ``Work`` (compacted state) so
-    arbitrary extra object passes can run against CSR-presolved state."""
-    work.compact()
-    rows: list[_Row | None] = []
-    col_rows: dict[int, set[int]] = {}
-    indptr = work.indptr.tolist()
-    cols = work.indices.tolist()
-    vals = work.data.tolist()
-    senses = work.senses.tolist()
-    rhs = work.rhs.tolist()
-    for r in range(len(senses)):
-        s, e = indptr[r], indptr[r + 1]
-        coefs = dict(zip(cols[s:e], vals[s:e]))
-        rows.append(
-            _Row(coefs, _CODE_TO_SENSE[senses[r]], rhs[r], work.row_names[r])
-        )
-        for j in coefs:
-            col_rows.setdefault(j, set()).add(r)
-    obj_nz = np.flatnonzero(work.obj)
-    return Work(
-        name=work.name,
-        lb=work.lb.tolist(),
-        ub=work.ub.tolist(),
-        integer=work.integer.tolist(),
-        var_names=list(work.var_names),
-        obj=dict(zip(obj_nz.tolist(), work.obj[obj_nz].tolist())),
-        obj_const=float(work.obj_const),
-        rows=rows,
-        col_rows=col_rows,
-        fixed=dict(work.fixed),
-        infeasible_reason=work.infeasible_reason,
-        counts=dict(work.counts),
-    )
-
-
-def load_object_work(work: CsrWork, obj_work: Work) -> None:
-    """Fold a (possibly mutated) object ``Work`` back into ``work``,
-    preserving the object row order (live rows in list order)."""
-    n = len(obj_work.var_names)
-    work.var_names = list(obj_work.var_names)
-    work.lb = np.asarray(obj_work.lb, dtype=np.float64)
-    work.ub = np.asarray(obj_work.ub, dtype=np.float64)
-    work.integer = np.asarray(obj_work.integer, dtype=bool)
-    work.obj = np.zeros(n, dtype=np.float64)
-    for j, coef in obj_work.obj.items():
-        work.obj[j] = coef
-    work.obj_const = float(obj_work.obj_const)
-    work.fixed = dict(obj_work.fixed)
-    work.counts = dict(obj_work.counts)
-    work.infeasible_reason = obj_work.infeasible_reason
-    cols: list[int] = []
-    vals: list[float] = []
-    indptr = [0]
-    senses: list[int] = []
-    rhs: list[float] = []
-    names: list[str] = []
-    ids: list[int] = []
-    n_bridged = len(work.row_ids)
-    for i, row in enumerate(obj_work.rows):
-        if row is None:
-            continue
-        cols.extend(row.coefs.keys())
-        vals.extend(row.coefs.values())
-        indptr.append(len(cols))
-        senses.append(_SENSE_TO_CODE[row.sense])
-        rhs.append(row.rhs)
-        names.append(row.name)
-        # Rows handed to the bridge keep their stable id; rows the
-        # object pass appended get fresh ones, in append order.
-        if i < n_bridged:
-            ids.append(int(work.row_ids[i]))
-        else:
-            ids.append(work._next_row_id)
-            work._next_row_id += 1
-    work.indices = np.asarray(cols, dtype=np.int64)
-    work.data = np.asarray(vals, dtype=np.float64)
-    work.indptr = np.asarray(indptr, dtype=np.int64)
-    work.senses = np.asarray(senses, dtype=np.int8)
-    work.rhs = np.asarray(rhs, dtype=np.float64)
-    work.row_names = names
-    work.row_ids = np.asarray(ids, dtype=np.int64)
-    work.row_live = np.ones(len(senses), dtype=bool)
-    work.extras = []
-    work._dirty = False
-    # The object pass mutated state the counter could not observe.
-    work.generation += 1
-    work._reindex()

@@ -43,9 +43,7 @@ from repro.analysis.csr_reductions import (
     csr_unconstrained_columns,
     extract_csr_model,
     live_counts_csr,
-    load_object_work,
     make_csr_uturn_pass,
-    to_object_work,
 )
 from repro.analysis.decompose import (
     Component,
@@ -282,18 +280,13 @@ def presolve_csr(
     seed_fixes: dict[int, float] | None = None,
     seed_reason: str = "seeded fix",
     max_iterations: int = MAX_ITERATIONS,
-    extra_passes: "tuple[Callable[[Work], int], ...]" = (),
     extra_csr_passes: "tuple[Callable[[CsrWork], int], ...]" = (),
 ) -> PresolveResult:
     """Columnar twin of :func:`presolve_model`: same pass catalog, same
     fixpoint driver, same trace contract, vectorized working state.
 
-    ``extra_csr_passes`` run natively after the catalog each iteration;
-    ``extra_passes`` (arbitrary *object* passes) still run after those
-    via the :func:`~repro.analysis.csr_reductions.to_object_work`
-    bridge, so callers with custom passes fall back automatically
-    rather than silently losing them.  The input model is never
-    mutated.
+    ``extra_csr_passes`` run after the catalog each iteration.  The
+    input model is never mutated.
     """
     t0 = time.perf_counter()
     n_vars_before = csr.n_vars
@@ -335,10 +328,6 @@ def presolve_csr(
                 continue
             work.compact()
             changed += run(idx, reduction, work)
-        for k, object_pass in enumerate(extra_passes):
-            if work.infeasible:
-                break
-            changed += run(("obj", k), _run_bridged, work, object_pass)
         if not work.infeasible:
             if quiet.get("tail") != work.generation:
                 work.compact()
@@ -371,20 +360,6 @@ def presolve_csr(
         original_csr=csr,
         reduced_csr=reduced_csr,
     )
-
-
-def _run_bridged(work: CsrWork, object_pass) -> int:
-    """Run one arbitrary object pass against CSR state via the bridge.
-
-    The reload is skipped when the pass fired nothing: a clean pass
-    made no mutations (the same invariant the fixpoint loop rests on),
-    so folding the untouched bridge back would be a no-op re-layout.
-    """
-    bridged = to_object_work(work)
-    delta = object_pass(bridged)
-    if delta or bridged.infeasible_reason != work.infeasible_reason:
-        load_object_work(work, bridged)
-    return delta
 
 
 def reachability_fixes(ilp: RoutingIlp) -> tuple[dict[int, float], int]:

@@ -1,7 +1,11 @@
 """The Δcost evaluation flow of Figure 6.
 
-Sweeps run under the fault-tolerant supervisor (:mod:`repro.exec`):
-individual solver crashes and wall-clock blowups become per-pair
+A sweep is planned once (:func:`_plan_sweep`: pair order, racing set,
+per-clip deadlines, one time budget) and run by one executor
+(:func:`_execute`) under the fault-tolerant supervisor
+(:mod:`repro.exec`), whether inline, on each lease worker's slice of
+the plan, or in the distributed coordinator's closing pass.
+Individual solver crashes and wall-clock blowups become per-pair
 ERROR/TIMEOUT outcomes instead of killing the sweep, and an optional
 JSONL checkpoint journal makes interrupted sweeps resumable without
 re-solving finished pairs.
@@ -22,14 +26,21 @@ from repro.eval.rule_configs import INFEASIBLE_DELTA
 from repro.exec.checkpoint import CheckpointJournal, dedupe_results
 from repro.exec.faults import FaultPlan
 from repro.exec.policy import SupervisorConfig
+from repro.exec.portfolio import (
+    RACE_BACKENDS,
+    SweepBudget,
+    clip_deadlines,
+    hardness,
+    order_hardest_first,
+    predicted_hard,
+)
 from repro.exec.runner import RouteJob, SupervisedRunner
 from repro.router.optrouter import OptRouteResult, RouteStatus
 from repro.router.rules import RuleConfig, is_restriction
 
-#: Warm-edge gate: (clip, follower rules) -> (allowed, certified).
-#: ``allowed`` permits warm transfer at all; ``certified`` states the
-#: edge carries a model-level :class:`RestrictionProof`.
-_WarmGate = Callable[[Clip, RuleConfig], tuple[bool, bool]]
+#: Warm-edge gate: (clip, follower rules) -> the edge carries a
+#: model-level :class:`RestrictionProof`.
+_WarmGate = Callable[[Clip, RuleConfig], bool]
 
 #: Statuses with no usable solve outcome: excluded from Δcost (they
 #: prove neither optimality nor infeasibility), surfaced in reports.
@@ -42,11 +53,9 @@ class ClipRuleOutcome:
 
     ``certified`` marks pairs proven infeasible by the static
     certifier (the ILP was never built or solved).
-    ``drc_violations`` is the geometric-check count on the decoded
-    routing (``None`` unless :attr:`EvalConfig.run_drc` is set and the
-    pair was feasible).  ``backend``/``attempts``/``degraded`` are the
-    supervisor's provenance tags: a degraded outcome was produced by a
-    fallback backend and carries no optimality guarantee.
+    ``backend``/``attempts``/``degraded`` are the supervisor's
+    provenance tags: a degraded outcome was produced by a fallback
+    backend and carries no optimality guarantee.
 
     ``audited``/``audit_ok``/``quarantined``/``healed`` are the
     trust-but-verify tags (:mod:`repro.verify`): whether the result
@@ -63,7 +72,6 @@ class ClipRuleOutcome:
     n_vias: int
     solve_seconds: float
     certified: bool = False
-    drc_violations: int | None = None
     backend: str = ""
     attempts: int = 1
     degraded: bool = False
@@ -221,18 +229,6 @@ class DeltaCostStudy:
             1 for o in self.outcomes[rule_name] if o.restriction_certified
         )
 
-    def drc_violation_count(self, rule_name: str) -> "int | None":
-        """Total DRC violations across checked routings, or ``None``
-        when DRC was not run for this rule."""
-        checked = [
-            outcome.drc_violations
-            for outcome in self.outcomes[rule_name]
-            if outcome.drc_violations is not None
-        ]
-        if not checked:
-            return None
-        return sum(checked)
-
     def presolve_seconds_total(self, rule_name: str) -> float:
         """Total wall time spent in presolve across the rule's clips."""
         return sum(o.presolve_seconds for o in self.outcomes[rule_name])
@@ -281,8 +277,6 @@ class EvalConfig:
 
     ``certify`` short-circuits statically-provable infeasible pairs
     before the solver (sound, so Δcost results are unchanged).
-    ``run_drc`` re-checks every decoded feasible routing with the
-    geometric DRC so formulation bugs cannot silently pass the sweep.
     ``presolve`` reduces each ILP with the fixpoint presolve engine
     before solving (sound; lifted routings are DRC-verified in the
     router itself).
@@ -303,12 +297,16 @@ class EvalConfig:
     via_cost: float = 4.0
     backend: str = "highs"
     certify: bool = True
-    run_drc: bool = False
     presolve: bool = True
     #: schedule each clip's rules as one group (baseline first) so the
-    #: baseline outcome warm-starts follower rules that are pure
-    #: restrictions of it -- sound shortcuts only, identical results
-    #: (see docs/performance.md).  Off = historical rule-major order.
+    #: baseline outcome warm-starts follower rules it provably
+    #: restricts -- sound shortcuts only, identical results (see
+    #: docs/performance.md).  Every warm edge needs a model-level
+    #: :class:`~repro.analysis.semantics.restriction.RestrictionProof`;
+    #: an edge the syntactic :func:`is_restriction` predicate accepts
+    #: but the prover cannot certify is never warmed and is reported in
+    #: ``DeltaCostStudy.restriction_disagreements``.  Off = historical
+    #: rule-major order, no warm starts.
     incremental: bool = True
     #: directory of the persistent solve cache (None = disabled).
     solve_cache_dir: str | None = None
@@ -317,14 +315,6 @@ class EvalConfig:
     #: deterministic fraction of pairs cross-checked on the alternate
     #: backend (0 = certificates only, no extra solves).
     cross_check_fraction: float = 0.0
-    #: gate every warm-start edge on a model-level
-    #: :class:`~repro.analysis.semantics.restriction.RestrictionProof`
-    #: instead of the syntactic :func:`is_restriction` predicate alone.
-    #: The prover is cross-checked against the predicate: an edge the
-    #: predicate accepts but the prover cannot certify is never warmed
-    #: and is reported in ``DeltaCostStudy.restriction_disagreements``.
-    #: Off = historical predicate-only gating (no proofs built).
-    prove_restrictions: bool = True
     #: worker processes for lease-coordinated distributed execution
     #: (:mod:`repro.exec.distributed`).  1 = the historical
     #: single-process flow; > 1 requires ``checkpoint_path`` (the
@@ -332,18 +322,111 @@ class EvalConfig:
     #: deterministic and deduplicated first-wins, so the Δcost table
     #: is byte-identical to a sequential run.
     n_procs: int = 1
-    #: portfolio-race both exact backends on clips predicted hard by
-    #: the paper's pin-cost metric (and on clips whose journaled prior
-    #: attempt hit LIMIT).  First *certified* answer wins; both
-    #: backends are exact, so results are unchanged -- only latency.
+    #: portfolio-race both exact backends on the hardest half of the
+    #: clips by the paper's pin-cost metric (and on clips whose
+    #: journaled prior attempt hit LIMIT).  First *certified* answer
+    #: wins; both backends are exact, so results are unchanged -- only
+    #: latency.
     race: bool = False
-    #: fraction of clips (hardest-first) eligible for racing.
-    race_fraction: float = 0.5
     #: sweep-level wall-clock budget in seconds (None = unbounded).
     #: Per-clip deadlines are allocated hardest-first from it, and the
     #: runner degrades racing -> single backend -> baseline as it
     #: drains (see :class:`repro.exec.portfolio.SweepBudget`).
     time_budget: float | None = None
+
+
+@dataclass(frozen=True)
+class _SweepPlan:
+    """Everything the executors of one sweep agree on, computed once.
+
+    ``pairs`` lists every (clip, rule) pair in input order -- clip-major
+    with ``incremental``, else rule-major -- which is the order jobs are
+    built in.  ``groups`` is the execution order, as indices into
+    ``pairs``: one group per clip (baseline rule first) with
+    ``incremental``, else one group per pair; hardest clip first when
+    racing or budgeted, so the most uncertain work runs while the
+    budget is still generous.  ``race_set`` names the clips raced on
+    both exact backends, ``deadlines`` is each clip's share of the time
+    budget, and ``budget`` is the sweep's one budget, anchored at its
+    start on the wall clock so that lease workers and the closing pass
+    drain the same budget.
+    """
+
+    clips: tuple[Clip, ...]
+    rules: tuple[RuleConfig, ...]
+    config: EvalConfig
+    pairs: tuple[tuple[Clip, RuleConfig], ...]
+    groups: tuple[tuple[int, ...], ...]
+    race_set: frozenset[str]
+    deadlines: "dict[str, float] | None"
+    budget: SweepBudget | None
+
+    def lease_keys(self, done: "dict[tuple[str, str], ClipRuleOutcome]") -> list[str]:
+        """Clips with a pair still to solve, hardest first: the order
+        lease workers claim them in."""
+        pending = [
+            clip
+            for clip in self.clips
+            if any((clip.name, rule.name) not in done for rule in self.rules)
+        ]
+        return [pending[i].name for i in order_hardest_first(pending)]
+
+    def for_clip(self, name: str) -> "_SweepPlan":
+        """A lease worker's slice: one clip's pairs in plan order, with
+        the sweep's race set, deadlines and budget."""
+        keep = [i for i, (clip, _) in enumerate(self.pairs) if clip.name == name]
+        renumber = {old: new for new, old in enumerate(keep)}
+        groups = (
+            tuple(renumber[i] for i in group if i in renumber)
+            for group in self.groups
+        )
+        return replace(
+            self,
+            clips=tuple(clip for clip in self.clips if clip.name == name),
+            pairs=tuple(self.pairs[i] for i in keep),
+            groups=tuple(group for group in groups if group),
+        )
+
+
+def _plan_sweep(
+    clips: Sequence[Clip], rules: Sequence[RuleConfig], config: EvalConfig
+) -> _SweepPlan:
+    """Plan a sweep once, at its start (see :class:`_SweepPlan`)."""
+    if config.incremental:
+        pairs = [(clip, rule) for clip in clips for rule in rules]
+        by_clip: dict[str, list[int]] = {}
+        for i, (clip, _) in enumerate(pairs):
+            by_clip.setdefault(clip.name, []).append(i)
+        groups = list(by_clip.values())
+    else:
+        pairs = [(clip, rule) for rule in rules for clip in clips]
+        groups = [[i] for i in range(len(pairs))]
+    race_set = (
+        frozenset(predicted_hard(list(clips))) if config.race else frozenset()
+    )
+    deadlines = None
+    budget = None
+    if config.time_budget is not None:
+        deadlines = clip_deadlines(list(clips), config.time_budget)
+        budget = SweepBudget(
+            total=config.time_budget, started=time.time(), clock=time.time
+        )
+    if race_set or budget is not None:
+        # Execution order does not affect per-pair results, so reports
+        # are unchanged.
+        groups.sort(
+            key=lambda g: (-hardness(pairs[g[0]][0]), pairs[g[0]][0].name)
+        )
+    return _SweepPlan(
+        clips=tuple(clips),
+        rules=tuple(rules),
+        config=config,
+        pairs=tuple(pairs),
+        groups=tuple(tuple(group) for group in groups),
+        race_set=race_set,
+        deadlines=deadlines,
+        budget=budget,
+    )
 
 
 def evaluate_clips(
@@ -355,14 +438,10 @@ def evaluate_clips(
     resume: bool = False,
     supervisor: SupervisorConfig | None = None,
     fault_plan: FaultPlan | None = None,
-    race_clips: "frozenset[str] | None" = None,
-    budget=None,
-    clip_deadlines: "dict[str, float] | None" = None,
     chaos_kills: int = 0,
     chaos_seed: int = 0,
     stop_event: "threading.Event | None" = None,
     on_outcome: "Callable[[ClipRuleOutcome], None] | None" = None,
-    _concurrent: bool = False,
 ) -> DeltaCostStudy:
     """Run OptRouter on every (clip, rule) pair under the supervisor.
 
@@ -382,132 +461,103 @@ def evaluate_clips(
     ``config.n_procs > 1`` switches to the lease-coordinated
     distributed fabric (requires ``checkpoint_path``); ``chaos_kills``
     SIGKILLs that many random workers mid-sweep (the chaos scenario)
-    and ``stop_event`` is the graceful-shutdown hook.  ``race_clips``
-    / ``budget`` / ``clip_deadlines`` override the racing-eligible
-    set, the sweep budget, and the per-clip deadline allocation
-    (normally derived from ``config``; distributed workers receive the
-    coordinator's values so every process agrees).  ``on_outcome`` is
-    an observer called with each :class:`ClipRuleOutcome` right after
-    it is journaled (progress streaming; chaos-kill triggers).
-    ``_concurrent``
-    marks a call *from* a distributed worker: the journal is then only
-    read tolerantly (no healing compaction, which would race peer
-    appends) and never truncated.
+    and ``stop_event`` is the graceful-shutdown hook.  ``on_outcome``
+    is an observer called with each :class:`ClipRuleOutcome` of a
+    single-process sweep right after it is journaled (progress
+    streaming; chaos-kill triggers).
     """
     if config is None:
         config = EvalConfig()
     if not rules:
         raise ValueError("need at least one rule configuration")
-    if config.n_procs > 1 and not _concurrent:
-        if checkpoint_path is None:
-            raise ValueError(
-                "distributed evaluation (n_procs > 1) requires "
-                "checkpoint_path: the journal is the coordination log"
-            )
-        return _evaluate_distributed(
-            clips,
-            rules,
-            config,
-            checkpoint_path=checkpoint_path,
-            resume=resume,
-            supervisor=supervisor,
-            fault_plan=fault_plan,
-            chaos_kills=chaos_kills,
-            chaos_seed=chaos_seed,
-            stop_event=stop_event,
-        )
-
     journal: CheckpointJournal | None = None
     done: dict[tuple[str, str], ClipRuleOutcome] = {}
     if checkpoint_path is not None:
         _require_unique_names(clips, rules)
         journal = CheckpointJournal(checkpoint_path)
         if resume:
-            # A journal written by multiple workers holds lease records
-            # and (after lease reclaims) possibly several records per
-            # pair: keep result records only, first occurrence wins.
-            records = journal.read() if _concurrent else journal.load()
-            for record in dedupe_results(records):
-                outcome = outcome_from_record(record)
-                done[(outcome.clip_name, outcome.rule_name)] = outcome
-        elif not _concurrent:
-            journal.clear()
-
-    baseline = rules[0]
-    race_set: "frozenset[str]" = frozenset()
-    if config.race:
-        if race_clips is not None:
-            race_set = frozenset(race_clips)
+            done = _journaled(journal.load())
         else:
-            from repro.exec.portfolio import predicted_hard
+            journal.clear()
+    plan = _plan_sweep(clips, rules, config)
+    if config.n_procs <= 1:
+        return _execute(
+            plan,
+            supervisor or SupervisorConfig(n_workers=1, isolation="inline"),
+            journal,
+            done,
+            fault_plan=fault_plan,
+            stop_event=stop_event,
+            on_outcome=on_outcome,
+        )
+    if journal is None:
+        raise ValueError(
+            "distributed evaluation (n_procs > 1) requires "
+            "checkpoint_path: the journal is the coordination log"
+        )
+    return _evaluate_distributed(
+        plan,
+        journal,
+        done,
+        supervisor=supervisor,
+        fault_plan=fault_plan,
+        chaos_kills=chaos_kills,
+        chaos_seed=chaos_seed,
+        stop_event=stop_event,
+    )
 
-            race_set = frozenset(
-                predicted_hard(list(clips), config.race_fraction)
-            )
-    if budget is None and config.time_budget is not None:
-        from repro.exec.portfolio import SweepBudget
 
-        budget = SweepBudget(total=config.time_budget)
-    if (
-        clip_deadlines is None
-        and config.time_budget is not None
-    ):
-        from repro.exec.portfolio import clip_deadlines as _allocate
-
-        clip_deadlines = _allocate(list(clips), config.time_budget)
-
+def _execute(
+    plan: _SweepPlan,
+    supervisor: SupervisorConfig,
+    journal: CheckpointJournal | None,
+    done: "dict[tuple[str, str], ClipRuleOutcome]",
+    *,
+    fault_plan: FaultPlan | None = None,
+    stop_event: "threading.Event | None" = None,
+    on_outcome: "Callable[[ClipRuleOutcome], None] | None" = None,
+) -> DeltaCostStudy:
+    """Run the plan's pairs missing from ``done`` (the journaled
+    outcomes) on one :class:`SupervisedRunner`; audit, journal and
+    observe each result as it lands; return the study of the plan's
+    clips.  The one executor behind the sequential sweep, each lease
+    worker and the coordinator's closing pass."""
+    config = plan.config
+    baseline = plan.rules[0]
     restriction_disagreements: list[str] = []
     certified_edges: set[tuple[str, str]] = set()
-    prover: RestrictionProver | None = None
-    if config.incremental and config.prove_restrictions:
-        prover = RestrictionProver(
-            wire_cost=config.wire_cost, via_cost=config.via_cost
-        )
+    prover = RestrictionProver(
+        wire_cost=config.wire_cost, via_cost=config.via_cost
+    )
 
-    def warm_gate(clip: Clip, follower: RuleConfig) -> tuple[bool, bool]:
-        predicate = is_restriction(baseline, follower)
-        if prover is None:
-            return predicate, False
+    def proven(clip: Clip, follower: RuleConfig) -> bool:
         proof = prover.prove(clip, baseline, follower)
-        if predicate and not proof.holds:
+        if not proof.holds and is_restriction(baseline, follower):
             restriction_disagreements.append(
                 f"{clip.name}: predicate accepts "
                 f"{baseline.name} -> {follower.name} but the model-level "
                 "proof failed: " + "; ".join(proof.failures)
             )
-            return False, False
-        return proof.holds, proof.holds
+        return proof.holds
 
-    if config.incremental:
-        # Clip-major, baseline rule first: each clip's rules form one
-        # warm-start group on one worker.
-        pairs = [(clip, rule) for clip in clips for rule in rules]
-    else:
-        pairs = [(clip, rule) for rule in rules for clip in clips]
-    pending = [
-        (clip, rule)
-        for clip, rule in pairs
-        if (clip.name, rule.name) not in done
-    ]
+    # Clips whose journaled prior attempt hit LIMIT race as well.
+    limited = {o.clip_name for o in done.values() if o.status is RouteStatus.LIMIT}
 
     def make_job(clip: Clip, rule: RuleConfig) -> RouteJob:
         time_limit = config.time_limit_per_clip
-        if clip_deadlines is not None and clip.name in clip_deadlines:
+        if plan.deadlines is not None and clip.name in plan.deadlines:
             # The clip's budget share, spread across its rule jobs.
-            per_pair = clip_deadlines[clip.name] / max(1, len(rules))
+            per_pair = plan.deadlines[clip.name] / len(plan.rules)
             time_limit = (
                 per_pair if time_limit is None else min(time_limit, per_pair)
             )
         race_with = None
-        if race_set and config.backend != "baseline":
-            prior_limit = any(
-                o.status is RouteStatus.LIMIT and o.clip_name == clip.name
-                for o in done.values()
-            )
-            if clip.name in race_set or prior_limit:
-                from repro.exec.portfolio import RACE_BACKENDS
-
-                race_with = RACE_BACKENDS
+        if (
+            plan.race_set
+            and config.backend != "baseline"
+            and (clip.name in plan.race_set or clip.name in limited)
+        ):
+            race_with = RACE_BACKENDS
         job = RouteJob(
             clip=clip,
             rules=rule,
@@ -526,34 +576,19 @@ def evaluate_clips(
             # transfer) -- pre-seed what the in-group derive cannot.
             prior = done.get((clip.name, baseline.name))
             if prior is not None:
-                job = _warm_from_outcome(
-                    job, baseline, prior, warm_gate, certified_edges
-                )
+                job = _warm_from_result(job, prior, proven, certified_edges)
         return job
 
-    if config.incremental:
-        groups: list[list[RouteJob]] = []
-        by_clip: dict[str, list[RouteJob]] = {}
-        for clip, rule in pending:
-            group = by_clip.get(clip.name)
-            if group is None:
-                group = by_clip[clip.name] = []
-                groups.append(group)
-            group.append(make_job(clip, rule))
-    else:
-        groups = [[make_job(clip, rule)] for clip, rule in pending]
-    if (race_set or budget is not None) and len(groups) > 1:
-        # Hardest-first straggler control: the most uncertain clips run
-        # while the budget is still generous.  Execution order does not
-        # affect per-pair results, so reports are unchanged.
-        from repro.exec.portfolio import hardness
-
-        groups.sort(key=lambda g: (-hardness(g[0].clip), g[0].clip.name))
-    # Flat (clip, rule) positions in concatenated group order -- the
-    # index space of fault plans and ``on_result``.
-    flat_pairs = [(job.clip, job.rules) for group in groups for job in group]
-    if supervisor is None:
-        supervisor = SupervisorConfig(n_workers=1, isolation="inline")
+    jobs = {
+        i: make_job(clip, rule)
+        for i, (clip, rule) in enumerate(plan.pairs)
+        if (clip.name, rule.name) not in done
+    }
+    groups = [[jobs[i] for i in group if i in jobs] for group in plan.groups]
+    groups = [group for group in groups if group]
+    # Flat positions in concatenated group order -- the index space of
+    # fault plans and ``on_result``.
+    flat = [job for group in groups for job in group]
 
     fresh: dict[tuple[str, str], ClipRuleOutcome] = {}
 
@@ -589,7 +624,7 @@ def evaluate_clips(
         return result
 
     def on_result(index: int, result: OptRouteResult) -> None:
-        clip, rule = flat_pairs[index]
+        clip, rule = flat[index].clip, flat[index].rules
         audited = False
         audit_ok: "bool | None" = None
         was_quarantined = False
@@ -622,14 +657,8 @@ def evaluate_clips(
                         ),
                     )
                     audit_ok = False
-        drc_violations = None
-        if config.run_drc and result.feasible and result.routing is not None:
-            from repro.drc import check_clip_routing
-
-            drc_violations = len(check_clip_routing(clip, rule, result.routing))
         outcome = _to_outcome(
             result,
-            drc_violations,
             audited=audited,
             audit_ok=audit_ok,
             quarantined=was_quarantined,
@@ -653,7 +682,7 @@ def evaluate_clips(
 
             raise SweepInterrupted(
                 "sweep interrupted after journaling the current pair",
-                str(checkpoint_path) if checkpoint_path else "",
+                str(journal.path) if journal is not None else "",
             )
 
     def derive(job: RouteJob, group_results: list[OptRouteResult]) -> RouteJob:
@@ -662,11 +691,9 @@ def evaluate_clips(
         )
         if base is None:
             return job
-        return _warm_from_result(
-            job, baseline, base, warm_gate, certified_edges
-        )
+        return _warm_from_result(job, base, proven, certified_edges)
 
-    SupervisedRunner(supervisor, budget=budget).run_groups(
+    SupervisedRunner(supervisor, budget=plan.budget).run_groups(
         groups,
         fault_plan=fault_plan,
         on_result=on_result,
@@ -674,258 +701,150 @@ def evaluate_clips(
     )
 
     study = DeltaCostStudy(
-        clip_names=[clip.name for clip in clips],
-        rule_names=[rule.name for rule in rules],
-        baseline_rule=rules[0].name,
+        clip_names=[clip.name for clip in plan.clips],
+        rule_names=[rule.name for rule in plan.rules],
+        baseline_rule=baseline.name,
         restriction_disagreements=restriction_disagreements,
         journal_write_failures=(
             journal.write_failures if journal is not None else 0
         ),
     )
-    for rule in rules:
+    for rule in plan.rules:
         study.outcomes[rule.name] = [
             fresh.get((clip.name, rule.name)) or done[(clip.name, rule.name)]
-            for clip in clips
+            for clip in plan.clips
         ]
     return study
 
 
-def _distributed_group_work(
+def _journaled(records: "list[dict]") -> "dict[tuple[str, str], ClipRuleOutcome]":
+    """Journaled outcomes by (clip, rule).  A journal written by several
+    workers holds lease records and, after lease reclaims, possibly
+    several records per pair: result records only, first one wins."""
+    outcomes = (outcome_from_record(record) for record in dedupe_results(records))
+    return {(o.clip_name, o.rule_name): o for o in outcomes}
+
+
+def _run_lease_group(
     group_key: str,
     *,
+    plan: _SweepPlan,
     journal_path: str,
-    clips: "list[Clip]",
-    rules: "list[RuleConfig]",
-    config: EvalConfig,
     supervisor: SupervisorConfig,
-    race_clips: "frozenset[str]",
-    clip_deadlines: "dict[str, float] | None",
-    wall_start: float,
     fault_plan: FaultPlan | None,
 ) -> None:
-    """Worker-side evaluation of one clip group (module-level so it is
-    picklable on spawn-only platforms).
+    """A lease worker's share of the sweep: one clip's slice of the plan
+    (module-level so it is picklable on spawn-only platforms).
 
-    Re-enters :func:`evaluate_clips` for the single clip with
-    ``_concurrent=True``: the journal is read tolerantly (peers are
-    appending), already-journaled pairs are skipped -- which is what
-    makes lease reclaims re-solve only the *unfinished* remainder of a
-    dead worker's group -- and every completed pair is appended as a
-    result record.  Racing/budget context comes from the coordinator
-    so all workers agree; the budget is reconstructed on the wall
-    clock so it drains sweep-wide, not per worker.
+    The journal is only read tolerantly -- peers are appending, so no
+    healing compaction and no truncation -- and already-journaled pairs
+    are skipped, which is what makes a lease reclaim re-solve only the
+    *unfinished* remainder of a dead worker's group.
     """
-    clip = next(c for c in clips if c.name == group_key)
-    budget = None
-    if config.time_budget is not None:
-        from repro.exec.portfolio import SweepBudget
-
-        budget = SweepBudget(
-            total=config.time_budget, started=wall_start, clock=time.time
-        )
-    evaluate_clips(
-        [clip],
-        rules,
-        replace(config, n_procs=1),
-        checkpoint_path=journal_path,
-        resume=True,
-        supervisor=replace(supervisor, n_workers=1, isolation="process"),
+    journal = CheckpointJournal(journal_path)
+    _execute(
+        plan.for_clip(group_key),
+        supervisor,
+        journal,
+        _journaled(journal.read()),
         fault_plan=fault_plan,
-        race_clips=race_clips,
-        budget=budget,
-        clip_deadlines=clip_deadlines,
-        _concurrent=True,
     )
 
 
 def _evaluate_distributed(
-    clips: Sequence[Clip],
-    rules: Sequence[RuleConfig],
-    config: EvalConfig,
+    plan: _SweepPlan,
+    journal: CheckpointJournal,
+    done: "dict[tuple[str, str], ClipRuleOutcome]",
     *,
-    checkpoint_path: "str | os.PathLike[str]",
-    resume: bool,
     supervisor: SupervisorConfig | None,
     fault_plan: FaultPlan | None,
     chaos_kills: int,
     chaos_seed: int,
     stop_event: "threading.Event | None",
 ) -> DeltaCostStudy:
-    """Lease-coordinated multi-process evaluation (the tentpole path).
+    """Lease-coordinated multi-process evaluation.
 
-    The coordinator heals the journal once up front (safe: no workers
-    yet), shards clip groups hardest-first across ``config.n_procs``
-    workers via :func:`repro.exec.distributed.run_distributed`, then
-    closes with a sequential resume pass that heals the journal
-    (quarantining any line torn by a SIGKILL mid-write), re-solves
-    anything still missing, and builds the study -- so the returned
-    report is byte-identical to a single-process run of the same sweep.
+    The journal was healed (or cleared) before any worker started.
+    Clip groups are claimed hardest-first by ``config.n_procs`` workers
+    via :func:`repro.exec.distributed.run_distributed`, each running its
+    clip's slice of the plan.  A closing sequential pass then heals the
+    journal (quarantining any line torn by a SIGKILL mid-write),
+    re-solves anything still missing on what is left of the sweep's
+    budget, and builds the study -- so the returned report is
+    byte-identical to a single-process run of the same sweep.
     """
+    # Imported at call time, so that a wrapper installed on the module
+    # attribute (sweepbench's span tracer) sees the call.
     from repro.exec.chaos import ChaosMonkey, KillPlan
     from repro.exec.distributed import DistributedConfig, run_distributed
-    from repro.exec.portfolio import (
-        clip_deadlines as _allocate,
-        order_hardest_first,
-        predicted_hard,
-    )
 
-    _require_unique_names(clips, rules)
-    journal = CheckpointJournal(checkpoint_path)
-    done: set[tuple[str, str]] = set()
-    if resume:
-        for record in dedupe_results(journal.load()):
-            done.add((record["clip"], record["rule"]))
-    else:
-        journal.clear()
-
-    pending_clips = [
-        clip
-        for clip in clips
-        if any((clip.name, rule.name) not in done for rule in rules)
-    ]
-    keys = [
-        pending_clips[i].name for i in order_hardest_first(pending_clips)
-    ]
-    race_set = (
-        frozenset(predicted_hard(list(clips), config.race_fraction))
-        if config.race
-        else frozenset()
-    )
-    deadlines = (
-        _allocate(list(clips), config.time_budget)
-        if config.time_budget is not None
-        else None
-    )
-    if supervisor is None:
-        supervisor = SupervisorConfig()
     work = partial(
-        _distributed_group_work,
-        journal_path=str(checkpoint_path),
-        clips=list(clips),
-        rules=list(rules),
-        config=config,
-        supervisor=supervisor,
-        race_clips=race_set,
-        clip_deadlines=deadlines,
-        wall_start=time.time(),
+        _run_lease_group,
+        plan=plan,
+        journal_path=str(journal.path),
+        supervisor=replace(
+            supervisor or SupervisorConfig(), n_workers=1, isolation="process"
+        ),
         fault_plan=fault_plan,
     )
     monkey = None
-    dist_config = DistributedConfig(n_procs=config.n_procs)
+    dist_config = DistributedConfig(n_procs=plan.config.n_procs)
     if chaos_kills > 0:
         # Chaos runs disable respawn: surviving peers (or, in the
         # extreme, the coordinator's inline floor) must absorb the
         # killed workers' groups -- that is the property under test.
         dist_config = replace(dist_config, respawn=False)
         monkey = ChaosMonkey(
-            CheckpointJournal(checkpoint_path),
-            KillPlan(config.n_procs, chaos_kills, seed=chaos_seed),
+            CheckpointJournal(journal.path),
+            KillPlan(plan.config.n_procs, chaos_kills, seed=chaos_seed),
         )
     report = run_distributed(
-        checkpoint_path,
-        keys,
+        journal.path,
+        plan.lease_keys(done),
         work,
         dist_config,
         monkey=monkey,
         stop_event=stop_event,
     )
-    # Closing sequential pass: heal the journal (quarantine any line a
-    # SIGKILL tore mid-write), re-solve any still-missing pair, build
-    # the study from the deduplicated records.
-    study = evaluate_clips(
-        clips,
-        rules,
-        replace(config, n_procs=1),
-        checkpoint_path=checkpoint_path,
-        resume=True,
-        supervisor=SupervisorConfig(n_workers=1, isolation="inline"),
-        race_clips=race_set if config.race else None,
-        clip_deadlines=deadlines,
+    # Closing pass: ``load`` heals the journal, and the plan's budget
+    # has been draining since the sweep started.
+    study = _execute(
+        plan,
+        SupervisorConfig(n_workers=1, isolation="inline"),
+        journal,
+        _journaled(journal.load()),
     )
     study.distributed_report = report
     return study
 
 
-def _predicate_gate(baseline: RuleConfig) -> _WarmGate:
-    """The historical gate: syntactic predicate, no certification."""
-
-    def gate(clip: Clip, follower: RuleConfig) -> tuple[bool, bool]:
-        return is_restriction(baseline, follower), False
-
-    return gate
-
-
 def _warm_from_result(
     job: RouteJob,
-    baseline: RuleConfig,
-    base: OptRouteResult,
-    gate: _WarmGate | None = None,
-    certified_edges: "set[tuple[str, str]] | None" = None,
+    base: "OptRouteResult | ClipRuleOutcome",
+    proven: _WarmGate,
+    certified_edges: "set[tuple[str, str]]",
 ) -> RouteJob:
     """Rewrite a follower job with warm-start fields from its clip's
-    baseline result.  Only sound transfers are made: the warm gate
-    must allow the edge (model-level restriction proof, or the
-    syntactic predicate when proving is off), and the baseline outcome
+    baseline result.  Only sound transfers are made: the edge must
+    carry a model-level restriction proof, and the baseline outcome
     must be trustworthy (not degraded -- fallback backends carry no
-    optimality or infeasibility proof)."""
-    from dataclasses import replace
-
-    if gate is None:
-        gate = _predicate_gate(baseline)
-    if base.degraded:
+    optimality or infeasibility proof).  A journaled outcome is a
+    result without geometry: its infeasibility proof and lower bound
+    transfer, a routing to reuse does not."""
+    if base.degraded or not proven(job.clip, job.rules):
         return job
-    allowed, certified = gate(job.clip, job.rules)
-    if not allowed:
-        return job
-    warmed: RouteJob | None = None
     if base.status is RouteStatus.INFEASIBLE:
         warmed = replace(job, warm_infeasible=True)
-    elif (
-        base.status is RouteStatus.OPTIMAL
-        and base.routing is not None
-        and base.cost is not None
-    ):
+    elif base.status is RouteStatus.OPTIMAL and base.cost is not None:
         warmed = replace(
             job,
-            warm_routing=base.routing,
+            warm_routing=getattr(base, "routing", None),
             warm_cost=base.cost,
             warm_lower_bound=base.cost,
         )
-    if warmed is None:
+    else:
         return job
-    if certified and certified_edges is not None:
-        certified_edges.add((job.clip.name, job.rules.name))
-    return warmed
-
-
-def _warm_from_outcome(
-    job: RouteJob,
-    baseline: RuleConfig,
-    prior: ClipRuleOutcome,
-    gate: _WarmGate | None = None,
-    certified_edges: "set[tuple[str, str]] | None" = None,
-) -> RouteJob:
-    """Warm fields from a *journaled* baseline outcome (resume path).
-    The journal stores no routing geometry, so only the infeasibility
-    proof and the lower bound transfer."""
-    from dataclasses import replace
-
-    if gate is None:
-        gate = _predicate_gate(baseline)
-    if prior.degraded:
-        return job
-    allowed, certified = gate(job.clip, job.rules)
-    if not allowed:
-        return job
-    warmed: RouteJob | None = None
-    if prior.status is RouteStatus.INFEASIBLE:
-        warmed = replace(job, warm_infeasible=True)
-    elif prior.status is RouteStatus.OPTIMAL and prior.cost is not None:
-        warmed = replace(job, warm_lower_bound=prior.cost)
-    if warmed is None:
-        return job
-    if certified and certified_edges is not None:
-        certified_edges.add((job.clip.name, job.rules.name))
+    certified_edges.add((job.clip.name, job.rules.name))
     return warmed
 
 
@@ -942,7 +861,6 @@ def _require_unique_names(
 
 def _to_outcome(
     result: OptRouteResult,
-    drc_violations: "int | None" = None,
     *,
     audited: bool = False,
     audit_ok: "bool | None" = None,
@@ -960,7 +878,6 @@ def _to_outcome(
         n_vias=result.n_vias,
         solve_seconds=result.solve_seconds,
         certified=result.certified,
-        drc_violations=drc_violations,
         backend=result.backend,
         attempts=result.attempts,
         degraded=result.degraded,
@@ -994,7 +911,6 @@ def outcome_to_record(outcome: ClipRuleOutcome) -> dict:
         "n_vias": outcome.n_vias,
         "solve_seconds": outcome.solve_seconds,
         "certified": outcome.certified,
-        "drc": outcome.drc_violations,
         "backend": outcome.backend,
         "attempts": outcome.attempts,
         "degraded": outcome.degraded,
@@ -1026,7 +942,6 @@ def outcome_from_record(record: dict) -> ClipRuleOutcome:
         n_vias=record["n_vias"],
         solve_seconds=record["solve_seconds"],
         certified=record["certified"],
-        drc_violations=record.get("drc"),
         backend=record.get("backend", ""),
         attempts=record.get("attempts", 1),
         degraded=record.get("degraded", False),

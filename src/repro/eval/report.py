@@ -26,10 +26,9 @@ def format_rule_table(rules: Sequence[RuleConfig], title: str = "Table 3") -> st
 def format_delta_cost_table(study: DeltaCostStudy, title: str = "") -> str:
     """Summary of a Δcost study: one row per rule.
 
-    ``certified`` counts solver-free infeasibility proofs; a ``drc``
-    column appears when the study re-checked decoded routings.  When
-    the supervised sweep contained failures (worker crash / hard
-    deadline) or degraded results (produced by a fallback backend, so
+    ``certified`` counts solver-free infeasibility proofs.  When the
+    supervised sweep contained failures (worker crash / hard deadline)
+    or degraded results (produced by a fallback backend, so
     non-optimal and excluded from Δcost), ``fail`` and ``degraded``
     columns flag them.  Presolve work (nonzeros removed, wall time) is
     deliberately absent: warm starts and solve-cache hits skip the
@@ -38,10 +37,6 @@ def format_delta_cost_table(study: DeltaCostStudy, title: str = "") -> str:
     cold, resumed, and cache-replayed sweeps.  Use
     :func:`format_timing_table` for the execution diagnostics.
     """
-    with_drc = any(
-        study.drc_violation_count(rule_name) is not None
-        for rule_name in study.rule_names
-    )
     with_faults = any(
         study.failure_count(rule_name) or study.degraded_count(rule_name)
         for rule_name in study.rule_names
@@ -63,9 +58,6 @@ def format_delta_cost_table(study: DeltaCostStudy, title: str = "") -> str:
         if with_faults:
             row.append(study.failure_count(rule_name))
             row.append(study.degraded_count(rule_name))
-        if with_drc:
-            drc = study.drc_violation_count(rule_name)
-            row.append("-" if drc is None else drc)
         rows.append(tuple(row))
     header = [
         "rule", "clips", "infeasible", "certified", "limit", "zero_frac",
@@ -73,8 +65,6 @@ def format_delta_cost_table(study: DeltaCostStudy, title: str = "") -> str:
     ]
     if with_faults:
         header += ["fail", "degraded"]
-    if with_drc:
-        header.append("drc")
     return format_table(tuple(header), rows, title=title)
 
 

@@ -149,24 +149,6 @@ class TestStaticAnalysisIntegration:
                 rule_name
             ) == without.infeasible_count(rule_name)
 
-    def test_run_drc_surfaces_counts(self, clip_set, rules):
-        study = evaluate_clips(
-            clip_set, rules,
-            EvalConfig(time_limit_per_clip=30.0, run_drc=True),
-        )
-        # OptRouter solutions are DRC-clean, so counts exist and are 0.
-        assert study.drc_violation_count("RULE1") == 0
-        for outcome in study.outcomes["RULE1"]:
-            if outcome.feasible:
-                assert outcome.drc_violations == 0
-        text = format_delta_cost_table(study, title="drc run")
-        assert "drc" in text
-        assert "certified" in text
-
-    def test_drc_column_absent_without_flag(self, study):
-        assert study.drc_violation_count("RULE1") is None
-        assert "drc" not in format_delta_cost_table(study).splitlines()[1]
-
 
 class TestValidation:
     def test_footnote6_property(self):
@@ -275,3 +257,130 @@ class TestDistributedEvaluation:
         assert pairs == {
             (c.name, r.name) for c in clips for r in rules
         }
+
+    def test_closing_pass_keeps_the_sweep_budget(self, tmp_path, monkeypatch):
+        """The coordinator's closing resume pass must draw on the budget
+        the workers drained, not a fresh one: a pair it re-solves gets
+        the remainder, never the full budget again."""
+        from repro.exec import SupervisedRunner
+
+        handed: list[tuple[object, float]] = []
+        original_init = SupervisedRunner.__init__
+
+        def init(self, config=None, budget=None):
+            original_init(self, config, budget=budget)
+            if budget is not None:
+                handed.append((budget, budget.elapsed()))
+
+        # Patched in the coordinator only; forked workers record into
+        # their own copies of the list.
+        monkeypatch.setattr(SupervisedRunner, "__init__", init)
+        study = evaluate_clips(
+            self._population(), self._rules(),
+            EvalConfig(time_limit_per_clip=30.0, n_procs=2,
+                       time_budget=600.0),
+            checkpoint_path=tmp_path / "dist.jsonl",
+        )
+        report = study.distributed_report
+        assert report is not None and report.elapsed > 0
+        assert handed, "the closing pass built no budgeted runner"
+        budget, elapsed_at_close = handed[-1]
+        assert budget.total == 600.0
+        assert elapsed_at_close >= report.elapsed
+
+
+class TestRacedBudgetedSweeps:
+    """Racing and a sweep time budget through :func:`evaluate_clips`:
+    the race set, the per-clip deadline shares and the Δcost report,
+    inline-sequential under process isolation and on two lease workers."""
+
+    BUDGET = 600.0
+
+    def _population(self):
+        return TestDistributedEvaluation()._population()
+
+    def _rules(self):
+        return TestDistributedEvaluation()._rules()
+
+    def _record_time_limits(self, monkeypatch, log_path):
+        """Log every job's time limit as ``run_one`` receives it (before
+        the budget clamp).  Patched before any worker forks, so lease
+        workers inherit it and append to the same file."""
+        import json
+
+        from repro.exec import SupervisedRunner
+
+        original = SupervisedRunner.run_one
+
+        def run_one(self, job, fault=None, index=0):
+            with open(log_path, "a", encoding="utf-8") as handle:
+                handle.write(json.dumps(
+                    [job.clip.name, job.rules.name, job.time_limit]
+                ) + "\n")
+            return original(self, job, fault, index)
+
+        monkeypatch.setattr(SupervisedRunner, "run_one", run_one)
+
+    def _check(self, study, clips, rules, log_path):
+        import json
+
+        from repro.exec import clip_deadlines, predicted_hard
+
+        hard = predicted_hard(clips)
+        raced = {
+            (o.clip_name, o.rule_name)
+            for rule in study.rule_names
+            for o in study.outcomes[rule]
+            if any(
+                str(entry.get("backend", "")).startswith("race:")
+                for entry in o.attempt_log
+            )
+        }
+        assert raced == {(c, r.name) for c in hard for r in rules}
+
+        shares = clip_deadlines(clips, self.BUDGET)
+        logged = [
+            json.loads(line)
+            for line in log_path.read_text(encoding="utf-8").splitlines()
+        ]
+        assert {(c, r) for c, r, _ in logged} == {
+            (c.name, r.name) for c in clips for r in rules
+        }
+        for clip_name, _, time_limit in logged:
+            assert time_limit == pytest.approx(
+                shares[clip_name] / len(rules)
+            )
+
+        reference = evaluate_clips(
+            clips, rules, EvalConfig(time_limit_per_clip=None)
+        )
+        assert format_delta_cost_table(study) == format_delta_cost_table(
+            reference
+        )
+
+    def test_sequential_process_isolation(self, tmp_path, monkeypatch):
+        from repro.exec import SupervisorConfig
+
+        clips, rules = self._population(), self._rules()
+        log_path = tmp_path / "limits.jsonl"
+        self._record_time_limits(monkeypatch, log_path)
+        study = evaluate_clips(
+            clips, rules,
+            EvalConfig(time_limit_per_clip=None, race=True,
+                       time_budget=self.BUDGET),
+            supervisor=SupervisorConfig(n_workers=1, isolation="process"),
+        )
+        self._check(study, clips, rules, log_path)
+
+    def test_two_lease_workers(self, tmp_path, monkeypatch):
+        clips, rules = self._population(), self._rules()
+        log_path = tmp_path / "limits.jsonl"
+        self._record_time_limits(monkeypatch, log_path)
+        study = evaluate_clips(
+            clips, rules,
+            EvalConfig(time_limit_per_clip=None, n_procs=2, race=True,
+                       time_budget=self.BUDGET),
+            checkpoint_path=tmp_path / "dist.jsonl",
+        )
+        assert study.distributed_report is not None
+        self._check(study, clips, rules, log_path)

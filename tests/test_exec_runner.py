@@ -69,6 +69,27 @@ class TestCleanRuns:
         ).run(jobs_for(population), on_result=lambda i, r: seen.append(i))
         assert sorted(seen) == [0, 1, 2]
 
+    def test_inline_honors_router_subclass(self):
+        """A job's own router (subclass included) must not be silently
+        dropped on the inline path."""
+        calls = []
+
+        class CountingRouter(OptRouter):
+            def route(self, clip, rules=None):
+                calls.append(clip.name)
+                return super().route(clip, rules)
+
+        population = clips(2)
+        router = CountingRouter(time_limit=30.0)
+        results = SupervisedRunner(
+            SupervisorConfig(n_workers=1, isolation="inline")
+        ).run([
+            RouteJob.from_router(clip, RuleConfig(), router)
+            for clip in population
+        ])
+        assert calls == [c.name for c in population]
+        assert all(r.feasible for r in results)
+
 
 class TestCrashIsolation:
     def test_crashed_worker_does_not_lose_siblings(self):
