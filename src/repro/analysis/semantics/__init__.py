@@ -23,7 +23,6 @@ from repro.analysis.semantics.report import (
 )
 from repro.analysis.semantics.restriction import (
     RestrictionProof,
-    RestrictionProver,
     prove_restriction,
 )
 
@@ -43,6 +42,5 @@ __all__ = [
     "matrix_to_dict",
     "run_equivalence_matrix",
     "RestrictionProof",
-    "RestrictionProver",
     "prove_restriction",
 ]

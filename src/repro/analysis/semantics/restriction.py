@@ -8,19 +8,26 @@ feasible point of ``other``'s ILP is feasible in ``base``'s.  Both
 models come from the same :class:`BaseFormulation` core, so the shared
 rows and columns are literally identical and only the per-rule *delta
 rows* (via-adjacency blocking, SADP indicator blocks) need proof.
+Those are the rows of the specialized :class:`CsrModel` past the
+core's, read straight from its arrays.
 
 Each base delta row is discharged by the cheapest sufficient method:
 
-1. **match** -- the row appears verbatim (canonically, by variable
-   *name*: per-rule SADP indicators get fresh indices but deterministic
-   names) among ``other``'s rows;
-2. **dominated** -- an ``other`` row pointwise-dominates it over the
-   nonnegative orthant (all model variables have lb >= 0);
+1. **match** -- the row is vacuous over x >= 0, or appears verbatim
+   (canonically, by variable *name*: per-rule SADP indicators get
+   fresh indices but deterministic names) among ``other``'s delta
+   rows;
+2. **dominated** -- an ``other`` delta row pointwise-dominates it over
+   the nonnegative orthant (all model variables have lb >= 0);
 3. **lp** -- an LP certificate: optimizing the row's left-hand side
    over ``other``'s LP relaxation cannot violate the row.  Sound for
    the integer hull (integer points are LP-feasible); incomplete, so a
    failed LP never *disproves* restriction -- the proof just doesn't
    hold and callers must fall back to a cold solve.
+
+``other`` is specialized only when a base row is not vacuous, so a
+base rule without delta rows (RULE1, the Table-3 baseline) proves
+every restriction from its own model alone.
 
 The resulting :class:`RestrictionProof` is what the incremental sweep
 (:mod:`repro.eval.flow`) consumes to certify warm-start edges, cross-
@@ -29,30 +36,65 @@ checked against the syntactic predicate.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Any, NamedTuple
+
+import numpy as np
+from scipy import sparse
+from scipy.optimize import linprog
 
 from repro.analysis.semantics.report import SCHEMA_VERSION
 from repro.clips.clip import Clip
-from repro.ilp.model import Constraint, Model
-from repro.router.formulation import BaseFormulation, formulation_cache
+from repro.ilp.csr import SENSE_EQ, SENSE_GE, CsrModel
+from repro.ilp.model import LinExpr
+from repro.router.formulation import formulation_cache
 from repro.router.rules import RuleConfig, is_restriction
 
 _TOL = 1e-9
 
-#: A canonical row: (sense, const, ((var_name, coef), ...) sorted).
-_CanonRow = tuple[str, float, tuple[tuple[str, float], ...]]
+#: Sense strings by :class:`CsrModel` sense code.
+_SENSES = ("<=", ">=", "==")
+#: Orientation of an inequality: ``sign * (lhs) <= 0`` is its ``<=`` form.
+_SIGN = {"<=": 1.0, ">=": -1.0}
 
 
-def _canon(model: Model, row: Constraint) -> _CanonRow:
-    terms = tuple(
-        sorted(
-            (model.variables[index].name, round(coef, 9))
-            for index, coef in row.expr.coefs.items()
+class _Row(NamedTuple):
+    """One delta row, ``sum(coef * x[name]) + const (sense) 0``."""
+
+    sense: str
+    const: float
+    terms: dict[str, float]
+
+    def canon(self) -> tuple:
+        """Name-canonical form: equal for rows that match verbatim."""
+        return (
+            self.sense,
+            round(self.const, 9),
+            tuple(sorted(
+                (name, round(coef, 9)) for name, coef in self.terms.items()
+            )),
         )
-    )
-    return (row.sense, round(row.expr.const, 9), terms)
+
+    def vacuous(self) -> bool:
+        """Satisfied by every x >= 0, regardless of the model."""
+        sign = _SIGN.get(self.sense)
+        return sign is not None and sign * self.const <= _TOL and all(
+            sign * coef <= _TOL for coef in self.terms.values()
+        )
+
+    def dominated_by(self, other: "_Row") -> bool:
+        """True when satisfying ``other`` forces this row over x >= 0
+        (every model variable is nonnegative).  In ``<=`` form,
+        sum(cb x) + kb <= sum(co x) + ko <= 0 needs cb <= co, kb <= ko."""
+        sign = _SIGN.get(self.sense)
+        if sign is None or other.sense != self.sense:
+            return False
+        return sign * self.const <= sign * other.const + _TOL and all(
+            sign * self.terms.get(name, 0.0)
+            <= sign * other.terms.get(name, 0.0) + _TOL
+            for name in set(self.terms) | set(other.terms)
+        )
 
 
 @dataclass(frozen=True)
@@ -60,7 +102,8 @@ class RestrictionProof:
     """Certificate that ``other`` restricts ``base`` on one clip.
 
     ``holds`` is True only when *every* base delta row was discharged;
-    ``methods`` lists the distinct methods used.  ``predicate`` records
+    ``n_matched``/``n_dominated``/``n_lp`` count the rows each method
+    discharged.  ``predicate`` records
     the syntactic :func:`is_restriction` verdict for cross-checking --
     the prover must confirm every pair the predicate accepts (the
     predicate is the conservative one), and may additionally prove
@@ -78,17 +121,6 @@ class RestrictionProof:
     n_lp: int = 0
     failures: tuple[str, ...] = ()
     predicate: bool = False
-
-    @property
-    def methods(self) -> tuple[str, ...]:
-        out = []
-        if self.n_matched:
-            out.append("match")
-        if self.n_dominated:
-            out.append("dominated")
-        if self.n_lp:
-            out.append("lp")
-        return tuple(out)
 
     @property
     def agrees_with_predicate(self) -> bool:
@@ -115,132 +147,83 @@ class RestrictionProof:
         }
 
 
-def _dominates(base_row: Constraint, other_row: Constraint,
-               names_base: list[str], names_other: list[str]) -> bool:
-    """True when satisfying ``other_row`` forces ``base_row`` over
-    x >= 0 (every model variable is nonnegative)."""
-    if base_row.sense != other_row.sense or base_row.sense == "==":
-        return False
-    base = {
-        names_base[index]: coef for index, coef in base_row.expr.coefs.items()
-    }
-    other = {
-        names_other[index]: coef
-        for index, coef in other_row.expr.coefs.items()
-    }
-    names = set(base) | set(other)
-    if base_row.sense == "<=":
-        # sum(cb x) + kb <= sum(co x) + ko <= 0 needs cb <= co, kb <= ko.
-        if base_row.expr.const > other_row.expr.const + _TOL:
-            return False
-        return all(
-            base.get(name, 0.0) <= other.get(name, 0.0) + _TOL
-            for name in names
+def _delta_rows(csr: CsrModel, start: int) -> list[_Row]:
+    """Rows ``start..`` of ``csr``, keyed by variable name."""
+    first = int(csr.indptr[start])
+    ends = (csr.indptr[start:] - first).tolist()
+    names = [csr.var_names[j] for j in csr.indices[first:].tolist()]
+    coefs = csr.data[first:].tolist()
+    return [
+        _Row(_SENSES[sense], const, dict(zip(names[lo:hi], coefs[lo:hi])))
+        for sense, const, lo, hi in zip(
+            csr.senses[start:].tolist(),
+            csr.row_const[start:].tolist(),
+            ends,
+            ends[1:],
         )
-    # ">=": sum(cb x) + kb >= sum(co x) + ko >= 0 needs cb >= co, kb >= ko.
-    if base_row.expr.const < other_row.expr.const - _TOL:
-        return False
-    return all(
-        base.get(name, 0.0) >= other.get(name, 0.0) - _TOL
-        for name in names
-    )
+    ]
 
 
-def _vacuous(row: Constraint) -> bool:
-    """Rows satisfied by every x >= 0, regardless of the model."""
-    if row.sense == "<=":
-        return row.expr.const <= _TOL and all(
-            coef <= _TOL for coef in row.expr.coefs.values()
+class _Follower:
+    """``other``'s specialized model: its delta rows for the match and
+    domination checks, and its LP relaxation, sliced from the CSR
+    arrays on first use."""
+
+    def __init__(self, csr: CsrModel, n_core: int):
+        self.csr = csr
+        self.rows = _delta_rows(csr, n_core)
+        self.canon = {row.canon() for row in self.rows}
+
+    @cached_property
+    def _relaxation(self) -> dict[str, Any]:
+        """``linprog`` inputs: the inequality rows in row order with
+        ``>=`` rows negated into ``<=`` form, then the equality rows."""
+        csr = self.csr
+        sign = np.where(csr.senses == SENSE_GE, -1.0, 1.0)
+        matrix = sparse.csr_matrix(
+            (
+                csr.data * np.repeat(sign, np.diff(csr.indptr)),
+                csr.indices,
+                csr.indptr,
+            ),
+            shape=(csr.n_rows, csr.n_vars),
         )
-    if row.sense == ">=":
-        return row.expr.const >= -_TOL and all(
-            coef >= -_TOL for coef in row.expr.coefs.values()
-        )
-    return False
+        rhs = sign * -csr.row_const
+        ub = np.flatnonzero(csr.senses != SENSE_EQ)
+        eq = np.flatnonzero(csr.senses == SENSE_EQ)
+        return {
+            "A_ub": matrix[ub],
+            "b_ub": rhs[ub],
+            "A_eq": matrix[eq],
+            "b_eq": rhs[eq],
+            "bounds": np.column_stack((csr.lb, csr.ub)),
+        }
 
-
-class _LpCertifier:
-    """LP-relaxation implication certificates over one model."""
-
-    def __init__(self, model: Model):
-        self.model = model
-        self._arrays = None
-
-    def _build(self):
-        import numpy as np
-
-        model = self.model
-        n = model.n_vars
-        a_ub, b_ub, a_eq, b_eq = [], [], [], []
-        for con in model.constraints:
-            dense = np.zeros(n)
-            for index, coef in con.expr.coefs.items():
-                dense[index] = coef
-            rhs = -con.expr.const
-            if con.sense == "<=":
-                a_ub.append(dense)
-                b_ub.append(rhs)
-            elif con.sense == ">=":
-                a_ub.append(-dense)
-                b_ub.append(-rhs)
-            else:
-                a_eq.append(dense)
-                b_eq.append(rhs)
-        bounds = [
-            (v.lb, None if v.ub == float("inf") else v.ub)
-            for v in model.variables
-        ]
-        self._arrays = (
-            np.asarray(a_ub) if a_ub else None,
-            np.asarray(b_ub) if b_ub else None,
-            np.asarray(a_eq) if a_eq else None,
-            np.asarray(b_eq) if b_eq else None,
-            bounds,
-        )
-        return self._arrays
-
-    def implies(self, row: Constraint, name_to_index: dict[str, int],
-                names_base: list[str]) -> bool:
-        """Does every LP-feasible point of the model satisfy ``row``?
+    def implies(self, row: _Row) -> bool:
+        """Does every LP-feasible point of the follower satisfy ``row``?
 
         ``row`` lives in the *base* model; its variables are mapped by
         name.  A name absent from this model denotes a free column the
-        model cannot control -- the certificate then fails.
+        model cannot control -- the certificate then fails, as it does
+        for an equality row (one optimization bounds only one side).
         """
-        try:
-            import numpy as np
-            from scipy.optimize import linprog
-        except ImportError:  # pragma: no cover - scipy-less environments
+        sign = _SIGN.get(row.sense)
+        if sign is None:
             return False
-
-        coefs = np.zeros(self.model.n_vars)
-        for index, coef in row.expr.coefs.items():
-            mapped = name_to_index.get(names_base[index])
+        coefs = np.zeros(self.csr.n_vars)
+        for name, coef in row.terms.items():
+            mapped = self.csr.name_to_index.get(name)
             if mapped is None:
                 return False
             coefs[mapped] = coef
-        if self._arrays is None:
-            self._build()
-        a_ub, b_ub, a_eq, b_eq, bounds = self._arrays
-        # Maximize the LHS for "<=" rows, minimize for ">=" rows.
-        sign = -1.0 if row.sense == "<=" else 1.0
-        result = linprog(
-            sign * coefs,
-            A_ub=a_ub,
-            b_ub=b_ub,
-            A_eq=a_eq,
-            b_eq=b_eq,
-            bounds=bounds,
-            method="highs",
-        )
+        # Maximize the row's left-hand side in its ``<=`` form; linprog
+        # minimizes, so ``-result.fun`` is that maximum (sans constant).
+        result = linprog(-sign * coefs, method="highs", **self._relaxation)
         if result.status == 2:
             return True  # the model is LP-infeasible: implication is vacuous
         if not result.success:
             return False
-        extreme = sign * result.fun + row.expr.const
-        if row.sense == "<=":
-            return bool(extreme <= _TOL)
-        return bool(extreme >= -_TOL)
+        return bool(-result.fun + sign * row.const <= _TOL)
 
 
 def prove_restriction(
@@ -251,13 +234,15 @@ def prove_restriction(
     wire_cost: float = 1.0,
     via_cost: float = 4.0,
     max_failures: int = 5,
-    formulation: BaseFormulation | None = None,
 ) -> RestrictionProof:
     """Prove that ``other``'s feasible routings are feasible in ``base``.
 
-    Both models are specialized from one shared core, so the proof
-    obligation reduces to ``base``'s delta rows.  The returned proof
-    ``holds`` only when every row was discharged.
+    Both models are specialized from the clip's base formulation in
+    the process-wide :func:`formulation_cache` (shared with the solve
+    path, so certifying a restriction and then routing the same clip
+    builds the core once), and the proof obligation reduces to
+    ``base``'s delta rows.  The returned proof ``holds`` only when
+    every row was discharged.
     """
     predicate = is_restriction(base, other)
     if base.allow_via_shapes != other.allow_via_shapes:
@@ -271,51 +256,42 @@ def prove_restriction(
             ),
             predicate=predicate,
         )
-    if formulation is None:
-        # Shared with the solve path: certifying a restriction and then
-        # routing the same clip builds the base formulation once.
-        formulation = formulation_cache().base_for(
-            clip,
-            allow_via_shapes=base.allow_via_shapes,
-            wire_cost=wire_cost,
-            via_cost=via_cost,
-        )
-    n_core = len(formulation.model.constraints)
-    ilp_base = formulation.specialize(base)
-    ilp_other = formulation.specialize(other)
-    base_rows = ilp_base.model.constraints[n_core:]
-    other_rows = ilp_other.model.constraints[n_core:]
-
-    names_base = [v.name for v in ilp_base.model.variables]
-    names_other = [v.name for v in ilp_other.model.variables]
-    other_canon = {_canon(ilp_other.model, row) for row in other_rows}
-    other_by_sense: dict[str, list[Constraint]] = {}
-    for row in other_rows:
-        other_by_sense.setdefault(row.sense, []).append(row)
-    name_to_index = {
-        name: index for index, name in enumerate(names_other)
-    }
-    certifier = _LpCertifier(ilp_other.model)
+    formulation = formulation_cache().base_for(
+        clip,
+        allow_via_shapes=base.allow_via_shapes,
+        wire_cost=wire_cost,
+        via_cost=via_cost,
+    )
+    n_core = formulation.core.n_rows
+    base_csr = formulation.specialize(base).csr
+    base_rows = _delta_rows(base_csr, n_core)
+    follower: _Follower | None = None
 
     n_matched = n_dominated = n_lp = 0
     failures: list[str] = []
     for row_offset, row in enumerate(base_rows):
-        if _canon(ilp_base.model, row) in other_canon or _vacuous(row):
+        if row.vacuous():
             n_matched += 1
             continue
-        if any(
-            _dominates(row, candidate, names_base, names_other)
-            for candidate in other_by_sense.get(row.sense, ())
-        ):
+        if follower is None:
+            follower = _Follower(formulation.specialize(other).csr, n_core)
+        if row.canon() in follower.canon:
+            n_matched += 1
+            continue
+        if any(row.dominated_by(candidate) for candidate in follower.rows):
             n_dominated += 1
             continue
-        if certifier.implies(row, name_to_index, names_base):
+        if follower.implies(row):
             n_lp += 1
             continue
         if len(failures) < max_failures:
+            lhs = LinExpr(
+                {base_csr.name_to_index[n]: c for n, c in row.terms.items()},
+                row.const,
+            )
             failures.append(
                 f"delta row {n_core + row_offset} not implied: "
-                f"{row.expr!r} {row.sense} 0"
+                f"{lhs!r} {row.sense} 0"
             )
         else:
             failures.append("...")
@@ -333,60 +309,3 @@ def prove_restriction(
         failures=tuple(failures),
         predicate=predicate,
     )
-
-
-@dataclass
-class RestrictionProver:
-    """Memoizing facade used by the incremental sweep.
-
-    Proofs are cached per (clip identity, base, other); the prover
-    keeps strong references to proved clips, so identity keys cannot
-    be reused while cached (mirrors
-    :class:`repro.router.formulation.FormulationCache`).
-    """
-
-    wire_cost: float = 1.0
-    via_cost: float = 4.0
-    _lock: threading.Lock = field(default_factory=threading.Lock)
-    _proofs: dict[tuple, RestrictionProof] = field(default_factory=dict)
-    _clips: dict[int, Clip] = field(default_factory=dict)
-    _bases: dict[tuple, BaseFormulation] = field(default_factory=dict)
-
-    def prove(
-        self, clip: Clip, base: RuleConfig, other: RuleConfig
-    ) -> RestrictionProof:
-        key = (id(clip), base, other)
-        with self._lock:
-            cached = self._proofs.get(key)
-            if cached is not None:
-                return cached
-        base_key = (id(clip), base.allow_via_shapes)
-        with self._lock:
-            formulation = self._bases.get(base_key)
-        if formulation is None and base.allow_via_shapes == other.allow_via_shapes:
-            formulation = formulation_cache().base_for(
-                clip,
-                allow_via_shapes=base.allow_via_shapes,
-                wire_cost=self.wire_cost,
-                via_cost=self.via_cost,
-            )
-            with self._lock:
-                self._bases[base_key] = formulation
-        proof = prove_restriction(
-            clip,
-            base,
-            other,
-            wire_cost=self.wire_cost,
-            via_cost=self.via_cost,
-            formulation=formulation,
-        )
-        with self._lock:
-            self._clips[id(clip)] = clip
-            self._proofs[key] = proof
-        return proof
-
-    def clear(self) -> None:
-        with self._lock:
-            self._proofs.clear()
-            self._clips.clear()
-            self._bases.clear()

@@ -383,10 +383,10 @@ def _cmd_analyze(args) -> int:
     if args.concurrency:
         return _cmd_analyze_concurrency(args)
     from repro.analysis.semantics import (
-        RestrictionProver,
         dump_json,
         matrix_to_dict,
         micro_corpus,
+        prove_restriction,
         run_equivalence_matrix,
     )
     from repro.eval import paper_rule, paper_rules
@@ -408,14 +408,13 @@ def _cmd_analyze(args) -> int:
 
     disagreements = []
     if args.restrictions:
-        prover = RestrictionProver()
         proofs = []
         for micro in corpus:
             for base in rules:
                 for other in rules:
                     if base.name == other.name:
                         continue
-                    proof = prover.prove(micro.clip, base, other)
+                    proof = prove_restriction(micro.clip, base, other)
                     proofs.append(proof)
                     if not proof.agrees_with_predicate:
                         disagreements.append(proof)

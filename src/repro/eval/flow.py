@@ -20,7 +20,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
 from functools import partial
 
-from repro.analysis.semantics.restriction import RestrictionProver
+from repro.analysis.semantics import restriction
 from repro.clips.clip import Clip
 from repro.eval.rule_configs import INFEASIBLE_DELTA
 from repro.exec.checkpoint import CheckpointJournal, dedupe_results
@@ -455,8 +455,9 @@ def evaluate_clips(
     (results are deterministic per pair).  Without ``resume`` an
     existing journal is truncated.  ``supervisor`` selects isolation /
     retry / fallback policy (default: inline single-worker, matching
-    the historical in-process flow); ``fault_plan`` is for the
-    robustness tests.
+    the historical in-process flow; ``config.race`` lifts inline
+    isolation to per-attempt processes, since racers are processes);
+    ``fault_plan`` is for the robustness tests.
 
     ``config.n_procs > 1`` switches to the lease-coordinated
     distributed fabric (requires ``checkpoint_path``); ``chaos_kills``
@@ -524,14 +525,24 @@ def _execute(
     worker and the coordinator's closing pass."""
     config = plan.config
     baseline = plan.rules[0]
+    if plan.race_set and supervisor.isolation == "inline":
+        # Racers are child processes, which inline isolation never
+        # spawns: a raced plan runs its attempts in processes too.
+        supervisor = replace(supervisor, isolation="process")
     restriction_disagreements: list[str] = []
     certified_edges: set[tuple[str, str]] = set()
-    prover = RestrictionProver(
-        wire_cost=config.wire_cost, via_cost=config.via_cost
-    )
 
     def proven(clip: Clip, follower: RuleConfig) -> bool:
-        proof = prover.prove(clip, baseline, follower)
+        # Looked up on the module at call time, so that a wrapper
+        # installed on the module attribute (sweepbench's span tracer)
+        # sees the call.
+        proof = restriction.prove_restriction(
+            clip,
+            baseline,
+            follower,
+            wire_cost=config.wire_cost,
+            via_cost=config.via_cost,
+        )
         if not proof.holds and is_restriction(baseline, follower):
             restriction_disagreements.append(
                 f"{clip.name}: predicate accepts "

@@ -22,86 +22,38 @@ _STATUS_MAP = {
 }
 
 
-def _objective_const(model: "Model | CsrModel") -> float:
-    if isinstance(model, CsrModel):
-        return float(model.obj_const)
-    return model.objective.const
-
-
-def _full_point(
-    model: "Model | CsrModel", partial: dict[int, float]
-) -> dict[int, float]:
+def _full_point(model: CsrModel, partial: dict[int, float]) -> dict[int, float]:
     """Every variable's value at a point (missing ones at lb), with
-    integers snapped via Python ``round`` exactly like the object
-    path always did (so values round-trip identically)."""
+    integers snapped via Python ``round`` (so values round-trip
+    identically)."""
+    lb, integer = model.lb, model.integer
     values: dict[int, float] = {}
-    if isinstance(model, CsrModel):
-        lb, integer = model.lb, model.integer
-        for j in range(model.n_vars):
-            value = float(partial.get(j, float(lb[j])))
-            values[j] = round(value) if integer[j] else value
-        return values
-    for v in model.variables:
-        value = float(partial.get(v.index, v.lb))
-        values[v.index] = round(value) if v.is_integer else value
+    for j in range(model.n_vars):
+        value = float(partial.get(j, float(lb[j])))
+        values[j] = round(value) if integer[j] else value
     return values
 
 
-def _milp_inputs(model: "Model | CsrModel"):
+def _milp_inputs(model: CsrModel):
     """(cost, integrality, bounds, constraints) arrays for
     :func:`scipy.optimize.milp`.
 
-    The :class:`CsrModel` path is zero-copy: the cost vector, bound
-    arrays, and the CSR triplet (``data``/``indices``/``indptr``) are
-    handed to scipy as the model's own buffers -- no per-row Python
-    objects are walked and no matrix is re-assembled.
+    Zero-copy: the cost vector, bound arrays, and the CSR triplet
+    (``data``/``indices``/``indptr``) are handed to scipy as the
+    model's own buffers -- no per-row Python objects are walked and no
+    matrix is re-assembled.
     """
-    if isinstance(model, CsrModel):
-        cost = model.obj
-        integrality = model.integer.astype(np.uint8, copy=False)
-        bounds = Bounds(lb=model.lb, ub=model.ub)
-        constraints = []
-        if model.n_rows:
-            matrix = sparse.csr_matrix(
-                (model.data, model.indices, model.indptr),
-                shape=(model.n_rows, model.n_vars),
-                copy=False,
-            )
-            lo, hi = model.row_bounds()
-            constraints.append(LinearConstraint(matrix, lo, hi))
-        return cost, integrality, bounds, constraints
-
-    n = model.n_vars
-    cost = np.zeros(n)
-    for index, coef in model.objective.coefs.items():
-        cost[index] = coef
-    integrality = np.array(
-        [1 if v.is_integer else 0 for v in model.variables], dtype=np.uint8
-    )
-    bounds = Bounds(
-        lb=np.array([v.lb for v in model.variables]),
-        ub=np.array([v.ub for v in model.variables]),
-    )
+    cost = model.obj
+    integrality = model.integer.astype(np.uint8, copy=False)
+    bounds = Bounds(lb=model.lb, ub=model.ub)
     constraints = []
-    if model.constraints:
-        rows, cols, data = [], [], []
-        lo = np.empty(len(model.constraints))
-        hi = np.empty(len(model.constraints))
-        for r, con in enumerate(model.constraints):
-            for index, coef in con.expr.coefs.items():
-                rows.append(r)
-                cols.append(index)
-                data.append(coef)
-            rhs = -con.expr.const
-            if con.sense == "<=":
-                lo[r], hi[r] = -np.inf, rhs
-            elif con.sense == ">=":
-                lo[r], hi[r] = rhs, np.inf
-            else:
-                lo[r], hi[r] = rhs, rhs
+    if model.n_rows:
         matrix = sparse.csr_matrix(
-            (data, (rows, cols)), shape=(len(model.constraints), n)
+            (model.data, model.indices, model.indptr),
+            shape=(model.n_rows, model.n_vars),
+            copy=False,
         )
+        lo, hi = model.row_bounds()
         constraints.append(LinearConstraint(matrix, lo, hi))
     return cost, integrality, bounds, constraints
 
@@ -116,10 +68,10 @@ def solve_with_highs(
 ) -> Solution:
     """Solve a model exactly with HiGHS branch-and-cut.
 
-    Accepts either an object :class:`Model` or a columnar
-    :class:`CsrModel`; the columnar path hands the model's own
-    contiguous buffers to ``scipy.optimize.milp`` zero-copy (see
-    :func:`_milp_inputs`) and both paths produce identical solutions.
+    Accepts either an object :class:`Model`, converted once with
+    :meth:`CsrModel.from_model`, or a columnar :class:`CsrModel`, whose
+    own contiguous buffers go to ``scipy.optimize.milp`` zero-copy
+    (see :func:`_milp_inputs`).
 
     ``mip_rel_gap`` is 0 by default: OptRouter requires proven-optimal
     solutions for the paper's methodology to be meaningful.
@@ -127,7 +79,7 @@ def solve_with_highs(
     ``warm_start`` is a candidate feasible point (variable index ->
     value).  ``scipy.optimize.milp`` cannot seed HiGHS with an
     incumbent, so the point is used two ways: it is validated with
-    :meth:`Model.is_feasible` (an infeasible point is discarded, never
+    :meth:`CsrModel.is_feasible` (an infeasible point is discarded, never
     returned), and when its objective meets a trusted ``lower_bound``
     (true objective space) the solve is skipped entirely and the point
     returned as OPTIMAL.  A feasible point that does not meet the
@@ -148,6 +100,8 @@ def solve_with_highs(
     """
     if should_stop is not None and should_stop():
         return Solution(status=SolveStatus.LIMIT)
+    if isinstance(model, Model):
+        model = CsrModel.from_model(model)
     if warm_start is not None and lower_bound is not None:
         t0 = time.perf_counter()
         if model.is_feasible(warm_start):
@@ -165,7 +119,7 @@ def solve_with_highs(
     if time_limit is not None and time_limit <= 0:
         return Solution(status=SolveStatus.LIMIT)
     n = model.n_vars
-    obj_const = _objective_const(model)
+    obj_const = float(model.obj_const)
     if n == 0:
         return Solution(
             status=SolveStatus.OPTIMAL,
@@ -198,17 +152,7 @@ def solve_with_highs(
     status = _STATUS_MAP.get(result.status, SolveStatus.ERROR)
     solution = Solution(status=status, solve_seconds=elapsed)
     if result.x is not None:
-        values = {}
-        if isinstance(model, CsrModel):
-            integer = model.integer
-            for j in range(n):
-                value = float(result.x[j])
-                values[j] = round(value) if integer[j] else value
-        else:
-            for v in model.variables:
-                value = float(result.x[v.index])
-                values[v.index] = round(value) if v.is_integer else value
-        solution.values = values
+        solution.values = _full_point(model, dict(enumerate(result.x.tolist())))
         solution.objective = float(result.fun) + obj_const
         if status in (SolveStatus.OPTIMAL, SolveStatus.LIMIT):
             # Export HiGHS' proven dual bound (true objective space).

@@ -70,13 +70,13 @@ class NetVars:
 class RoutingIlp:
     """A built model plus the handles needed to decode its solution.
 
-    The model lives natively in columnar form (:attr:`csr`); the hot
-    path (presolve, cache hashing, the HiGHS handoff) consumes the
-    arrays directly.  :attr:`model` lazily materializes the equivalent
-    object :class:`Model` for consumers that still walk constraints
-    (the semantics analyzers, the model linter, the bnb backend) and
-    caches it, so code that *mutates* ``ilp.model`` keeps seeing its
-    own edits; the CSR side is never written back to.
+    The model lives natively in columnar form (:attr:`csr`); the sweep
+    (presolve, cache hashing, the HiGHS handoff, restriction proofs)
+    consumes the arrays directly.  :attr:`model` lazily materializes
+    the equivalent object :class:`Model` for consumers that still walk
+    constraints (the equivalence checker, the model linter, the bnb
+    backend) and caches it, so code that *mutates* ``ilp.model`` keeps
+    seeing its own edits; the CSR side is never written back to.
     """
 
     csr: CsrModel
@@ -116,16 +116,6 @@ class BaseFormulation:
     graph: SwitchboxGraph
     core: CsrModel
     nets: list[NetVars]
-    _model: "Model | None" = field(default=None, repr=False)
-
-    @property
-    def model(self) -> Model:
-        """Object form of the frozen core (lazily materialized; the
-        restriction prover and the base-formulation tests walk its
-        constraint list)."""
-        if self._model is None:
-            self._model = self.core.to_model()
-        return self._model
 
     @classmethod
     def build(
@@ -249,10 +239,11 @@ def formulation_cache() -> FormulationCache:
     """The process-wide :class:`FormulationCache`.
 
     Every cold-path consumer -- the solve path, the restriction prover
-    behind ``certify_restriction``/``repro analyze``, and the
+    (:func:`~repro.analysis.semantics.restriction.prove_restriction`,
+    behind the sweep's warm gate and ``repro analyze``), and the
     equivalence matrix -- shares this one cache, so a (clip, core)
     pair's base formulation is built exactly once per process no
-    matter which subsystem asks first.
+    matter which subsystem asks first (while it stays in the LRU).
     """
     return _BASE_CACHE
 
@@ -358,10 +349,6 @@ class _Builder:
             self._via_adjacency()
         if self.rules.sadp_min_metal is not None:
             self._sadp_rules()
-
-    def build(self) -> None:
-        self.build_core()
-        self.build_delta()
 
     def _make_net_vars(self, k: int, net: ClipNet, blocked: set[int]) -> NetVars:
         g, m = self.graph, self.coo

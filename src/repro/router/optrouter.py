@@ -186,31 +186,6 @@ class OptRouter:
             reuse=self.reuse_formulation,
         )
 
-    def certify_restriction(
-        self, clip: Clip, base_rules: RuleConfig, other_rules: RuleConfig
-    ):
-        """Model-level proof that ``other_rules`` restricts
-        ``base_rules`` on this clip (row-by-row implication of the
-        built rule deltas; see
-        :mod:`repro.analysis.semantics.restriction`).  Strictly
-        stronger than the syntactic :func:`is_restriction` predicate:
-        it also certifies pairs whose differing deltas happen to
-        generate implied rows on this clip's grid.
-        """
-        # Imported lazily: the semantics package imports this module's
-        # siblings through ``repro.router``'s package init, so a
-        # top-level import here would be circular for direct
-        # ``import repro.analysis.semantics`` entry points.
-        from repro.analysis.semantics.restriction import prove_restriction
-
-        return prove_restriction(
-            clip,
-            base_rules,
-            other_rules,
-            wire_cost=self.wire_cost,
-            via_cost=self.via_cost,
-        )
-
     def _solve_model(
         self, model: "Model | CsrModel", time_limit: float | None
     ) -> Solution:

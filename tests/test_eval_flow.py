@@ -11,6 +11,7 @@ from repro.eval import (
     format_delta_cost_table,
     format_rule_table,
     paper_rule,
+    paper_rules,
     validate_against_baseline,
 )
 from repro.eval.report import format_sorted_traces
@@ -292,7 +293,8 @@ class TestDistributedEvaluation:
 class TestRacedBudgetedSweeps:
     """Racing and a sweep time budget through :func:`evaluate_clips`:
     the race set, the per-clip deadline shares and the Δcost report,
-    inline-sequential under process isolation and on two lease workers."""
+    sequential under process isolation, sequential with the default
+    (inline) supervisor, and on two lease workers."""
 
     BUDGET = 600.0
 
@@ -372,6 +374,19 @@ class TestRacedBudgetedSweeps:
         )
         self._check(study, clips, rules, log_path)
 
+    def test_default_supervisor_races(self, tmp_path, monkeypatch):
+        # No ``supervisor=``: the default single inline worker must
+        # still race the predicted-hard clips.
+        clips, rules = self._population(), self._rules()
+        log_path = tmp_path / "limits.jsonl"
+        self._record_time_limits(monkeypatch, log_path)
+        study = evaluate_clips(
+            clips, rules,
+            EvalConfig(time_limit_per_clip=None, race=True,
+                       time_budget=self.BUDGET),
+        )
+        self._check(study, clips, rules, log_path)
+
     def test_two_lease_workers(self, tmp_path, monkeypatch):
         clips, rules = self._population(), self._rules()
         log_path = tmp_path / "limits.jsonl"
@@ -384,3 +399,28 @@ class TestRacedBudgetedSweeps:
         )
         assert study.distributed_report is not None
         self._check(study, clips, rules, log_path)
+
+
+class TestColumnarSweep:
+    def test_all_optimal_study_builds_no_object_model(self, monkeypatch):
+        # Restriction proofs read the CSR rule delta and HiGHS takes
+        # the CSR arrays.  With every pair OPTIMAL no audit re-solves
+        # on B&B (which still converts), so a default incremental sweep
+        # never materializes an object Model.
+        from repro.ilp.csr import CsrModel
+
+        def to_model(self):
+            raise AssertionError("the sweep built an object Model")
+
+        monkeypatch.setattr(CsrModel, "to_model", to_model)
+        spec = SyntheticClipSpec(nx=5, ny=6, nz=3, n_nets=2, sinks_per_net=1,
+                                 access_points_per_pin=2)
+        clips = [make_synthetic_clip(spec, seed=s) for s in range(2)]
+        study = evaluate_clips(
+            clips, paper_rules(), EvalConfig(time_limit_per_clip=30.0)
+        )
+        for rule in study.rule_names:
+            assert all(o.feasible for o in study.outcomes[rule]), rule
+        assert sum(
+            study.restriction_certified_count(rule) for rule in study.rule_names
+        ) == 20

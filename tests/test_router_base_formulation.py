@@ -62,7 +62,7 @@ class TestSpecializeEquivalence:
         # one must not inherit the heavy rule's constraints.
         c = clip()
         base = BaseFormulation.build(c)
-        core_stats = base.model.stats()
+        core_stats = base.core.stats()
         heavy = base.specialize(RULES[3])
         free = base.specialize(RULES[0])
         assert free.model.stats() == core_stats
@@ -70,7 +70,7 @@ class TestSpecializeEquivalence:
             free.model.stats()["n_constraints"]
         )
         # And the base model itself was never touched.
-        assert base.model.stats() == core_stats
+        assert base.core.stats() == core_stats
 
     def test_graph_is_shared_not_rebuilt(self):
         base = BaseFormulation.build(clip())

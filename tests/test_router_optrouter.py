@@ -180,10 +180,11 @@ class TestBackendAgreement:
 
 class TestSharedFormulationCache:
     def test_single_base_build_per_clip(self, monkeypatch):
-        # The restriction prover (certify_restriction / repro analyze)
+        # The restriction prover (the sweep's warm gate, repro analyze)
         # and the solve path share one process-wide FormulationCache:
         # certifying and then routing the same clip must build the
         # rule-independent base formulation exactly once.
+        from repro.analysis.semantics import prove_restriction
         from repro.eval import paper_rule
         from repro.router import formulation as fm
 
@@ -206,7 +207,7 @@ class TestSharedFormulationCache:
         fm.formulation_cache().clear()
         try:
             router = OptRouter(time_limit=60.0)
-            proof = router.certify_restriction(clip, base_rule, other_rule)
+            proof = prove_restriction(clip, base_rule, other_rule)
             assert proof is not None
             first = router.route(clip, base_rule)
             second = router.route(clip, other_rule)

@@ -11,9 +11,11 @@ import dataclasses
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.semantics import RestrictionProver, micro_corpus
+from repro.analysis.semantics import micro_corpus, prove_restriction
 from repro.clips import SyntheticClipSpec, make_synthetic_clip
 from repro.eval import EvalConfig, evaluate_clips, paper_rules
+from repro.ilp.csr import CsrModel
+from repro.router.formulation import BaseFormulation
 from repro.router.rules import (
     RuleConfig,
     SadpParams,
@@ -29,8 +31,8 @@ def _micro_clip(name: str):
     raise KeyError(name)
 
 
-#: Shared across tests/examples so BaseFormulation builds are cached.
-_PROVER = RestrictionProver()
+#: One clip object across tests/examples, so the process-wide
+#: formulation cache serves its base formulation.
 _CLIP = _micro_clip("mc-via")
 
 _OFFSET = st.tuples(st.integers(-1, 1), st.integers(-1, 1)).filter(
@@ -56,7 +58,7 @@ class TestMetamorphic:
     @settings(max_examples=30, deadline=None)
     @given(base=_RULES, other=_RULES)
     def test_prover_agrees_with_or_strengthens_predicate(self, base, other):
-        proof = _PROVER.prove(_CLIP, base, other)
+        proof = prove_restriction(_CLIP, base, other)
         assert proof.predicate == is_restriction(base, other)
         # The buggy direction is impossible: whenever the syntactic
         # predicate claims a restriction, the model-level proof must
@@ -69,7 +71,7 @@ class TestMetamorphic:
     @settings(max_examples=15, deadline=None)
     @given(rule=_RULES)
     def test_reflexive(self, rule):
-        proof = _PROVER.prove(_CLIP, rule, rule)
+        proof = prove_restriction(_CLIP, rule, rule)
         assert proof.holds
         assert proof.n_matched == proof.n_rows
 
@@ -77,34 +79,58 @@ class TestMetamorphic:
 class TestTable3:
     """All ordered Table-3 pairs on a via-bearing micro-clip."""
 
-    def test_predicate_prover_agreement_on_all_pairs(self):
+    def test_predicate_prover_agreement_on_all_pairs(self, monkeypatch):
+        # Proofs read the CSR rule delta: no object Model is built.
+        def to_model(self):
+            raise AssertionError("restriction proof built an object Model")
+
+        monkeypatch.setattr(CsrModel, "to_model", to_model)
         rules = paper_rules()
-        strengthened = 0
+        holds = strengthened = rows = matched = lp = dominated = 0
         for base in rules:
             for other in rules:
                 if base.name == other.name:
                     continue
-                proof = _PROVER.prove(_CLIP, base, other)
+                proof = prove_restriction(_CLIP, base, other)
                 assert proof.predicate == is_restriction(base, other)
                 assert proof.agrees_with_predicate, (
                     f"{base.name} -> {other.name}: predicate says "
                     f"restriction but prover failed on {proof.failures}"
                 )
+                holds += proof.holds
                 if proof.holds and not proof.predicate:
                     strengthened += 1
+                rows += proof.n_rows
+                matched += proof.n_matched
+                lp += proof.n_lp
+                dominated += proof.n_dominated
         # The prover is strictly stronger than the syntax on Table 3.
         assert strengthened > 0
+        # Per-method accounting over the 110 ordered pairs: a change
+        # to how delta rows are read or discharged shows up here.
+        assert (holds, strengthened) == (65, 23)
+        assert (rows, matched, lp, dominated) == (2250, 693, 159, 0)
 
-    def test_rule1_base_is_vacuous(self):
+    def test_rule1_base_is_vacuous(self, monkeypatch):
         rules = {r.name: r for r in paper_rules()}
-        proof = _PROVER.prove(_CLIP, rules["RULE1"], rules["RULE7"])
+        specialized = []
+        original = BaseFormulation.specialize
+
+        def specialize(self, rule):
+            specialized.append(rule.name)
+            return original(self, rule)
+
+        monkeypatch.setattr(BaseFormulation, "specialize", specialize)
+        proof = prove_restriction(_CLIP, rules["RULE1"], rules["RULE7"])
         assert proof.holds
         assert proof.n_rows == 0  # RULE1 adds no delta rows
+        # ... so no row needs the follower, which is never specialized.
+        assert specialized == ["RULE1"]
 
     def test_via_shape_mismatch_fails_closed(self):
         rule1 = paper_rules()[0]
         shaped = dataclasses.replace(rule1, allow_via_shapes=True)
-        proof = _PROVER.prove(_CLIP, rule1, shaped)
+        proof = prove_restriction(_CLIP, rule1, shaped)
         assert not proof.holds
         assert not proof.predicate
         assert proof.agrees_with_predicate
