@@ -16,7 +16,8 @@ Each base delta row is discharged by the cheapest sufficient method:
 1. **match** -- the row is vacuous over x >= 0, or appears verbatim
    (canonically, by variable *name*: per-rule SADP indicators get
    fresh indices but deterministic names) among ``other``'s delta
-   rows;
+   rows.  Both checks run on the CSR arrays, every row at once: one
+   exact key per row, compared with ``np.isin``;
 2. **dominated** -- an ``other`` delta row pointwise-dominates it over
    the nonnegative orthant (all model variables have lb >= 0);
 3. **lp** -- an LP certificate: optimizing the row's left-hand side
@@ -27,7 +28,8 @@ Each base delta row is discharged by the cheapest sufficient method:
 
 ``other`` is specialized only when a base row is not vacuous, so a
 base rule without delta rows (RULE1, the Table-3 baseline) proves
-every restriction from its own model alone.
+every restriction from its own model alone.  Per-row objects are
+built only for the rows left to the domination and LP steps.
 
 The resulting :class:`RestrictionProof` is what the incremental sweep
 (:mod:`repro.eval.flow`) consumes to certify warm-start edges, cross-
@@ -65,23 +67,6 @@ class _Row(NamedTuple):
     sense: str
     const: float
     terms: dict[str, float]
-
-    def canon(self) -> tuple:
-        """Name-canonical form: equal for rows that match verbatim."""
-        return (
-            self.sense,
-            round(self.const, 9),
-            tuple(sorted(
-                (name, round(coef, 9)) for name, coef in self.terms.items()
-            )),
-        )
-
-    def vacuous(self) -> bool:
-        """Satisfied by every x >= 0, regardless of the model."""
-        sign = _SIGN.get(self.sense)
-        return sign is not None and sign * self.const <= _TOL and all(
-            sign * coef <= _TOL for coef in self.terms.values()
-        )
 
     def dominated_by(self, other: "_Row") -> bool:
         """True when satisfying ``other`` forces this row over x >= 0
@@ -164,15 +149,105 @@ def _delta_rows(csr: CsrModel, start: int) -> list[_Row]:
     ]
 
 
+def _delta_row(csr: CsrModel, r: int) -> _Row:
+    """Row ``r`` of ``csr``, keyed by variable name."""
+    lo, hi = int(csr.indptr[r]), int(csr.indptr[r + 1])
+    return _Row(
+        _SENSES[csr.senses[r]],
+        float(csr.row_const[r]),
+        dict(zip(
+            (csr.var_names[j] for j in csr.indices[lo:hi].tolist()),
+            csr.data[lo:hi].tolist(),
+        )),
+    )
+
+
+def _rounded(values: np.ndarray) -> np.ndarray:
+    """Python's correctly rounded ``round(v, 9)`` of each value,
+    applied once per distinct value, with ``-0.0`` folded into
+    ``0.0`` (they compare equal, so they must key equal)."""
+    unique, inverse = np.unique(values, return_inverse=True)
+    rounded = np.array([round(v, 9) for v in unique.tolist()], dtype=np.float64)
+    return rounded[inverse] + 0.0
+
+
+def _row_keys(csr: CsrModel, start: int, ids: np.ndarray, width: int) -> np.ndarray:
+    """One exact key per row ``start..`` of ``csr``, in the row's
+    name-canonical form: the sense, the constant rounded to 9 places,
+    and the (variable id, coefficient rounded to 9 places) pairs
+    sorted by id and padded to ``width`` pairs, viewed as one void
+    scalar.  ``ids`` maps ``csr``'s columns to ids shared by name with
+    the model the keys are compared with, so two keys are equal
+    exactly when the rows match verbatim by variable name."""
+    first = int(csr.indptr[start])
+    lengths = np.diff(csr.indptr[start:])
+    rows = np.repeat(np.arange(len(lengths)), lengths)
+    cols = ids[csr.indices[first:]]
+    order = np.lexsort((cols, rows))
+    slot = np.arange(len(rows)) - (csr.indptr[start:-1] - first)[rows]
+    keys = np.zeros((len(lengths), 2 + 2 * width))
+    keys[:, 2 : 2 + width] = -1.0
+    keys[:, 0] = csr.senses[start:]
+    keys[:, 1] = _rounded(csr.row_const[start:])
+    keys[rows, 2 + slot] = cols[order]
+    keys[rows, 2 + width + slot] = _rounded(csr.data[first:])[order]
+    return keys.view(np.dtype((np.void, keys.shape[1] * 8))).ravel()
+
+
+def _vacuous(csr: CsrModel, start: int) -> np.ndarray:
+    """Which rows ``start..`` of ``csr`` every x >= 0 satisfies,
+    whatever the model: inequalities whose constant and coefficients
+    all lie on the satisfied side."""
+    first = int(csr.indptr[start])
+    lengths = np.diff(csr.indptr[start:])
+    senses = csr.senses[start:]
+    sign = np.where(senses == SENSE_GE, -1.0, 1.0)
+    rows = np.repeat(np.arange(len(lengths)), lengths)
+    violated = sign[rows] * csr.data[first:] > _TOL
+    return (
+        (senses != SENSE_EQ)
+        & (sign * csr.row_const[start:] <= _TOL)
+        & (np.bincount(rows[violated], minlength=len(lengths)) == 0)
+    )
+
+
+def _verbatim(
+    base: CsrModel, other: CsrModel, n_core: int, n_core_vars: int
+) -> np.ndarray:
+    """Which delta rows of ``base`` appear canonically among
+    ``other``'s.  Both models share the core's columns; their delta
+    columns (per-rule SADP indicators) are identified by name."""
+    base_ids = np.arange(base.n_vars, dtype=np.float64)
+    delta_names = {
+        name: j for j, name in enumerate(base.var_names[n_core_vars:], n_core_vars)
+    }
+    other_ids = np.arange(other.n_vars, dtype=np.float64)
+    fresh = base.n_vars  # ids for names the base model lacks
+    other_ids[n_core_vars:] = [
+        delta_names.get(name, fresh + k)
+        for k, name in enumerate(other.var_names[n_core_vars:])
+    ]
+    width = max(
+        int(np.diff(model.indptr[n_core:]).max(initial=0)) for model in (base, other)
+    )
+    return np.isin(
+        _row_keys(base, n_core, base_ids, width),
+        _row_keys(other, n_core, other_ids, width),
+    )
+
+
 class _Follower:
-    """``other``'s specialized model: its delta rows for the match and
-    domination checks, and its LP relaxation, sliced from the CSR
-    arrays on first use."""
+    """``other``'s specialized model: its delta rows for the
+    domination check and its LP relaxation, built from the CSR arrays
+    on first use."""
 
     def __init__(self, csr: CsrModel, n_core: int):
         self.csr = csr
-        self.rows = _delta_rows(csr, n_core)
-        self.canon = {row.canon() for row in self.rows}
+        self.n_core = n_core
+
+    @cached_property
+    def rows(self) -> list[_Row]:
+        return _delta_rows(self.csr, self.n_core)
 
     @cached_property
     def _relaxation(self) -> dict[str, Any]:
@@ -264,20 +339,18 @@ def prove_restriction(
     )
     n_core = formulation.core.n_rows
     base_csr = formulation.specialize(base).csr
-    base_rows = _delta_rows(base_csr, n_core)
+    matched = _vacuous(base_csr, n_core)
     follower: _Follower | None = None
+    if not matched.all():
+        follower = _Follower(formulation.specialize(other).csr, n_core)
+        matched |= _verbatim(base_csr, follower.csr, n_core, formulation.core.n_vars)
 
-    n_matched = n_dominated = n_lp = 0
+    n_dominated = n_lp = 0
+    n_checked = len(matched)  # rows before the failure cut-off
     failures: list[str] = []
-    for row_offset, row in enumerate(base_rows):
-        if row.vacuous():
-            n_matched += 1
-            continue
-        if follower is None:
-            follower = _Follower(formulation.specialize(other).csr, n_core)
-        if row.canon() in follower.canon:
-            n_matched += 1
-            continue
+    for row_offset in np.flatnonzero(~matched).tolist():
+        assert follower is not None
+        row = _delta_row(base_csr, n_core + row_offset)
         if any(row.dominated_by(candidate) for candidate in follower.rows):
             n_dominated += 1
             continue
@@ -295,14 +368,16 @@ def prove_restriction(
             )
         else:
             failures.append("...")
+            n_checked = row_offset
             break
+    n_matched = int(np.count_nonzero(matched[:n_checked]))
 
     return RestrictionProof(
         clip_name=clip.name,
         base_rule=base.name,
         other_rule=other.name,
         holds=not failures,
-        n_rows=len(base_rows),
+        n_rows=len(matched),
         n_matched=n_matched,
         n_dominated=n_dominated,
         n_lp=n_lp,

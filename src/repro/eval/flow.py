@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 import threading
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -37,10 +37,11 @@ from repro.exec.portfolio import (
 from repro.exec.runner import RouteJob, SupervisedRunner
 from repro.router.optrouter import OptRouteResult, RouteStatus
 from repro.router.rules import RuleConfig, is_restriction
+from repro.router.solution import ClipRouting
 
-#: Warm-edge gate: (clip, follower rules) -> the edge carries a
+#: Edge gate: (clip, looser rule, follower rule) -> the edge carries a
 #: model-level :class:`RestrictionProof`.
-_WarmGate = Callable[[Clip, RuleConfig], bool]
+EdgeProof = Callable[[Clip, RuleConfig, RuleConfig], bool]
 
 #: Statuses with no usable solve outcome: excluded from Δcost (they
 #: prove neither optimality nor infeasibility), surfaced in reports.
@@ -100,10 +101,19 @@ class ClipRuleOutcome:
     quarantined: bool = False
     #: a cold re-solve replaced the quarantined result and certified.
     healed: bool = False
-    #: this pair's warm-start edge carried a model-level
-    #: :class:`~repro.analysis.semantics.restriction.RestrictionProof`
-    #: (False for cold solves and for predicate-only gating).
+    #: this pair's warm seed (a lower bound or an inherited
+    #: infeasibility) came over an edge carrying a model-level
+    #: :class:`~repro.analysis.semantics.restriction.RestrictionProof`,
+    #: whether or not the router then took the shortcut (False for
+    #: unseeded pairs and for predicate-only gating).
     restriction_certified: bool = False
+    #: warm-shortcut provenance, as rule names of the same clip: the
+    #: rule whose proven outcome supplied the lower bound of a reused
+    #: routing or the infeasibility an inherited proof came from, and
+    #: the rule whose settled routing was reused.  "" for cold solves
+    #: and static certificates; journaled, never in the Δcost table.
+    warm_bound_from: str = ""
+    warm_routing_from: str = ""
     #: per-attempt provenance from the supervised runner: one dict per
     #: attempt (backend, outcome, failure detail, elapsed seconds) --
     #: journaled so a resumed sweep keeps the full retry history.
@@ -298,13 +308,16 @@ class EvalConfig:
     backend: str = "highs"
     certify: bool = True
     presolve: bool = True
-    #: schedule each clip's rules as one group (baseline first) so the
-    #: baseline outcome warm-starts follower rules it provably
-    #: restricts -- sound shortcuts only, identical results (see
-    #: docs/performance.md).  Every warm edge needs a model-level
-    #: :class:`~repro.analysis.semantics.restriction.RestrictionProof`;
-    #: an edge the syntactic :func:`is_restriction` predicate accepts
-    #: but the prover cannot certify is never warmed and is reported in
+    #: schedule each clip's rules as one group in lattice order (the
+    #: baseline, the rule restricting all others, then the rest by
+    #: :func:`is_restriction` rank) so that every settled outcome of
+    #: the clip warm-starts the rules after it -- sound shortcuts
+    #: only, identical results (see :func:`warm_job` and
+    #: docs/performance.md).  Every bound or inherited infeasibility
+    #: needs a model-level
+    #: :class:`~repro.analysis.semantics.restriction.RestrictionProof`
+    #: of its edge; an edge the syntactic predicate accepts but the
+    #: prover cannot certify is never warmed and is reported in
     #: ``DeltaCostStudy.restriction_disagreements``.  Off = historical
     #: rule-major order, no warm starts.
     incremental: bool = True
@@ -342,8 +355,8 @@ class _SweepPlan:
     ``pairs`` lists every (clip, rule) pair in input order -- clip-major
     with ``incremental``, else rule-major -- which is the order jobs are
     built in.  ``groups`` is the execution order, as indices into
-    ``pairs``: one group per clip (baseline rule first) with
-    ``incremental``, else one group per pair; hardest clip first when
+    ``pairs``: one group per clip, its rules in :func:`_lattice_order`,
+    with ``incremental``, else one group per pair; hardest clip first when
     racing or budgeted, so the most uncertain work runs while the
     budget is still generous.  ``race_set`` names the clips raced on
     both exact backends, ``deadlines`` is each clip's share of the time
@@ -394,9 +407,12 @@ def _plan_sweep(
     """Plan a sweep once, at its start (see :class:`_SweepPlan`)."""
     if config.incremental:
         pairs = [(clip, rule) for clip in clips for rule in rules]
+        order = _lattice_order(rules)
         by_clip: dict[str, list[int]] = {}
-        for i, (clip, _) in enumerate(pairs):
-            by_clip.setdefault(clip.name, []).append(i)
+        for c, clip in enumerate(clips):
+            by_clip.setdefault(clip.name, []).extend(
+                c * len(rules) + r for r in order
+            )
         groups = list(by_clip.values())
     else:
         pairs = [(clip, rule) for rule in rules for clip in clips]
@@ -427,6 +443,26 @@ def _plan_sweep(
         deadlines=deadlines,
         budget=budget,
     )
+
+
+def _lattice_order(rules: Sequence[RuleConfig]) -> list[int]:
+    """One clip's rule order, as indices into ``rules``: the baseline;
+    then the lattice top, the rule that :func:`is_restriction` says
+    restricts every rule (if one does); then the rest by how many
+    rules each restricts, fewest first, ties in input order.
+
+    After the baseline this is a linear extension of the restriction
+    order, so a rule runs after the looser rules whose optima can
+    bound it.  The top runs early because its routing passes every
+    other rule's DRC: on a clip where the rules share one optimum,
+    the baseline's bound and the top's routing settle every rule."""
+    restricts = [sum(is_restriction(other, rule) for other in rules) for rule in rules]
+    rest = list(range(1, len(rules)))
+    top = next((i for i in rest if restricts[i] == len(rules)), None)
+    if top is not None:
+        rest.remove(top)
+    rest.sort(key=lambda i: restricts[i])
+    return [0] + ([top] if top is not None else []) + rest
 
 
 def evaluate_clips(
@@ -524,32 +560,42 @@ def _execute(
     clips.  The one executor behind the sequential sweep, each lease
     worker and the coordinator's closing pass."""
     config = plan.config
-    baseline = plan.rules[0]
     if plan.race_set and supervisor.isolation == "inline":
         # Racers are child processes, which inline isolation never
         # spawns: a raced plan runs its attempts in processes too.
         supervisor = replace(supervisor, isolation="process")
     restriction_disagreements: list[str] = []
-    certified_edges: set[tuple[str, str]] = set()
+    proofs: dict[tuple[str, str, str], bool] = {}
 
-    def proven(clip: Clip, follower: RuleConfig) -> bool:
-        # Looked up on the module at call time, so that a wrapper
-        # installed on the module attribute (sweepbench's span tracer)
-        # sees the call.
-        proof = restriction.prove_restriction(
-            clip,
-            baseline,
-            follower,
-            wire_cost=config.wire_cost,
-            via_cost=config.via_cost,
-        )
-        if not proof.holds and is_restriction(baseline, follower):
-            restriction_disagreements.append(
-                f"{clip.name}: predicate accepts "
-                f"{baseline.name} -> {follower.name} but the model-level "
-                "proof failed: " + "; ".join(proof.failures)
+    def proven(clip: Clip, looser: RuleConfig, follower: RuleConfig) -> bool:
+        key = (clip.name, looser.name, follower.name)
+        if key not in proofs:
+            # Looked up on the module at call time, so that a wrapper
+            # installed on the module attribute (sweepbench's span
+            # tracer) sees the call.
+            proof = restriction.prove_restriction(
+                clip,
+                looser,
+                follower,
+                wire_cost=config.wire_cost,
+                via_cost=config.via_cost,
             )
-        return proof.holds
+            if not proof.agrees_with_predicate:
+                restriction_disagreements.append(
+                    f"{clip.name}: predicate accepts "
+                    f"{looser.name} -> {follower.name} but the model-level "
+                    "proof failed: " + "; ".join(proof.failures)
+                )
+            proofs[key] = proof.holds
+        return proofs[key]
+
+    # Each clip's settled outcomes by rule: the journaled ones (no
+    # routing), then each result of this run as the audit left it.
+    settled: dict[str, dict[str, Settled]] = {}
+    for (clip_name, rule_name), outcome in done.items():
+        settled.setdefault(clip_name, {})[rule_name] = (outcome, None)
+    # The job each pair actually ran, warm seed included.
+    seeded: dict[tuple[str, str], RouteJob] = {}
 
     # Clips whose journaled prior attempt hit LIMIT race as well.
     limited = {o.clip_name for o in done.values() if o.status is RouteStatus.LIMIT}
@@ -569,7 +615,7 @@ def _execute(
             and (clip.name in plan.race_set or clip.name in limited)
         ):
             race_with = RACE_BACKENDS
-        job = RouteJob(
+        return RouteJob(
             clip=clip,
             rules=rule,
             wire_cost=config.wire_cost,
@@ -581,14 +627,6 @@ def _execute(
             solve_cache_dir=config.solve_cache_dir,
             race_with=race_with,
         )
-        if config.incremental and rule.name != baseline.name:
-            # A resumed sweep may hold the clip's baseline outcome in
-            # the journal (no routing there, but the proof/bound
-            # transfer) -- pre-seed what the in-group derive cannot.
-            prior = done.get((clip.name, baseline.name))
-            if prior is not None:
-                job = _warm_from_result(job, prior, proven, certified_edges)
-        return job
 
     jobs = {
         i: make_job(clip, rule)
@@ -668,17 +706,23 @@ def _execute(
                         ),
                     )
                     audit_ok = False
+        seed = seeded.get((clip.name, rule.name), flat[index])
         outcome = _to_outcome(
             result,
             audited=audited,
             audit_ok=audit_ok,
             quarantined=was_quarantined,
             healed=was_healed,
-            restriction_certified=(
-                (clip.name, rule.name) in certified_edges
+            restriction_certified=bool(seed.warm_bound_from),
+            warm_bound_from=seed.warm_bound_from if result.warm_used else "",
+            warm_routing_from=(
+                seed.warm_routing_from
+                if result.warm_used == "reused-optimal"
+                else ""
             ),
         )
         fresh[(clip.name, rule.name)] = outcome
+        settled.setdefault(clip.name, {})[rule.name] = (outcome, result.routing)
         if journal is not None:
             journal.append(outcome_to_record(outcome))
         if on_outcome is not None:
@@ -696,13 +740,12 @@ def _execute(
                 str(journal.path) if journal is not None else "",
             )
 
-    def derive(job: RouteJob, group_results: list[OptRouteResult]) -> RouteJob:
-        base = next(
-            (r for r in group_results if r.rule_name == baseline.name), None
+    def derive(job: RouteJob) -> RouteJob:
+        warmed = warm_job(
+            job, settled.get(job.clip.name, {}), plan.rules, proven
         )
-        if base is None:
-            return job
-        return _warm_from_result(job, base, proven, certified_edges)
+        seeded[(job.clip.name, job.rules.name)] = warmed
+        return warmed
 
     SupervisedRunner(supervisor, budget=plan.budget).run_groups(
         groups,
@@ -714,7 +757,7 @@ def _execute(
     study = DeltaCostStudy(
         clip_names=[clip.name for clip in plan.clips],
         rule_names=[rule.name for rule in plan.rules],
-        baseline_rule=baseline.name,
+        baseline_rule=plan.rules[0].name,
         restriction_disagreements=restriction_disagreements,
         journal_write_failures=(
             journal.write_failures if journal is not None else 0
@@ -829,34 +872,148 @@ def _evaluate_distributed(
     return study
 
 
-def _warm_from_result(
+#: A settled outcome of one rule on a clip, with its routing while the
+#: sweep still holds one (journaled outcomes carry no geometry).
+Settled = tuple[ClipRuleOutcome, "ClipRouting | None"]
+
+#: Cost comparison slack (costs are exact sums of the cost weights).
+_COST_TOL = 1e-6
+
+
+def warm_job(
     job: RouteJob,
-    base: "OptRouteResult | ClipRuleOutcome",
-    proven: _WarmGate,
-    certified_edges: "set[tuple[str, str]]",
+    settled: "Mapping[str, Settled]",
+    rules: Sequence[RuleConfig],
+    proven: EdgeProof,
 ) -> RouteJob:
-    """Rewrite a follower job with warm-start fields from its clip's
-    baseline result.  Only sound transfers are made: the edge must
-    carry a model-level restriction proof, and the baseline outcome
-    must be trustworthy (not degraded -- fallback backends carry no
-    optimality or infeasibility proof).  A journaled outcome is a
-    result without geometry: its infeasibility proof and lower bound
-    transfer, a routing to reuse does not."""
-    if base.degraded or not proven(job.clip, job.rules):
-        return job
-    if base.status is RouteStatus.INFEASIBLE:
-        warmed = replace(job, warm_infeasible=True)
-    elif base.status is RouteStatus.OPTIMAL and base.cost is not None:
-        warmed = replace(
-            job,
-            warm_routing=getattr(base, "routing", None),
-            warm_cost=base.cost,
-            warm_lower_bound=base.cost,
+    """Seed ``job`` from its clip's settled outcomes over the rule lattice.
+
+    ``settled`` maps rule names of ``job.clip`` to their settled
+    outcomes; ``rules`` are the sweep's rules, baseline first; and
+    ``proven(clip, looser, follower)`` is the sweep's memoized
+    model-level restriction proof.  Only trusted outcomes take part:
+    not degraded (fallback backends prove nothing), not failed, not
+    left quarantined.  Only sound transfers are made:
+
+    - *infeasibility*: the follower is INFEASIBLE when a settled
+      INFEASIBLE rule has a proven edge to it;
+    - *bound*: the baseline's proven optimum.  It is raised only when
+      the cheapest candidate routing that passes the follower's DRC
+      costs more: then one proof from a settled OPTIMAL looser rule
+      whose optimum reaches the candidate's cost lifts it;
+    - *routing*: that cheapest DRC-clean settled routing of any rule
+      on the same routing graph (an optimum or a LIMIT incumbent),
+      when its cost meets the bound.  The router re-verifies it.
+
+    The baseline's edge is proven for every follower (its optimum is
+    the starting bound); any other edge only where
+    :func:`is_restriction` accepts it and its proof would change the
+    outcome.  The seed's provenance rides on the job
+    (``warm_bound_from``/``warm_routing_from``).
+    """
+    from repro.drc.checker import check_clip_routing  # avoid cycle
+
+    clip, follower = job.clip, job.rules
+    baseline = rules[0]
+    trusted = [
+        (rule, outcome, routing)
+        for rule in rules
+        if rule.name != follower.name and rule.name in settled
+        for outcome, routing in [settled[rule.name]]
+        if _trusted(outcome)
+    ]
+
+    def edge(looser: RuleConfig) -> bool:
+        if looser.name != baseline.name and not is_restriction(looser, follower):
+            return False
+        return proven(clip, looser, follower)
+
+    for rule, outcome, _ in trusted:
+        if outcome.status is RouteStatus.INFEASIBLE and edge(rule):
+            return replace(job, warm_infeasible=True, warm_bound_from=rule.name)
+
+    optima = [
+        (rule, outcome.cost)
+        for rule, outcome, _ in trusted
+        if outcome.status is RouteStatus.OPTIMAL and outcome.cost is not None
+    ]
+    bound: float | None = None
+    bound_from = ""
+    base_optimum = next(
+        (cost for rule, cost in optima if rule.name == baseline.name), None
+    )
+    if base_optimum is not None and edge(baseline):
+        bound, bound_from = base_optimum, baseline.name
+    with_bound = (
+        replace(job, warm_lower_bound=bound, warm_bound_from=bound_from)
+        if bound_from
+        else job
+    )
+    lifts = [
+        (rule, cost)
+        for rule, cost in optima
+        if rule.name != baseline.name and is_restriction(rule, follower)
+    ]
+    # A candidate dearer than every bound a proof could give is never
+    # reusable: skip its DRC check.
+    ceiling = max(
+        [cost for _, cost in lifts] + ([bound] if bound is not None else []),
+        default=None,
+    )
+    if ceiling is None:
+        return with_bound
+    candidates: dict[str, tuple[float, ClipRouting]] = {}
+    for rule, outcome, routing in trusted:
+        source = outcome.warm_routing_from or rule.name
+        if (
+            routing is not None
+            and outcome.cost is not None
+            and outcome.status in (RouteStatus.OPTIMAL, RouteStatus.LIMIT)
+            and rule.allow_via_shapes == follower.allow_via_shapes
+            and outcome.cost <= ceiling + _COST_TOL
+            and source not in candidates
+        ):
+            candidates[source] = (outcome.cost, routing)
+    chosen = next(
+        (
+            (source, cost, routing)
+            for source, (cost, routing) in sorted(
+                candidates.items(), key=lambda item: item[1][0]
+            )
+            if not check_clip_routing(clip, follower, routing)
+        ),
+        None,
+    )
+    if chosen is None:
+        return with_bound
+    source, cost, routing = chosen
+    if bound is None or cost > bound + _COST_TOL:
+        lift = next(
+            (
+                (rule, optimum)
+                for rule, optimum in lifts
+                if optimum >= cost - _COST_TOL
+            ),
+            None,
         )
-    else:
-        return job
-    certified_edges.add((job.clip.name, job.rules.name))
-    return warmed
+        if lift is None or not proven(clip, lift[0], follower):
+            return with_bound
+        bound, bound_from = lift[1], lift[0].name
+    return replace(
+        job,
+        warm_routing=routing,
+        warm_cost=cost,
+        warm_lower_bound=bound,
+        warm_bound_from=bound_from,
+        warm_routing_from=source,
+    )
+
+
+def _trusted(outcome: ClipRuleOutcome) -> bool:
+    """Whether an outcome may seed other rules: not a fallback result,
+    not a failure, not a result the audit rejected without a certified
+    replacement."""
+    return not (outcome.degraded or outcome.failed or outcome.unhealed)
 
 
 def _require_unique_names(
@@ -878,6 +1035,8 @@ def _to_outcome(
     quarantined: bool = False,
     healed: bool = False,
     restriction_certified: bool = False,
+    warm_bound_from: str = "",
+    warm_routing_from: str = "",
 ) -> ClipRuleOutcome:
     stats = result.presolve_stats
     return ClipRuleOutcome(
@@ -905,6 +1064,8 @@ def _to_outcome(
         quarantined=quarantined,
         healed=healed,
         restriction_certified=restriction_certified,
+        warm_bound_from=warm_bound_from,
+        warm_routing_from=warm_routing_from,
         attempt_log=tuple(result.attempt_log),
     )
 
@@ -938,6 +1099,8 @@ def outcome_to_record(outcome: ClipRuleOutcome) -> dict:
         "quarantined": outcome.quarantined,
         "healed": outcome.healed,
         "restriction_certified": outcome.restriction_certified,
+        "warm_bound_from": outcome.warm_bound_from,
+        "warm_routing_from": outcome.warm_routing_from,
         "attempt_log": list(outcome.attempt_log),
     }
 
@@ -969,5 +1132,7 @@ def outcome_from_record(record: dict) -> ClipRuleOutcome:
         quarantined=record.get("quarantined", False),
         healed=record.get("healed", False),
         restriction_certified=record.get("restriction_certified", False),
+        warm_bound_from=record.get("warm_bound_from", ""),
+        warm_routing_from=record.get("warm_routing_from", ""),
         attempt_log=tuple(record.get("attempt_log", ())),
     )

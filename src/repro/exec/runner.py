@@ -72,12 +72,18 @@ class RouteJob:
     certify: bool = True
     presolve: bool = True
     router: OptRouter | None = None
-    #: cross-rule warm-start seed (set by the incremental sweep's
-    #: ``derive`` hook or by a resumed journal's baseline outcome).
+    #: cross-rule warm-start seed, set by the incremental sweep's
+    #: ``derive`` hook from the clip's settled outcomes.
     warm_routing: "ClipRouting | None" = None
     warm_cost: float | None = None
     warm_lower_bound: float | None = None
     warm_infeasible: bool = False
+    #: the seed's provenance, as rule names: the rule whose proven
+    #: outcome gave the lower bound (or the inherited infeasibility)
+    #: and the rule whose routing is offered for reuse ("" = none).
+    #: Bookkeeping for the sweep's journal; the router ignores them.
+    warm_bound_from: str = ""
+    warm_routing_from: str = ""
     #: persistent solve-cache directory (None = no cache).
     solve_cache_dir: str | None = None
     #: backends to race concurrently for this job (portfolio mode);
@@ -314,22 +320,19 @@ class SupervisedRunner:
         groups: Sequence[Sequence[RouteJob]],
         fault_plan: FaultPlan | None = None,
         on_result: "Callable[[int, OptRouteResult], None] | None" = None,
-        derive: (
-            "Callable[[RouteJob, list[OptRouteResult]], RouteJob] | None"
-        ) = None,
+        derive: "Callable[[RouteJob], RouteJob] | None" = None,
     ) -> list[OptRouteResult]:
         """Run groups of jobs; jobs within a group run *in order on
         one worker*, so later jobs can be rewritten from earlier
         results — the cross-rule warm-start mechanism (one group per
-        clip, the baseline rule first).
+        clip, in the sweep's lattice order).
 
-        ``derive(job, group_results)`` is called before each non-first
-        job of a group with the results produced so far *in that
-        group*; it returns the (possibly rewritten) job to run.
-        Parallelism is across groups.  Fault indices and
-        ``on_result`` indices are flat positions in the concatenated
-        job order, so journals and fault plans are agnostic of the
-        grouping.
+        ``derive(job)`` is called right before each job runs, after
+        ``on_result`` has seen every earlier job of the group; it
+        returns the (possibly rewritten) job to run.  Parallelism is
+        across groups.  Fault indices and ``on_result`` indices are
+        flat positions in the concatenated job order, so journals and
+        fault plans are agnostic of the grouping.
         """
         flat: list[RouteJob] = [job for group in groups for job in group]
         faults = [
@@ -348,13 +351,11 @@ class SupervisedRunner:
         sequential = self.config.n_workers == 1
 
         def _run_group(g: int) -> None:
-            group_results: list[OptRouteResult] = []
             for j, job in enumerate(groups[g]):
                 index = starts[g] + j
-                if derive is not None and group_results:
-                    job = derive(job, group_results)
+                if derive is not None:
+                    job = derive(job)
                 result = self.run_one(job, faults[index], index=index)
-                group_results.append(result)
                 if sequential:
                     results[index] = result
                     if on_result is not None:

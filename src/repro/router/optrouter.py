@@ -32,22 +32,25 @@ from repro.router.solution import ClipRouting, decode_solution
 class WarmStart:
     """Cross-rule seed for :meth:`OptRouter.route`.
 
-    Produced by the incremental sweep (:mod:`repro.eval.flow`) from a
-    clip's *baseline* outcome, for follower rules that are pure
-    restrictions of the baseline (see
-    :func:`repro.router.rules.is_restriction`):
+    Produced by the incremental sweep (:func:`repro.eval.flow.warm_job`)
+    from the clip's *settled* outcomes under other rules, over edges
+    proven to be restrictions (see
+    :func:`repro.router.rules.is_restriction` and
+    :mod:`repro.analysis.semantics.restriction`):
 
-    - ``infeasible``: the baseline was *proven* infeasible; every
-      restriction inherits the proof, so the follower is INFEASIBLE
+    - ``infeasible``: a rule the follower restricts was *proven*
+      infeasible; the follower inherits the proof, so it is INFEASIBLE
       without building or solving anything.
-    - ``routing``/``cost``: the baseline's optimal routing.  If it
-      passes the follower rule's DRC oracle and ``cost`` meets
-      ``lower_bound``, it is returned as the follower's optimum --
-      again solver-free.  A routing that fails DRC is discarded (it
-      can never be returned), and the solve proceeds cold.
-    - ``lower_bound``: the baseline's optimal objective, valid for the
-      follower because restrictions only shrink the feasible set over
-      the same objective.
+    - ``routing``/``cost``: a settled routing of another rule on the
+      same routing graph.  If it passes the follower rule's DRC oracle
+      and ``cost`` meets ``lower_bound``, it is returned as the
+      follower's optimum -- again solver-free.  A routing that fails
+      DRC is discarded (it can never be returned), and the solve
+      proceeds cold.
+    - ``lower_bound``: the optimum of a rule the follower restricts,
+      valid for the follower because restrictions only shrink the
+      feasible set over the same objective.  It only gates the
+      routing shortcut; a cold solve never receives it.
     """
 
     routing: "ClipRouting | None" = None
@@ -230,8 +233,8 @@ class OptRouter:
                 status=RouteStatus.INFEASIBLE,
                 backend=self.backend,
                 warm_used="inherited-infeasible",
-                diagnostics="baseline rule proven infeasible; "
-                "restriction inherits the proof",
+                diagnostics="a rule this one restricts was proven "
+                "infeasible; the restriction inherits the proof",
             )
         if (
             warm.routing is None
@@ -266,7 +269,7 @@ class OptRouter:
     ) -> OptRouteResult:
         """Optimally route a clip under a rule configuration.
 
-        ``warm`` carries a baseline rule's outcome (see
+        ``warm`` carries other rules' settled outcomes (see
         :class:`WarmStart`); it is only ever used through sound
         shortcuts -- an inherited infeasibility proof, or a routing
         re-verified by the DRC oracle whose cost meets the inherited

@@ -103,6 +103,48 @@ class TestJournalForwardCompat:
         assert all(r["v"] == RECORD_VERSION for r in records)
 
 
+class TestProvenanceRecords:
+    """Warm-shortcut provenance rides in the journal as optional keys:
+    the record version stays, and records written before the keys
+    existed still load."""
+
+    def _outcome(self, **provenance):
+        from repro.eval import ClipRuleOutcome
+        from repro.router import RouteStatus
+
+        return ClipRuleOutcome(
+            clip_name="c0", rule_name="RULE8", status=RouteStatus.OPTIMAL,
+            cost=24.0, wirelength=8, n_vias=4, solve_seconds=0.0,
+            warm_used="reused-optimal", restriction_certified=True,
+            **provenance,
+        )
+
+    def test_provenance_round_trips_through_the_journal(self, tmp_path):
+        from repro.eval import outcome_from_record, outcome_to_record
+
+        outcome = self._outcome(
+            warm_bound_from="RULE3", warm_routing_from="RULE10"
+        )
+        journal = CheckpointJournal(tmp_path / "journal.jsonl")
+        journal.append(outcome_to_record(outcome))
+        (record,) = journal.load()
+        assert record["v"] == RECORD_VERSION == 2
+        assert outcome_from_record(record) == outcome
+
+    def test_record_without_provenance_loads_with_empty_names(self, tmp_path):
+        from repro.eval import outcome_from_record, outcome_to_record
+
+        old = outcome_to_record(self._outcome())
+        del old["warm_bound_from"], old["warm_routing_from"]
+        journal = CheckpointJournal(tmp_path / "journal.jsonl")
+        journal.append(old)
+        (record,) = journal.load()
+        assert journal.quarantined == []
+        outcome = outcome_from_record(record)
+        assert (outcome.warm_bound_from, outcome.warm_routing_from) == ("", "")
+        assert outcome == self._outcome()
+
+
 class TestCacheForwardCompat:
     def test_future_entry_version_is_miss_and_quarantined(self, tmp_path):
         from repro.ilp import Model, SolveCache, Solution, SolveStatus

@@ -3,6 +3,8 @@ must be detected, quarantined, and healed, with the final Δcost table
 byte-identical to a clean run's.
 """
 
+import json
+
 from repro.clips import SyntheticClipSpec, make_synthetic_clip
 from repro.eval import (
     EvalConfig,
@@ -19,7 +21,7 @@ from repro.exec import (
     flip_bit,
 )
 from repro.ilp.solve_cache import SolveCache
-from repro.router import RouteStatus
+from repro.router import OptRouter, RouteStatus
 
 
 def clips(n=2):
@@ -77,9 +79,9 @@ class TestChaosSweep:
         clean = evaluate_clips(population, rule_set, CONFIG)
         clean_table = format_delta_cost_table(clean, title="chaos")
 
-        # One lie per kind, including one on the warm-start *baseline*
-        # so the corruption propagates into follower rules before the
-        # audit sees it.
+        # One lie per kind, including one on the warm-start *baseline*:
+        # the audit must catch it before any follower rule is seeded,
+        # so only its healed replacement warms the clip's other rules.
         plan = FaultPlan(by_key={
             (population[0].name, "RULE1"):
                 FaultSpec(kind=FaultKind.WRONG_OBJECTIVE),
@@ -98,6 +100,27 @@ class TestChaosSweep:
         assert unhealed == 0
         # The whole point: the published numbers are unaffected.
         assert format_delta_cost_table(chaos, title="chaos") == clean_table
+
+    def test_quarantined_result_seeds_no_follower(self):
+        """Followers are warmed from what the audit kept: a lying
+        baseline is quarantined and healed before any follower reads
+        it, so the lie stays confined to its own pair."""
+        population = clips()
+        plan = FaultPlan(by_key={
+            (population[0].name, "RULE1"):
+                FaultSpec(kind=FaultKind.WRONG_OBJECTIVE),
+        })
+        chaos = evaluate_clips(
+            population, paper_rules()[:4], CONFIG, fault_plan=plan
+        )
+        quarantined = [
+            (o.clip_name, o.rule_name)
+            for rule in chaos.rule_names
+            for o in chaos.outcomes[rule]
+            if o.quarantined
+        ]
+        assert quarantined == [(population[0].name, "RULE1")]
+        assert chaos.healed_count("RULE1") == 1
 
     def test_wrong_objective_alone_is_caught_without_cross_check(self):
         """A shifted objective disagrees with its own geometry and
@@ -131,14 +154,35 @@ class TestArtifactChaosResume:
         )
         clean_table = format_delta_cost_table(clean, title="artifact-chaos")
 
-        # Bit-flip the middle of the journal and one cache entry: the
-        # resumed sweep must detect both, re-solve exactly the damaged
-        # pairs, and publish the same numbers.
-        flip_bit(journal_path, journal_path.stat().st_size // 2)
+        # Bit-flip one cold-solved pair's journal record and that same
+        # pair's cache entry: the resumed sweep must detect both,
+        # re-solve exactly the damaged pair (cold, so it reads the
+        # damaged entry), and publish the same numbers.
+        lines = journal_path.read_bytes().splitlines(keepends=True)
+        victim = next(
+            i
+            for i, line in enumerate(lines)
+            if not any(
+                json.loads(line)[flag]
+                for flag in ("warm_used", "cache_hit", "certified")
+            )
+        )
+        record = json.loads(lines[victim])
+        flip_bit(
+            journal_path,
+            sum(map(len, lines[:victim])) + len(lines[victim]) // 2,
+        )
+        (clip,) = [c for c in population if c.name == record["clip"]]
+        (rule,) = [r for r in rule_set if r.name == record["rule"]]
+        router = OptRouter(time_limit=config.time_limit_per_clip)
         cache = SolveCache(cache_dir)
-        entry_files = cache._entry_files()
-        assert entry_files
-        flip_bit(entry_files[0], byte_index=30)
+        entry = cache._path(
+            SolveCache.key_for(
+                router.build(clip, rule).csr, router._cache_options()
+            )
+        )
+        assert entry in cache._entry_files()
+        flip_bit(entry, byte_index=30)
 
         resumed = evaluate_clips(
             population, rule_set, config,

@@ -424,3 +424,265 @@ class TestColumnarSweep:
         assert sum(
             study.restriction_certified_count(rule) for rule in study.rule_names
         ) == 20
+
+
+class TestLatticeOrder:
+    """Each clip's rules run baseline first, then the lattice top, then
+    the rest by how many rules each restricts, fewest first."""
+
+    def _order(self, rules):
+        from repro.eval.flow import _plan_sweep
+
+        clips = [
+            make_synthetic_clip(
+                SyntheticClipSpec(nx=4, ny=5, nz=3, n_nets=2, sinks_per_net=1),
+                seed=s,
+            )
+            for s in range(2)
+        ]
+        plan = _plan_sweep(clips, rules, EvalConfig())
+        orders = [[plan.pairs[i][1].name for i in group] for group in plan.groups]
+        assert orders[0] == orders[1]
+        return orders[0]
+
+    def test_table3_order(self):
+        assert self._order(paper_rules()) == [
+            "RULE1", "RULE10", "RULE5", "RULE6", "RULE4", "RULE9",
+            "RULE3", "RULE2", "RULE8", "RULE7", "RULE11",
+        ]
+
+    def test_n7_order_starts_with_its_top(self):
+        from repro.eval import rules_for_technology
+
+        assert self._order(rules_for_technology("N7-9T"))[:2] == [
+            "RULE1", "RULE8",
+        ]
+
+    def test_rule_set_without_top_keeps_the_baseline_first(self):
+        # RULE2 restricts RULE4 but neither restricts RULE6: no top.
+        rules = [paper_rule(name) for name in ("RULE4", "RULE2", "RULE6")]
+        assert self._order(rules) == ["RULE4", "RULE6", "RULE2"]
+
+
+def _via_pair_clip():
+    """Two one-via nets side by side: net b may drop its via next to
+    net a's (``ADJACENT``, which orthogonal via blocking forbids) or
+    one site further (``APART``, legal under every rule).  Both cost
+    two vias."""
+    def net(name, *sets):
+        return ClipNet(name, tuple(ClipPin(access=frozenset(v)) for v in sets))
+
+    return Clip(
+        name="zvias", nx=3, ny=1, nz=2, horizontal=paper_directions(2),
+        nets=(
+            net("a", [(0, 0, 0)], [(0, 0, 1)]),
+            net("b", [(1, 0, 0), (2, 0, 0)], [(1, 0, 1), (2, 0, 1)]),
+        ),
+    )
+
+
+def _routing(b_via):
+    from repro.router.solution import ClipRouting, NetSolution
+
+    return ClipRouting(
+        nets=[
+            NetSolution("a", vias=[(0, 0, 0)]),
+            NetSolution("b", vias=[b_via]),
+        ],
+        cost=8.0,
+    )
+
+
+ADJACENT = _routing((1, 0, 0))
+APART = _routing((2, 0, 0))
+
+
+class _Prover:
+    """Stand-in for the sweep's memoized restriction prover: records
+    every edge asked about and proves all but ``refused``."""
+
+    def __init__(self, refused=()):
+        self.calls = []
+        self.refused = set(refused)
+
+    def __call__(self, clip, looser, follower):
+        self.calls.append((looser.name, follower.name))
+        return (looser.name, follower.name) not in self.refused
+
+
+class TestWarmJob:
+    """:func:`warm_job` on hand-built settled outcomes: no solver runs."""
+
+    def _settled(self, rule, status, cost=None, routing=None, **flags):
+        from repro.eval import ClipRuleOutcome
+
+        outcome = ClipRuleOutcome(
+            clip_name="zvias", rule_name=rule, status=status, cost=cost,
+            wirelength=0, n_vias=2 if cost is not None else 0,
+            solve_seconds=0.0, **flags,
+        )
+        return outcome, routing
+
+    def _warm(self, follower, settled, names, prover):
+        from repro.eval.flow import warm_job
+        from repro.exec import RouteJob
+
+        job = RouteJob(clip=_via_pair_clip(), rules=paper_rule(follower))
+        rules = [paper_rule(name) for name in names]
+        return job, warm_job(job, settled, rules, prover)
+
+    def test_infeasibility_follows_proven_edges_only(self):
+        from repro.router import RouteStatus
+
+        names = ("RULE1", "RULE3", "RULE6", "RULE8")
+        settled = {
+            "RULE1": self._settled("RULE1", RouteStatus.OPTIMAL, 8.0),
+            "RULE3": self._settled("RULE3", RouteStatus.INFEASIBLE),
+        }
+        prover = _Prover()
+        _, rule8 = self._warm("RULE8", settled, names, prover)
+        assert rule8.warm_infeasible and rule8.warm_bound_from == "RULE3"
+        # RULE6 does not restrict RULE3: it keeps only RULE1's bound.
+        _, rule6 = self._warm("RULE6", settled, names, prover)
+        assert not rule6.warm_infeasible
+        assert (rule6.warm_lower_bound, rule6.warm_bound_from) == (8.0, "RULE1")
+        assert ("RULE3", "RULE6") not in prover.calls
+        # An edge the prover cannot certify transfers nothing.
+        _, unproven = self._warm(
+            "RULE8", settled, names, _Prover(refused={("RULE3", "RULE8")})
+        )
+        assert not unproven.warm_infeasible
+
+    def test_no_lift_proof_when_the_baseline_bound_is_met(self):
+        from repro.router import RouteStatus
+
+        settled = {
+            "RULE1": self._settled("RULE1", RouteStatus.OPTIMAL, 8.0, ADJACENT),
+            "RULE6": self._settled("RULE6", RouteStatus.OPTIMAL, 8.0, APART),
+        }
+        prover = _Prover()
+        _, job = self._warm("RULE9", settled, ("RULE1", "RULE6", "RULE9"), prover)
+        assert job.warm_routing is APART
+        assert (job.warm_cost, job.warm_lower_bound) == (8.0, 8.0)
+        assert (job.warm_bound_from, job.warm_routing_from) == ("RULE1", "RULE6")
+        # RULE6 -> RULE9 could lift the bound, but nothing needs it.
+        assert prover.calls == [("RULE1", "RULE9")]
+
+    def test_a_dearer_clean_routing_lifts_the_bound_by_one_proof(self):
+        from repro.router import RouteStatus
+
+        settled = {
+            "RULE1": self._settled("RULE1", RouteStatus.OPTIMAL, 7.0),
+            "RULE6": self._settled("RULE6", RouteStatus.OPTIMAL, 8.0, APART),
+        }
+        prover = _Prover()
+        names = ("RULE1", "RULE6", "RULE9")
+        _, job = self._warm("RULE9", settled, names, prover)
+        assert job.warm_routing is APART and job.warm_lower_bound == 8.0
+        assert (job.warm_bound_from, job.warm_routing_from) == ("RULE6", "RULE6")
+        assert prover.calls == [("RULE1", "RULE9"), ("RULE6", "RULE9")]
+        # Without that proof the routing is not offered.
+        _, refused = self._warm(
+            "RULE9", settled, names, _Prover(refused={("RULE6", "RULE9")})
+        )
+        assert refused.warm_routing is None
+        assert (refused.warm_lower_bound, refused.warm_bound_from) == (7.0, "RULE1")
+
+    def test_degraded_or_quarantined_outcomes_seed_nothing(self):
+        from repro.router import RouteStatus
+
+        names = ("RULE1", "RULE6", "RULE9")
+        untrusted = [
+            {
+                "RULE1": self._settled(
+                    "RULE1", RouteStatus.OPTIMAL, 8.0, APART, degraded=True
+                ),
+                "RULE6": self._settled(
+                    "RULE6", RouteStatus.OPTIMAL, 8.0, APART, quarantined=True
+                ),
+            },
+            {
+                "RULE6": self._settled(
+                    "RULE6", RouteStatus.INFEASIBLE, quarantined=True
+                ),
+            },
+        ]
+        for settled in untrusted:
+            prover = _Prover()
+            job, warmed = self._warm("RULE9", settled, names, prover)
+            assert warmed == job
+            assert prover.calls == []
+
+    def test_a_routing_failing_the_followers_drc_is_never_chosen(self):
+        from repro.router import RouteStatus
+
+        names = ("RULE1", "RULE5", "RULE6")
+        settled = {
+            "RULE1": self._settled("RULE1", RouteStatus.OPTIMAL, 8.0, ADJACENT),
+            "RULE5": self._settled("RULE5", RouteStatus.OPTIMAL, 8.0, APART),
+        }
+        _, job = self._warm("RULE6", settled, names, _Prover())
+        assert job.warm_routing is APART and job.warm_routing_from == "RULE5"
+        # With only the failing routing settled, none is offered; the
+        # baseline's bound still seeds the job.
+        _, alone = self._warm(
+            "RULE6", {"RULE1": settled["RULE1"]}, names, _Prover()
+        )
+        assert alone.warm_routing is None
+        assert alone.warm_bound_from == "RULE1"
+
+
+class TestLatticeSweep:
+    """The two sweep-benchmark clips whose follower rules need cold
+    solves under the star schedule, swept over the lattice."""
+
+    @pytest.fixture(scope="class")
+    def studies(self):
+        spec = SyntheticClipSpec(nx=6, ny=6, nz=3, n_nets=3, sinks_per_net=1,
+                                 access_points_per_pin=3)
+        clips = [make_synthetic_clip(spec, seed=s) for s in (7003, 7034)]
+        return (
+            evaluate_clips(clips, paper_rules(), EvalConfig()),
+            evaluate_clips(clips, paper_rules(), EvalConfig(incremental=False)),
+        )
+
+    def test_rule_major_results_in_at_most_six_cold_solves(self, studies):
+        lattice, rule_major = studies
+        assert format_delta_cost_table(lattice) == format_delta_cost_table(
+            rule_major
+        )
+        for rule in lattice.rule_names:
+            assert [(o.status, o.cost) for o in lattice.outcomes[rule]] == [
+                (o.status, o.cost) for o in rule_major.outcomes[rule]
+            ]
+        # The star schedule from RULE1 makes 15, rule-major order 22.
+        cold = [
+            (o.clip_name, o.rule_name)
+            for rule in lattice.rule_names
+            for o in lattice.outcomes[rule]
+            if not (o.warm_used or o.cache_hit or o.certified)
+        ]
+        assert len(cold) <= 6, cold
+
+    def test_lifted_bounds_come_from_certified_settled_rules(self, studies):
+        from repro.router import RouteStatus
+
+        lattice, _ = studies
+        baseline = {o.clip_name: o.cost for o in lattice.outcomes["RULE1"]}
+        pairs = {
+            (o.clip_name, o.rule_name): o
+            for rule in lattice.rule_names
+            for o in lattice.outcomes[rule]
+        }
+        lifted = [
+            o
+            for o in pairs.values()
+            if o.warm_used == "reused-optimal" and o.cost > baseline[o.clip_name]
+        ]
+        assert lifted
+        for outcome in lifted:
+            assert outcome.restriction_certified
+            source = pairs[(outcome.clip_name, outcome.warm_bound_from)]
+            assert source.rule_name != outcome.rule_name
+            assert source.status is RouteStatus.OPTIMAL
+            assert source.cost == outcome.cost

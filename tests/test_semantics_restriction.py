@@ -136,6 +136,64 @@ class TestTable3:
         assert proof.agrees_with_predicate
 
 
+class TestArrayMatching:
+    """The vacuous and verbatim-match steps run on CSR arrays; row for
+    row they must agree with each delta row's name-canonical form."""
+
+    @staticmethod
+    def _rows(csr, start):
+        for r in range(start, csr.n_rows):
+            lo, hi = csr.indptr[r], csr.indptr[r + 1]
+            yield (
+                int(csr.senses[r]),
+                float(csr.row_const[r]),
+                {
+                    csr.var_names[j]: coef
+                    for j, coef in zip(
+                        csr.indices[lo:hi].tolist(), csr.data[lo:hi].tolist()
+                    )
+                },
+            )
+
+    @staticmethod
+    def _canon(row):
+        sense, const, terms = row
+        return (
+            sense,
+            round(const, 9),
+            tuple(sorted((n, round(c, 9)) for n, c in terms.items())),
+        )
+
+    @staticmethod
+    def _vacuous(row):
+        sense, const, terms = row
+        sign = {0: 1.0, 1: -1.0}.get(sense)
+        return sign is not None and sign * const <= 1e-9 and all(
+            sign * coef <= 1e-9 for coef in terms.values()
+        )
+
+    def test_array_steps_match_the_per_row_forms(self):
+        from repro.analysis.semantics.restriction import _vacuous, _verbatim
+        from repro.router.formulation import formulation_cache
+
+        rules = paper_rules()
+        for clip in (_CLIP, _micro_clip("mc-sadp3"), _micro_clip("mc-tall")):
+            base = formulation_cache().base_for(clip)
+            n_core = base.core.n_rows
+            csrs = [base.specialize(rule).csr for rule in rules]
+            rows = [list(self._rows(csr, n_core)) for csr in csrs]
+            for csr, own in zip(csrs, rows):
+                assert _vacuous(csr, n_core).tolist() == [
+                    self._vacuous(row) for row in own
+                ]
+            for base_csr, base_rows in zip(csrs, rows):
+                for other_csr, other_rows in zip(csrs, rows):
+                    canon = {self._canon(row) for row in other_rows}
+                    assert _verbatim(
+                        base_csr, other_csr, n_core, base.core.n_vars
+                    ).tolist() == [self._canon(row) in canon for row in base_rows]
+
+
 class TestCertifiedWarmSweep:
     """Warm-start sweep under proofs == cold sweep, edge for edge."""
 
