@@ -88,11 +88,11 @@ def latency_plan(clips, rules):
 def eval_config(n_procs=1):
     # audit=False: certification re-solves would double the calibrated
     # latency per pair and measure the verify layer, not distribution.
-    # certify/presolve off for the same reason: the serial per-pair
-    # solve overhead dilutes the calibrated latency the sweep overlaps.
+    # certify off for the same reason: the serial per-pair overhead
+    # dilutes the calibrated latency the sweep overlaps.
     return EvalConfig(
         time_limit_per_clip=30.0, n_procs=n_procs, audit=False,
-        certify=False, presolve=False,
+        certify=False,
     )
 
 

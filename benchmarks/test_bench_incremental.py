@@ -193,9 +193,6 @@ def test_bench_incremental_cold_vs_warm(tmp_path, monkeypatch):
                 "warm_used": warm_result.warm_used,
                 "cache_hit": warm_result.cache_hit,
                 "warm_build_seconds": round(warm_result.build_seconds, 6),
-                "warm_presolve_seconds": round(
-                    warm_result.presolve_seconds, 6
-                ),
                 "warm_solve_seconds": round(warm_result.solve_seconds, 6),
             })
 
@@ -206,18 +203,12 @@ def test_bench_incremental_cold_vs_warm(tmp_path, monkeypatch):
     import repro.router.optrouter as optrouter_mod
 
     calls = {"n": 0}
-    real_solve_reduced = optrouter_mod.solve_reduced
     real_solve_with_highs = optrouter_mod.solve_with_highs
-
-    def counting_reduced(*args, **kwargs):
-        calls["n"] += 1
-        return real_solve_reduced(*args, **kwargs)
 
     def counting_highs(*args, **kwargs):
         calls["n"] += 1
         return real_solve_with_highs(*args, **kwargs)
 
-    monkeypatch.setattr(optrouter_mod, "solve_reduced", counting_reduced)
     monkeypatch.setattr(optrouter_mod, "solve_with_highs", counting_highs)
     replay = run_warm(clips, SolveCache(tmp_path / "solve-cache"))
     monkeypatch.undo()

@@ -1,6 +1,5 @@
-"""Pre-solve static analysis: ILP model linting, clip infeasibility
-certification, and presolve model reduction (see
-``docs/static_analysis.md``)."""
+"""Pre-solve static analysis: ILP model linting and clip infeasibility
+certification (see ``docs/static_analysis.md``)."""
 
 from repro.analysis.findings import (
     InfeasibilityCertificate,
@@ -10,14 +9,6 @@ from repro.analysis.findings import (
 )
 from repro.analysis.model_lint import lint_model, lint_routing_ilp
 from repro.analysis.certify import certify_infeasible
-from repro.analysis.decompose import Component, decompose_model
-from repro.analysis.presolve import (
-    PresolveResult,
-    PresolveTrace,
-    presolve_model,
-    presolve_routing_ilp,
-    solve_reduced,
-)
 
 __all__ = [
     "InfeasibilityCertificate",
@@ -27,11 +18,4 @@ __all__ = [
     "lint_model",
     "lint_routing_ilp",
     "certify_infeasible",
-    "Component",
-    "decompose_model",
-    "PresolveResult",
-    "PresolveTrace",
-    "presolve_model",
-    "presolve_routing_ilp",
-    "solve_reduced",
 ]

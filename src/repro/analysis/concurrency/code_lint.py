@@ -34,6 +34,10 @@ as a structured finding:
 Every rule honours a per-entry allowlist in ``pyproject.toml`` under
 ``[tool.repro.concurrency-lint]``; entries carry their justification
 inline (``"CONC001:repro/exec/faults.py:flip_bit -- chaos tool"``).
+A whole-tree run reports each entry that matched no finding as
+``CONC006`` *stale allowlist entry*, an error no entry can allowlist:
+an entry outliving the code it excused would silently excuse the next
+finding that happens to match it.
 Findings and reports serialize deterministically (sorted, schema
 versioned) so CI can byte-diff two runs.
 """
@@ -76,6 +80,11 @@ HANDLER_BANNED_ATTRS = frozenset({
     "dump", "dumps", "append",
 })
 HANDLER_BANNED_NAMES = frozenset({"open"})
+
+#: Rule code of an allowlist entry that matched no finding.  These
+#: findings are made after allowlist matching, so no entry excuses
+#: them.
+STALE_ALLOW_RULE = "CONC006"
 
 #: File-writing call forms in journal modules (CONC001).
 WRITE_ATTR_CALLS = frozenset({"write_text", "write_bytes"})
@@ -200,16 +209,40 @@ def _parse_allow_entry(entry: str) -> tuple[str, str, str, str]:
     return rule, path, qualname, justification.strip()
 
 
+def _entry_matches(entry: str, rule: str, path: str, qualname: str) -> bool:
+    arule, apath, aqual, _ = _parse_allow_entry(entry)
+    return arule == rule and apath == path and aqual in ("*", qualname)
+
+
 def _allow_match(
     config: LintConfig, rule: str, path: str, qualname: str
 ) -> "tuple[bool, str]":
     for entry in config.allow:
-        arule, apath, aqual, why = _parse_allow_entry(entry)
-        if arule != rule or apath != path:
-            continue
-        if aqual == "*" or aqual == qualname:
-            return True, why
+        if _entry_matches(entry, rule, path, qualname):
+            return True, _parse_allow_entry(entry)[3]
     return False, ""
+
+
+def _stale_entries(
+    config: LintConfig, findings: "list[ConcurrencyFinding]"
+) -> "list[ConcurrencyFinding]":
+    """One error finding per allowlist entry that matched nothing."""
+    stale = []
+    for entry in config.allow:
+        if any(
+            _entry_matches(entry, f.rule, f.path, f.symbol) for f in findings
+        ):
+            continue
+        _, path, qualname, _ = _parse_allow_entry(entry)
+        stale.append(
+            ConcurrencyFinding(
+                rule=STALE_ALLOW_RULE, path=path, line=0, col=0,
+                symbol=qualname,
+                message="allowlist entry matches no finding: "
+                + entry.partition(" -- ")[0].strip(),
+            )
+        )
+    return stale
 
 
 def _in_scope(path: str, scopes: tuple[str, ...]) -> bool:
@@ -578,7 +611,8 @@ def lint_concurrency(
 
     ``root`` is the directory *containing* the ``repro`` package
     (defaults to the imported one); the pyproject allowlist is read
-    from the enclosing checkout when present.
+    from the enclosing checkout when present.  Allowlist entries that
+    matched no finding are reported as ``CONC006`` errors.
     """
     if root is None:
         root = package_root()
@@ -594,6 +628,7 @@ def lint_concurrency(
         report.findings.extend(
             lint_source(path.read_text(encoding="utf-8"), rel, config)
         )
+    report.findings.extend(_stale_entries(config, report.findings))
     report.findings.sort(key=ConcurrencyFinding.sort_key)
     return report
 

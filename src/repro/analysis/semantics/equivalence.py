@@ -18,8 +18,8 @@ from the solver via no-good cuts and DRC-checks each one.
 A deliberately broken encoding is simulated by passing ``model_rules``
 different from the DRC ``rules``: the ILP is built under the tampered
 configuration while patterns are judged under the true one, which is
-exactly how a dropped forbidden offset or an over-eager presolve would
-manifest.
+exactly how a dropped forbidden offset or an over-eager rule delta
+would manifest.
 """
 
 from __future__ import annotations

@@ -47,8 +47,8 @@ class SemanticsFinding:
     ``kind`` is ``"unsound"`` (the ILP accepts an assignment whose
     decoded routing violates DRC -- the encoding under-constrains) or
     ``"incomplete"`` (a DRC-clean pattern admits no feasible
-    assignment -- the encoding over-constrains, e.g. a presolve or
-    delta bug silently cut legal routings).  ``pattern`` is the
+    assignment -- the encoding over-constrains, e.g. a rule-delta bug
+    silently cut legal routings).  ``pattern`` is the
     minimal witness: per net, its wire edges and via sites.
     """
 

@@ -27,9 +27,6 @@ Commands:
   (:mod:`repro.service`).
 - ``cache``: inspect (``stats``), bound (``evict``), or wipe
   (``clear``) a persistent solve cache.
-- ``presolve``: run the fixpoint model-reduction engine on a clip
-  set's ILPs and report size deltas, pass counts, and component
-  decomposition, as text or JSON.
 """
 
 from __future__ import annotations
@@ -145,7 +142,6 @@ def _cmd_evaluate(args) -> int:
             clips, rules,
             EvalConfig(
                 time_limit_per_clip=args.time_limit,
-                presolve=not args.no_presolve,
                 incremental=not args.no_incremental,
                 solve_cache_dir=args.solve_cache,
                 audit=not args.no_audit,
@@ -461,69 +457,6 @@ def _cmd_analyze(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_presolve(args) -> int:
-    import json
-
-    from repro.analysis import presolve_routing_ilp
-    from repro.clips import SyntheticClipSpec, make_synthetic_clip
-    from repro.eval import paper_rule, rules_for_technology
-    from repro.router import OptRouter
-
-    spec = SyntheticClipSpec(
-        nx=args.nx, ny=args.ny, nz=args.nz,
-        n_nets=args.nets, sinks_per_net=args.sinks,
-        access_points_per_pin=args.access_points,
-    )
-    clips = [make_synthetic_clip(spec, seed=s) for s in range(args.clips)]
-    if args.rule:
-        rules = [paper_rule(args.rule)]
-    else:
-        rules = rules_for_technology(args.tech)
-
-    router = OptRouter()
-    records = []
-    for clip in clips:
-        for rule in rules:
-            pre = presolve_routing_ilp(router.build(clip, rule))
-            records.append((clip, rule, pre))
-
-    if args.json:
-        payload = [
-            {
-                "clip": clip.name,
-                "rule": rule.name,
-                "stats": pre.trace.stats(),
-                "passes": dict(pre.trace.pass_counts),
-                "status": pre.status.value if pre.status is not None else None,
-                "reason": pre.reason,
-            }
-            for clip, rule, pre in records
-        ]
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for clip, rule, pre in records:
-            stats = pre.trace.stats()
-            before = stats["nonzeros_before"]
-            removed = stats["nonzeros_removed"]
-            frac = removed / before if before else 0.0
-            status = "presolved"
-            if pre.status is not None:
-                status = f"decided: {pre.status.value}"
-            print(
-                f"{clip.name} {rule.name}: {status}, "
-                f"rows {stats['rows_before']:.0f}->{stats['rows_after']:.0f}, "
-                f"cols {stats['cols_before']:.0f}->{stats['cols_after']:.0f}, "
-                f"nnz {before:.0f}->{stats['nonzeros_after']:.0f} "
-                f"(-{frac:.1%}), {stats['iterations']:.0f} iteration(s), "
-                f"{stats['components']:.0f} component(s), "
-                f"{stats['presolve_seconds']:.2f}s"
-            )
-            if args.passes:
-                for name, count in sorted(pre.trace.pass_counts.items()):
-                    print(f"  {name}: {count}")
-    return 0
-
-
 def _cmd_full_flow(args) -> int:
     from repro.cells import generate_library
     from repro.clips import ClipWindowSpec, extract_clips, select_top_clips
@@ -650,8 +583,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "'highs,bnb,baseline'")
     ev.add_argument("--max-attempts", type=int, default=2,
                     help="attempts per backend before falling back")
-    ev.add_argument("--no-presolve", action="store_true",
-                    help="solve the raw ILPs without the presolve engine")
     ev.add_argument("--no-incremental", action="store_true",
                     help="disable cross-rule warm starts (cold solve "
                          "per (clip, rule) pair, historical order)")
@@ -660,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "repeated sweeps replay identical solves")
     ev.add_argument("--timing", action="store_true",
                     help="also print per-rule phase timing medians "
-                         "(build/presolve/solve, warm/cache counts)")
+                         "(build/serialize/solve, warm/cache counts)")
     ev.add_argument("--no-audit", action="store_true",
                     help="skip independent result certification "
                          "(trust the solver's claims unchecked)")
@@ -802,24 +733,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "show the minimal counterexample schedule (sanity "
                          "check that the invariants have teeth)")
 
-    pre = sub.add_parser(
-        "presolve", help="fixpoint model reduction report for a clip set"
-    )
-    pre.add_argument("--tech", default="N7-9T")
-    pre.add_argument("--rule", default=None,
-                     help="presolve one Table 3 rule instead of the tech set")
-    pre.add_argument("--clips", type=int, default=4)
-    pre.add_argument("--nx", type=int, default=6)
-    pre.add_argument("--ny", type=int, default=8)
-    pre.add_argument("--nz", type=int, default=4)
-    pre.add_argument("--nets", type=int, default=4)
-    pre.add_argument("--sinks", type=int, default=1)
-    pre.add_argument("--access-points", type=int, default=2)
-    pre.add_argument("--passes", action="store_true",
-                     help="also print per-pass firing counts")
-    pre.add_argument("--json", action="store_true",
-                     help="emit stats as JSON instead of text")
-
     flow = sub.add_parser("full-flow", help="synth→place→route→extract→rank")
     flow.add_argument("--tech", default="N28-12T")
     flow.add_argument("--profile", default="aes", choices=("aes", "m0"))
@@ -861,7 +774,6 @@ _COMMANDS = {
     "audit": _cmd_audit,
     "lint": _cmd_lint,
     "analyze": _cmd_analyze,
-    "presolve": _cmd_presolve,
     "full-flow": _cmd_full_flow,
     "improve": _cmd_improve,
     "sta": _cmd_sta,

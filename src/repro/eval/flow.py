@@ -76,9 +76,6 @@ class ClipRuleOutcome:
     backend: str = ""
     attempts: int = 1
     degraded: bool = False
-    #: presolve accounting (zero when presolve was off / skipped).
-    presolve_seconds: float = 0.0
-    presolve_nonzeros_removed: int = 0
     #: formulation build time (zero for warm shortcuts / certified).
     build_seconds: float = 0.0
     #: canonical-serialization (solve-cache hashing) time; zero when
@@ -239,17 +236,6 @@ class DeltaCostStudy:
             1 for o in self.outcomes[rule_name] if o.restriction_certified
         )
 
-    def presolve_seconds_total(self, rule_name: str) -> float:
-        """Total wall time spent in presolve across the rule's clips."""
-        return sum(o.presolve_seconds for o in self.outcomes[rule_name])
-
-    def presolve_nonzeros_removed_total(self, rule_name: str) -> int:
-        """Total constraint-matrix nonzeros removed by presolve across
-        the rule's clips (0 when presolve was disabled)."""
-        return sum(
-            o.presolve_nonzeros_removed for o in self.outcomes[rule_name]
-        )
-
     def sorted_delta_costs(self, rule_name: str) -> list[float]:
         """The paper's Figure-10 trace: per-clip Δcost sorted ascending."""
         return sorted(self.delta_costs(rule_name))
@@ -287,9 +273,6 @@ class EvalConfig:
 
     ``certify`` short-circuits statically-provable infeasible pairs
     before the solver (sound, so Δcost results are unchanged).
-    ``presolve`` reduces each ILP with the fixpoint presolve engine
-    before solving (sound; lifted routings are DRC-verified in the
-    router itself).
 
     ``audit`` independently certifies every non-failed result
     (:mod:`repro.verify`): geometry-recomputed objective, independent
@@ -307,7 +290,6 @@ class EvalConfig:
     via_cost: float = 4.0
     backend: str = "highs"
     certify: bool = True
-    presolve: bool = True
     #: schedule each clip's rules as one group in lattice order (the
     #: baseline, the rule restricting all others, then the rest by
     #: :func:`is_restriction` rank) so that every settled outcome of
@@ -623,7 +605,6 @@ def _execute(
             backend=config.backend,
             time_limit=time_limit,
             certify=config.certify,
-            presolve=config.presolve,
             solve_cache_dir=config.solve_cache_dir,
             race_with=race_with,
         )
@@ -667,7 +648,6 @@ def _execute(
             backend=config.backend,
             time_limit=config.time_limit_per_clip,
             certify=config.certify,
-            presolve=config.presolve,
         ).route(clip, rule)
         result.backend = config.backend
         return result
@@ -1038,7 +1018,6 @@ def _to_outcome(
     warm_bound_from: str = "",
     warm_routing_from: str = "",
 ) -> ClipRuleOutcome:
-    stats = result.presolve_stats
     return ClipRuleOutcome(
         clip_name=result.clip_name,
         rule_name=result.rule_name,
@@ -1051,8 +1030,6 @@ def _to_outcome(
         backend=result.backend,
         attempts=result.attempts,
         degraded=result.degraded,
-        presolve_seconds=float(stats.get("presolve_seconds", 0.0)),
-        presolve_nonzeros_removed=int(stats.get("nonzeros_removed", 0)),
         build_seconds=result.build_seconds,
         serialize_seconds=result.serialize_seconds,
         warm_used=result.warm_used,
@@ -1086,8 +1063,6 @@ def outcome_to_record(outcome: ClipRuleOutcome) -> dict:
         "backend": outcome.backend,
         "attempts": outcome.attempts,
         "degraded": outcome.degraded,
-        "presolve_seconds": outcome.presolve_seconds,
-        "presolve_nnz_removed": outcome.presolve_nonzeros_removed,
         "build_seconds": outcome.build_seconds,
         "serialize_seconds": outcome.serialize_seconds,
         "warm_used": outcome.warm_used,
@@ -1119,8 +1094,6 @@ def outcome_from_record(record: dict) -> ClipRuleOutcome:
         backend=record.get("backend", ""),
         attempts=record.get("attempts", 1),
         degraded=record.get("degraded", False),
-        presolve_seconds=record.get("presolve_seconds", 0.0),
-        presolve_nonzeros_removed=record.get("presolve_nnz_removed", 0),
         build_seconds=record.get("build_seconds", 0.0),
         serialize_seconds=record.get("serialize_seconds", 0.0),
         warm_used=record.get("warm_used", ""),

@@ -30,9 +30,9 @@ def format_delta_cost_table(study: DeltaCostStudy, title: str = "") -> str:
     supervised sweep contained failures (worker crash / hard deadline)
     or degraded results (produced by a fallback backend, so
     non-optimal and excluded from Δcost), ``fail`` and ``degraded``
-    columns flag them.  Presolve work (nonzeros removed, wall time) is
-    deliberately absent: warm starts and solve-cache hits skip the
-    presolve entirely, so those quantities depend on execution
+    columns flag them.  Phase times and warm/cache counts are
+    deliberately absent: warm starts skip the build and solve-cache
+    hits skip the solve, so those quantities depend on execution
     strategy, and this table must reproduce byte-for-byte across
     cold, resumed, and cache-replayed sweeps.  Use
     :func:`format_timing_table` for the execution diagnostics.
@@ -130,8 +130,8 @@ def _attempt_summary_line(study: DeltaCostStudy) -> str:
 
 
 def format_timing_table(study: DeltaCostStudy, title: str = "Timing") -> str:
-    """Per-rule phase accounting: median build / presolve / solve wall
-    times plus warm-shortcut and solve-cache hit counts.
+    """Per-rule phase accounting: median build / serialize / solve
+    wall times plus warm-shortcut and solve-cache hit counts.
 
     Opt-in (``repro evaluate --timing``) and deliberately separate
     from :func:`format_delta_cost_table`: wall clocks vary run to run,
@@ -152,19 +152,16 @@ def format_timing_table(study: DeltaCostStudy, title: str = "Timing") -> str:
             rule_name,
             len(outcomes),
             f"{statistics.median(o.build_seconds for o in outcomes):.4f}",
-            f"{statistics.median(o.presolve_seconds for o in outcomes):.4f}",
             f"{statistics.median(o.serialize_seconds for o in outcomes):.4f}",
             f"{statistics.median(o.solve_seconds for o in outcomes):.4f}",
             sum(1 for o in outcomes if o.warm_used == "reused-optimal"),
             sum(1 for o in outcomes if o.warm_used == "inherited-infeasible"),
             sum(1 for o in outcomes if o.cache_hit),
-            study.presolve_nonzeros_removed_total(rule_name),
             f"{max(gaps):.1f}" if gaps else "-",
         ))
     return format_table(
-        ("rule", "clips", "build_s", "presolve_s", "serialize_s",
-         "solve_s", "warm_opt", "warm_inf", "cache_hits", "pre_nnz",
-         "max_gap"),
+        ("rule", "clips", "build_s", "serialize_s", "solve_s",
+         "warm_opt", "warm_inf", "cache_hits", "max_gap"),
         rows,
         title=title,
     )

@@ -70,7 +70,6 @@ class RouteJob:
     backend: str = "highs"
     time_limit: float | None = None
     certify: bool = True
-    presolve: bool = True
     router: OptRouter | None = None
     #: cross-rule warm-start seed, set by the incremental sweep's
     #: ``derive`` hook from the clip's settled outcomes.
@@ -118,7 +117,6 @@ class RouteJob:
             backend=router.backend,
             time_limit=router.time_limit,
             certify=router.certify,
-            presolve=router.presolve,
             router=router,
         )
 
@@ -165,7 +163,6 @@ def _router_for(job: RouteJob, backend: str) -> OptRouter:
         backend=backend,
         time_limit=job.time_limit,
         certify=job.certify,
-        presolve=job.presolve,
         solve_cache=solve_cache,
     )
 

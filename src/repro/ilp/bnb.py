@@ -29,18 +29,7 @@ _INT_TOL = 1e-6
 
 @dataclass(frozen=True)
 class BnBOptions:
-    """Branch-and-bound limits and warm-start inputs.
-
-    ``incumbent`` optionally seeds the search with a known feasible
-    point (variable index -> value; missing variables sit at their
-    lower bound).  The point is *validated* against bounds,
-    integrality, and every constraint before use -- an infeasible seed
-    is silently discarded, never returned.  ``lower_bound`` is a
-    trusted external bound on the optimum **in true objective space**
-    (including any objective constant); when an incumbent's objective
-    meets it, the search returns OPTIMAL immediately.  Soundness is
-    the caller's contract: a wrong bound can only come from violating
-    the restriction ordering documented in ``docs/performance.md``.
+    """Branch-and-bound limits.
 
     ``should_stop`` is a cooperative cancellation hook polled at the
     same points as the time limit: when it returns True the search
@@ -51,8 +40,6 @@ class BnBOptions:
 
     max_nodes: int = 200_000
     time_limit: float | None = None
-    incumbent: dict[int, float] | None = None
-    lower_bound: float | None = None
     should_stop: "Callable[[], bool] | None" = None
 
 
@@ -158,32 +145,6 @@ def solve_with_bnb(model: Model, options: BnBOptions | None = None) -> Solution:
     global_lower = -math.inf
     n_nodes = 0
     deadline = None if options.time_limit is None else t0 + options.time_limit
-    # External bound in raw objective space (heap bounds / incumbent_obj
-    # exclude obj_const; the caller's bound includes it).
-    raw_bound = (
-        None if options.lower_bound is None
-        else options.lower_bound - data.obj_const
-    )
-
-    def bound_met(raw_obj: float) -> bool:
-        return raw_bound is not None and raw_obj <= raw_bound + 1e-9
-
-    if raw_bound is not None:
-        global_lower = max(global_lower, raw_bound)
-
-    if options.incumbent is not None and model.is_feasible(options.incumbent):
-        x0 = data.lb.copy()
-        for index, value in options.incumbent.items():
-            x0[index] = value
-        incumbent_x = x0
-        incumbent_obj = float(data.cost @ x0)
-        if bound_met(incumbent_obj):
-            # The seed already meets a trusted bound: proven optimal
-            # without a single LP relaxation.
-            return _final_solution(
-                model, data, incumbent_x, incumbent_obj, 0, t0,
-                SolveStatus.OPTIMAL,
-            )
 
     def expired() -> bool:
         # Cancellation shares the time-limit exit paths: both end the
@@ -226,11 +187,6 @@ def solve_with_bnb(model: Model, options: BnBOptions | None = None) -> Solution:
         if branch_index is None:
             incumbent_obj = lp.fun
             incumbent_x = lp.x.copy()
-            if bound_met(incumbent_obj):
-                return _final_solution(
-                    model, data, incumbent_x, incumbent_obj, n_nodes, t0,
-                    SolveStatus.OPTIMAL,
-                )
             continue
 
         if expired():
@@ -277,8 +233,8 @@ def _final_solution(
 ) -> Solution:
     objective = obj + data.obj_const
     if status is SolveStatus.OPTIMAL:
-        # The optimality proof is exhaustion (or a met external bound):
-        # the proven dual bound coincides with the objective.
+        # The optimality proof is exhaustion: the proven dual bound
+        # coincides with the objective.
         best_bound: float | None = objective
     else:
         best_bound = (

@@ -3,8 +3,8 @@
 :class:`CsrModel` stores the same MILP a :class:`repro.ilp.model.Model`
 does -- bounds, integrality, objective, and the constraint matrix --
 as contiguous numpy arrays plus a name<->index table, so the hot cold
-path (build -> presolve -> serialize -> hash -> solve) runs vectorized
-instead of walking per-row ``Constraint`` objects.  The object
+path (build -> serialize -> hash -> solve) runs vectorized instead of
+walking per-row ``Constraint`` objects.  The object
 ``Model`` remains the property-tested oracle: :meth:`CsrModel.to_model`
 and :meth:`CsrModel.from_model` round-trip losslessly, and
 :meth:`CsrModel.canonical_text` is byte-for-byte identical to
@@ -45,8 +45,7 @@ def _unique_by_bits(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``np.unique(..., return_inverse=True)`` grouping by *bit
     pattern*, so ``-0.0`` and ``0.0`` stay distinct (their ``repr``
     differs, and the canonical text must match the object oracle's
-    ``repr`` exactly; presolve rewrites can produce ``-0.0`` row
-    constants)."""
+    ``repr`` exactly, ``-0.0`` row constants included)."""
     bits, inverse = np.unique(
         np.ascontiguousarray(arr, dtype=np.float64).view(np.int64),
         return_inverse=True,
@@ -292,47 +291,6 @@ class CsrModel:
         lo = np.where(self.senses != SENSE_LE, rhs, -np.inf)
         hi = np.where(self.senses != SENSE_GE, rhs, np.inf)
         return lo, hi
-
-    def _point(self, values: dict[int, float]) -> np.ndarray:
-        x = self.lb.copy()
-        if values:
-            js = np.fromiter(values.keys(), dtype=np.int64, count=len(values))
-            vs = np.fromiter(
-                values.values(), dtype=np.float64, count=len(values)
-            )
-            x[js] = vs
-        return x
-
-    def objective_value(self, values: dict[int, float]) -> float:
-        """Objective at a point; missing variables sit at lb (mirrors
-        :meth:`Model.objective_value`)."""
-        x = self._point(values)
-        return float(self.obj @ x) + self.obj_const
-
-    def is_feasible(self, values: dict[int, float], tol: float = 1e-6) -> bool:
-        """Vectorized twin of :meth:`Model.is_feasible`."""
-        x = self._point(values)
-        if not np.all(np.isfinite(x)):
-            return False
-        if np.any(x < self.lb - tol) or np.any(x > self.ub + tol):
-            return False
-        if np.any(np.abs(x[self.integer] - np.round(x[self.integer])) > tol):
-            return False
-        if self.n_rows:
-            lhs = np.add.reduceat(
-                self.data * x[self.indices],
-                self.indptr[:-1],
-                dtype=np.float64,
-            )
-            lhs[np.diff(self.indptr) == 0] = 0.0
-            lhs = lhs + self.row_const
-            if np.any((self.senses == SENSE_LE) & (lhs > tol)):
-                return False
-            if np.any((self.senses == SENSE_GE) & (lhs < -tol)):
-                return False
-            if np.any((self.senses == SENSE_EQ) & (np.abs(lhs) > tol)):
-                return False
-        return True
 
     def validate(self):
         """Run the pre-solve model linter on this model (API parity

@@ -61,9 +61,6 @@ def _milp_inputs(model: CsrModel):
 def solve_with_highs(
     model: "Model | CsrModel",
     time_limit: float | None = None,
-    mip_rel_gap: float = 0.0,
-    warm_start: dict[int, float] | None = None,
-    lower_bound: float | None = None,
     should_stop: "Callable[[], bool] | None" = None,
 ) -> Solution:
     """Solve a model exactly with HiGHS branch-and-cut.
@@ -73,17 +70,9 @@ def solve_with_highs(
     own contiguous buffers go to ``scipy.optimize.milp`` zero-copy
     (see :func:`_milp_inputs`).
 
-    ``mip_rel_gap`` is 0 by default: OptRouter requires proven-optimal
-    solutions for the paper's methodology to be meaningful.
-
-    ``warm_start`` is a candidate feasible point (variable index ->
-    value).  ``scipy.optimize.milp`` cannot seed HiGHS with an
-    incumbent, so the point is used two ways: it is validated with
-    :meth:`CsrModel.is_feasible` (an infeasible point is discarded, never
-    returned), and when its objective meets a trusted ``lower_bound``
-    (true objective space) the solve is skipped entirely and the point
-    returned as OPTIMAL.  A feasible point that does not meet the
-    bound falls through to a normal cold solve.
+    The relative MIP gap is fixed at 0: OptRouter requires
+    proven-optimal solutions for the paper's methodology to be
+    meaningful.
 
     A non-positive ``time_limit`` returns ``LIMIT`` immediately: a
     fallback chain that has already spent its wall-clock budget must
@@ -102,20 +91,6 @@ def solve_with_highs(
         return Solution(status=SolveStatus.LIMIT)
     if isinstance(model, Model):
         model = CsrModel.from_model(model)
-    if warm_start is not None and lower_bound is not None:
-        t0 = time.perf_counter()
-        if model.is_feasible(warm_start):
-            objective = model.objective_value(warm_start)
-            if objective <= lower_bound + 1e-6:
-                return Solution(
-                    status=SolveStatus.OPTIMAL,
-                    objective=objective,
-                    values=_full_point(model, warm_start),
-                    # The caller's trusted bound IS the optimality
-                    # proof for this shortcut.
-                    best_bound=lower_bound,
-                    solve_seconds=time.perf_counter() - t0,
-                )
     if time_limit is not None and time_limit <= 0:
         return Solution(status=SolveStatus.LIMIT)
     n = model.n_vars
@@ -129,7 +104,7 @@ def solve_with_highs(
 
     cost, integrality, bounds, constraints = _milp_inputs(model)
 
-    options: dict = {"mip_rel_gap": mip_rel_gap}
+    options: dict = {"mip_rel_gap": 0.0}
     if time_limit is not None:
         options["time_limit"] = time_limit
 

@@ -9,7 +9,7 @@ Output is byte-deterministic: terms are emitted in variable-index
 order, constraints in sorted (name, position) order, and the Bounds /
 Binaries / Generals sections in sorted variable-name order.  Two
 builds of the same model therefore serialize identically, which makes
-presolve traces and checkpoint journals diffable.
+model dumps diffable.
 
 :func:`write_lp_canonical` goes further and is *insertion-order
 invariant*: terms are keyed by variable name (not index), rows are

@@ -264,23 +264,6 @@ class Model:
                 return False
         return True
 
-    def clone(self, name: str | None = None) -> "Model":
-        """A deep, independent copy (rewrite passes mutate the copy).
-
-        Var handles are immutable and shared; constraint/objective
-        expressions are copied so mutating one model never leaks into
-        the other.
-        """
-        return Model(
-            name=self.name if name is None else name,
-            variables=list(self.variables),
-            constraints=[
-                Constraint(c.expr.copy(), c.sense, c.name)
-                for c in self.constraints
-            ],
-            objective=self.objective.copy(),
-        )
-
     def to_csr(self) -> "CsrModel":
         """Columnar (:class:`repro.ilp.csr.CsrModel`) form; lossless."""
         from repro.ilp.csr import CsrModel

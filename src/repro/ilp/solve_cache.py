@@ -11,9 +11,9 @@ solves.
 
 Entries store the status, objective, and solution values **by
 variable name** (indices are an insertion-order artifact; names are
-what the canonical key is built from), plus the original solve/
-presolve accounting so a cache hit reproduces the journaled record of
-the run that populated it.  Writes are atomic (temp file + rename).
+what the canonical key is built from), plus the original solve
+accounting so a cache hit reproduces the journaled record of the run
+that populated it.  Writes are atomic (temp file + rename).
 
 Every entry is *sealed* with a SHA-256 checksum of its canonical JSON
 form (:mod:`repro.util.integrity`).  A malformed, version-mismatched,
@@ -81,7 +81,6 @@ class CacheEntry:
     best_bound: float | None = None
     n_nodes: int = 0
     solve_seconds: float = 0.0
-    presolve_stats: dict[str, float] = field(default_factory=dict)
 
     def to_solution(self, model: "Model | CsrModel") -> Solution:
         """Remap name-keyed values onto this model's variable indices."""
@@ -112,7 +111,6 @@ class CacheEntry:
             "best_bound": self.best_bound,
             "n_nodes": self.n_nodes,
             "solve_seconds": self.solve_seconds,
-            "presolve_stats": self.presolve_stats,
         })
 
     @classmethod
@@ -124,7 +122,6 @@ class CacheEntry:
             best_bound=payload.get("best_bound"),
             n_nodes=int(payload.get("n_nodes", 0)),
             solve_seconds=float(payload.get("solve_seconds", 0.0)),
-            presolve_stats=dict(payload.get("presolve_stats", {})),
         )
 
 
@@ -227,7 +224,6 @@ class SolveCache:
         model: "Model | CsrModel",
         options: dict,
         solution: Solution,
-        presolve_stats: "dict[str, float] | None" = None,
         key: "str | None" = None,
     ) -> bool:
         """Persist a solve outcome; returns False for uncacheable ones.
@@ -246,7 +242,6 @@ class SolveCache:
             best_bound=solution.best_bound,
             n_nodes=solution.n_nodes,
             solve_seconds=solution.solve_seconds,
-            presolve_stats=dict(presolve_stats or {}),
         )
         path = self._path(key if key is not None else
                           self.key_for(model, options))

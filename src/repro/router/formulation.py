@@ -71,8 +71,8 @@ class RoutingIlp:
     """A built model plus the handles needed to decode its solution.
 
     The model lives natively in columnar form (:attr:`csr`); the sweep
-    (presolve, cache hashing, the HiGHS handoff, restriction proofs)
-    consumes the arrays directly.  :attr:`model` lazily materializes
+    (cache hashing, the HiGHS handoff, restriction proofs) consumes
+    the arrays directly.  :attr:`model` lazily materializes
     the equivalent object :class:`Model` for consumers that still walk
     constraints (the equivalence checker, the model linter, the bnb
     backend) and caches it, so code that *mutates* ``ilp.model`` keeps

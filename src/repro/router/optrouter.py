@@ -15,12 +15,10 @@ from dataclasses import dataclass, field
 
 from repro.analysis.certify import certify_infeasible
 from repro.analysis.findings import InfeasibilityCertificate
-from repro.analysis.presolve import presolve_routing_ilp, solve_reduced
 from repro.clips.clip import Clip
 from repro.ilp.bnb import BnBOptions, solve_with_bnb
 from repro.ilp.csr import CsrModel
 from repro.ilp.highs_backend import solve_with_highs
-from repro.ilp.model import Model
 from repro.ilp.solve_cache import SolveCache
 from repro.ilp.status import Solution, SolveStatus
 from repro.router.formulation import RoutingIlp, build_routing_ilp
@@ -86,12 +84,10 @@ class OptRouteResult:
     wirelength: int = 0
     n_vias: int = 0
     routing: ClipRouting | None = None
-    #: pure backend time; see also ``build_seconds`` /
-    #: ``presolve_seconds`` -- the three phases are disjoint, so their
-    #: sum is the pair's compute cost.
+    #: pure backend time; see also ``build_seconds`` -- the phases
+    #: are disjoint, so their sum is the pair's compute cost.
     solve_seconds: float = 0.0
     build_seconds: float = 0.0
-    presolve_seconds: float = 0.0
     #: canonical-serialization time: hashing the model into its
     #: content address for the solve cache (0 when no cache is
     #: configured; the other phase clocks never include it).
@@ -112,9 +108,6 @@ class OptRouteResult:
     gap: float | None = None
     n_nodes: int = 0
     model_stats: dict[str, int] = field(default_factory=dict)
-    #: :meth:`PresolveTrace.stats` of the presolve run (empty when
-    #: presolve was disabled or certification short-circuited).
-    presolve_stats: dict[str, float] = field(default_factory=dict)
     certificate: InfeasibilityCertificate | None = None
     backend: str = ""
     attempts: int = 1
@@ -155,13 +148,6 @@ class OptRouter:
             solve and short-circuit certified (clip, rule) pairs to
             ``INFEASIBLE`` without building the ILP.  The certifier is
             sound, so this never changes a feasible outcome.
-        presolve: reduce the ILP with the :mod:`repro.analysis`
-            presolve engine, solve the reduced model per connected
-            component, and lift the solution back.  Sound (identical
-            status and optimal objective); every lifted routing is
-            additionally re-verified by the DRC oracle, and a lifted
-            routing that fails DRC is reported as ERROR rather than
-            silently trusted.
     """
 
     wire_cost: float = 1.0
@@ -169,7 +155,6 @@ class OptRouter:
     backend: str = "highs"
     time_limit: float | None = None
     certify: bool = True
-    presolve: bool = True
     #: reuse the per-clip BaseFormulation from the process-wide cache
     #: (off = cold rebuild per call; the benchmark's control arm).
     reuse_formulation: bool = True
@@ -190,7 +175,7 @@ class OptRouter:
         )
 
     def _solve_model(
-        self, model: "Model | CsrModel", time_limit: float | None
+        self, model: CsrModel, time_limit: float | None
     ) -> Solution:
         if self.backend == "highs":
             # HiGHS consumes the columnar form zero-copy.
@@ -201,17 +186,8 @@ class OptRouter:
             options = BnBOptions(
                 time_limit=time_limit, should_stop=self.cancel_check
             )
-            if isinstance(model, CsrModel):
-                model = model.to_model()
-            return solve_with_bnb(model, options)
+            return solve_with_bnb(model.to_model(), options)
         raise ValueError(f"unknown backend {self.backend!r}")
-
-    def _solve(self, ilp: RoutingIlp) -> tuple[Solution, dict[str, float]]:
-        if not self.presolve:
-            return self._solve_model(ilp.csr, self.time_limit), {}
-        pre = presolve_routing_ilp(ilp)
-        solution = solve_reduced(pre, self._solve_model, self.time_limit)
-        return solution, pre.trace.stats()
 
     def _cache_options(self) -> dict:
         """The solver knobs that make an otherwise-identical model
@@ -219,7 +195,6 @@ class OptRouter:
         return {
             "backend": self.backend,
             "time_limit": self.time_limit,
-            "presolve": self.presolve,
         }
 
     def _check_warm(
@@ -297,7 +272,6 @@ class OptRouter:
         cache_hit = False
         cache_options = self._cache_options()
         solution: Solution | None = None
-        presolve_stats: dict[str, float] = {}
         serialize_seconds = 0.0
         cache_key: str | None = None
         if self.solve_cache is not None:
@@ -307,14 +281,12 @@ class OptRouter:
             entry = self.solve_cache.get(ilp.csr, cache_options, key=cache_key)
             if entry is not None:
                 solution = entry.to_solution(ilp.csr)
-                presolve_stats = entry.presolve_stats
                 cache_hit = True
         if solution is None:
-            solution, presolve_stats = self._solve(ilp)
+            solution = self._solve_model(ilp.csr, self.time_limit)
             if self.solve_cache is not None:
                 self.solve_cache.put(
-                    ilp.csr, cache_options, solution, presolve_stats,
-                    key=cache_key,
+                    ilp.csr, cache_options, solution, key=cache_key
                 )
         result = OptRouteResult(
             clip_name=clip.name,
@@ -322,15 +294,11 @@ class OptRouter:
             status=_route_status(solution.status),
             solve_seconds=solution.solve_seconds,
             build_seconds=build_seconds,
-            presolve_seconds=float(
-                presolve_stats.get("presolve_seconds", 0.0)
-            ),
             serialize_seconds=serialize_seconds,
             cache_hit=cache_hit,
             bound=solution.best_bound,
             n_nodes=solution.n_nodes,
             model_stats=ilp.csr.stats(),
-            presolve_stats=presolve_stats,
             backend=self.backend,
         )
         if result.status is RouteStatus.OPTIMAL:
@@ -350,21 +318,6 @@ class OptRouter:
                 and result.bound is not None
             ):
                 result.gap = max(0.0, result.cost - result.bound)
-            if self.presolve:
-                # Imported here: repro.drc depends on router.solution,
-                # so a module-level import would be circular.
-                from repro.drc.checker import check_clip_routing
-
-                violations = check_clip_routing(clip, rules, routing)
-                if violations:
-                    # The DRC oracle contradicts the lifted solution:
-                    # a presolve soundness bug, never a clip property.
-                    result.status = RouteStatus.ERROR
-                    result.routing = None
-                    result.diagnostics = (
-                        "presolve oracle: lifted routing fails DRC: "
-                        + "; ".join(str(v) for v in violations[:5])
-                    )
         return result
 
 

@@ -6,8 +6,8 @@ with the two escalations that need a solver:
 - **Cross-backend sampling** -- a deterministic sample of (clip, rule)
   pairs (keyed on a hash of the names, so cold, resumed and replayed
   sweeps sample identically) is re-solved raw on the *other* backend
-  (``highs`` <-> ``bnb``) with presolve and certification disabled, and
-  the status/objective compared.  Any disagreement fails the
+  (``highs`` <-> ``bnb``) with certification disabled, and the
+  status/objective compared.  Any disagreement fails the
   certificate -- the caller quarantines the result.
 - **Infeasibility confirmation** -- an INFEASIBLE claim the static
   certifier cannot reach is confirmed on the alternate backend (a
@@ -120,9 +120,9 @@ class ResultAuditor:
     ) -> None:
         """Raw re-solve on the alternate backend; compare the claims.
 
-        Presolve, static certification, warm starts and caches are all
-        disabled so the reference shares as little machinery with the
-        audited path as possible.
+        Static certification, warm starts and caches are all disabled
+        so the reference shares as little machinery with the audited
+        path as possible.
         """
         other = _alternate_backend(result.backend or self.backend)
         reference = OptRouter(
@@ -131,7 +131,6 @@ class ResultAuditor:
             backend=other,
             time_limit=self.config.time_limit,
             certify=False,
-            presolve=False,
         ).route(clip, rules)
         if "infeasible-claim" in certificate.unverified:
             certificate.unverified.remove("infeasible-claim")

@@ -2,8 +2,7 @@
 
 Every :class:`~repro.router.optrouter.OptRouteResult` that reaches a
 report has travelled one of several trust-expanding paths (cold solve,
-degraded fallback, presolve lifting, warm-start reuse, bound-met early
-exit, solve-cache replay).  :func:`certify_result` audits the claim
+degraded fallback, warm-start reuse, solve-cache replay).  :func:`certify_result` audits the claim
 itself, independent of how it was produced:
 
 - **Feasibility** -- the objective is recomputed from the emitted

@@ -172,6 +172,77 @@ class TestCacheForwardCompat:
         assert cache.get(model, {}) is not None
 
 
+class TestArtifactsWithPresolveAccounting:
+    """Journals and cache entries written while the router still ran a
+    presolve engine carry its accounting keys; they load unchanged and
+    the keys are ignored."""
+
+    def test_journal_with_presolve_keys_resumes_without_solves(
+        self, tmp_path, monkeypatch
+    ):
+        clips, rules = _clips(), _rules()
+        path = tmp_path / "journal.jsonl"
+        expected = _render(
+            evaluate_clips(clips, rules, _config(), checkpoint_path=path)
+        )
+        lines = []
+        for line in path.read_text().splitlines():
+            record = json.loads(line)
+            record.pop("sha", None)
+            record["presolve_seconds"] = 0.0125
+            record["presolve_nnz_removed"] = 42
+            lines.append(json.dumps(seal_record(record), sort_keys=True))
+        path.write_text("".join(line + "\n" for line in lines))
+
+        journal = CheckpointJournal(path)
+        assert len(journal.load()) == len(clips) * len(rules)
+        assert journal.quarantined == []
+
+        import repro.router.optrouter as optrouter_mod
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("backend solve on a complete journal")
+
+        monkeypatch.setattr(optrouter_mod, "solve_with_highs", no_solve)
+        monkeypatch.setattr(optrouter_mod, "solve_with_bnb", no_solve)
+        resumed = evaluate_clips(
+            clips, rules, _config(), checkpoint_path=path, resume=True
+        )
+        assert _render(resumed) == expected
+
+    def test_cache_entry_with_presolve_stats_parses_and_counts(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+        from repro.ilp import Model, Solution, SolveCache, SolveStatus
+        from repro.ilp.solve_cache import CacheEntry
+
+        model = Model(name="m")
+        x = model.binary("x")
+        model.add(x + 0 <= 1)
+        model.minimize(-x)
+        cache = SolveCache(tmp_path)
+        assert cache.put(
+            model, {}, Solution(status=SolveStatus.OPTIMAL, objective=-1.0,
+                                values={0: 1.0}, best_bound=-1.0)
+        )
+        (entry_file,) = cache._entry_files()
+        payload = json.loads(entry_file.read_text())
+        payload.pop("sha", None)
+        payload["presolve_stats"] = {
+            "nonzeros_removed": 3.0, "presolve_seconds": 0.002,
+        }
+        sealed = seal_record(payload)
+        entry_file.write_text(json.dumps(sealed, sort_keys=True))
+
+        entry = CacheEntry.from_dict(sealed)
+        assert (entry.status, entry.objective) == (SolveStatus.OPTIMAL, -1.0)
+        assert cache.get(model, {}) == entry
+        assert main(["cache", "stats", "--dir", str(tmp_path)]) == 0
+        assert ": 1 entries," in capsys.readouterr().out
+        assert SolveCache(tmp_path).stats()["quarantined"] == 0
+
+
 class TestServiceWalForwardCompat:
     def test_recovery_skips_future_wal_records(self, tmp_path):
         from repro.service import ExperimentState, ExperimentStore

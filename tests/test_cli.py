@@ -166,19 +166,14 @@ class TestColumnarCli:
         ]
         assert ilp.csr.validate().stats == direct.stats
 
-    def test_lint_and_presolve_smoke_on_csr_path(self, capsys):
-        # End-to-end CLI smoke over the columnar build/presolve path.
+    def test_lint_smoke_on_csr_path(self, capsys):
+        # End-to-end CLI smoke over the columnar build path.
         code = main([
             "lint", "--clips", "1", "--nx", "4", "--ny", "4", "--nz", "3",
             "--nets", "2", "--rule", "RULE7",
         ])
         assert code == 0
         assert "linted" in capsys.readouterr().out
-        code = main([
-            "presolve", "--clips", "1", "--nx", "4", "--ny", "4",
-            "--nz", "3", "--nets", "2", "--rule", "RULE7",
-        ])
-        assert code == 0
 
     def test_evaluate_timing_includes_serialize(self, capsys):
         code = main([
@@ -189,4 +184,4 @@ class TestColumnarCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "serialize_s" in out and "build_s" in out
-        assert "presolve_s" in out and "solve_s" in out
+        assert "solve_s" in out

@@ -340,6 +340,22 @@ def test_allowlist_wildcard_symbol():
     assert findings[0].allowlisted
 
 
+def test_stale_allowlist_entry_is_an_unexcusable_error():
+    # An entry naming a module that no longer exists matches nothing;
+    # so does an entry trying to excuse the resulting CONC006 itself.
+    missing = "CONC002:repro/analysis/gone.py:solve -- module deleted"
+    excuse = "CONC006:repro/analysis/gone.py -- hides the stale entry"
+    report = lint_concurrency(config=LintConfig(allow=(missing, excuse)))
+    stale = [f for f in report.findings if f.rule == "CONC006"]
+    assert [f.message for f in stale] == [
+        "allowlist entry matches no finding: "
+        "CONC002:repro/analysis/gone.py:solve",
+        "allowlist entry matches no finding: "
+        "CONC006:repro/analysis/gone.py",
+    ]
+    assert all(f in report.errors for f in stale)
+
+
 # ---------------------------------------------------------------------------
 # The committed tree and report determinism
 # ---------------------------------------------------------------------------

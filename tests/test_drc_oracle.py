@@ -1,8 +1,8 @@
 """Adversarial fixtures for the DRC checker as an independent oracle.
 
-``check_clip_routing`` is the oracle that guards presolve's lifted
-routings (and every sweep result's audit), so its authority rests on
-each violation class demonstrably firing.  Every test here starts from a
+``check_clip_routing`` is the oracle behind every sweep result's audit
+and every reused warm-start routing, so its authority rests on each
+violation class demonstrably firing.  Every test here starts from a
 genuinely optimal, DRC-clean OptRouter solution and corrupts it in
 exactly the way one check guards against, asserting that check — not a
 bystander — reports it.

@@ -9,12 +9,7 @@ the object form:
   names, senses, integrality);
 - ``canonical_text`` is byte-for-byte ``write_lp_canonical`` -- the
   solve-cache content address is oblivious to representation (including
-  the ``-0.0`` vs ``0.0`` distinction presolve rewrites can produce);
-- ``presolve_csr`` reproduces ``presolve_model`` exactly: same fixes,
-  same pass counts, same iteration count, same verdict, byte-identical
-  reduced model (this is the sweep ``csr_reductions.py`` cites as its
-  equivalence oracle);
-- ``decompose_csr`` mirrors ``decompose_model`` component by component;
+  the ``-0.0`` vs ``0.0`` distinction);
 - ``SolveCache.key_for`` yields the same key from either form.
 """
 
@@ -22,8 +17,6 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.decompose import decompose_csr, decompose_model
-from repro.analysis.presolve import presolve_csr, presolve_model
 from repro.ilp.csr import CsrModel
 from repro.ilp.lp_format import write_lp_canonical
 from repro.ilp.model import LinExpr, Model
@@ -141,67 +134,8 @@ class TestCacheKeys:
     @given(random_model())
     @settings(max_examples=40, deadline=None)
     def test_key_for_is_representation_oblivious(self, model):
-        options = {"backend": "highs", "time_limit": 60.0, "presolve": True}
+        options = {"backend": "highs", "time_limit": 60.0}
         assert SolveCache.key_for(model, options) == SolveCache.key_for(
             CsrModel.from_model(model), options
         )
 
-
-class TestReductionEquivalence:
-    """``presolve_csr`` must be observationally identical to
-    ``presolve_model`` -- same trace, same verdict, byte-identical
-    reduced model.  This is the oracle sweep the vectorized pass
-    catalog (``csr_reductions.py``) is tested against."""
-
-    @given(random_model())
-    @settings(max_examples=60, deadline=None)
-    def test_presolve_trace_and_reduction_match(self, model):
-        obj = presolve_model(model)
-        col = presolve_csr(CsrModel.from_model(model))
-
-        assert col.status == obj.status
-        assert col.reason == obj.reason
-        assert col.trace.fixed == obj.trace.fixed
-        assert col.trace.pass_counts == obj.trace.pass_counts
-        assert col.trace.iterations == obj.trace.iterations
-        assert col.trace.col_map == obj.trace.col_map
-        assert col.trace.n_vars_after == obj.trace.n_vars_after
-        assert col.trace.n_rows_after == obj.trace.n_rows_after
-        assert col.trace.n_nonzeros_after == obj.trace.n_nonzeros_after
-        if obj.status is None:
-            assert (
-                col.reduced_csr.canonical_text()
-                == write_lp_canonical(obj.reduced)
-            )
-
-    @given(random_model(), st.integers(min_value=0, max_value=6))
-    @settings(max_examples=40, deadline=None)
-    def test_seed_fixes_match(self, model, which):
-        # Seed a fix on some binary variable (if any) and require the
-        # two drivers to agree on the seeded trajectory too.
-        binaries = [v.index for v in model.variables if v.lb == 0.0 and v.ub == 1.0]
-        seed = {binaries[which % len(binaries)]: 0.0} if binaries else {}
-        obj = presolve_model(model, seed_fixes=seed, seed_reason="sweep seed")
-        col = presolve_csr(
-            CsrModel.from_model(model), seed_fixes=seed, seed_reason="sweep seed"
-        )
-        assert col.status == obj.status
-        assert col.trace.fixed == obj.trace.fixed
-        assert col.trace.pass_counts == obj.trace.pass_counts
-        if obj.status is None:
-            assert (
-                col.reduced_csr.canonical_text()
-                == write_lp_canonical(obj.reduced)
-            )
-
-
-class TestDecomposeEquivalence:
-    @given(random_model())
-    @settings(max_examples=40, deadline=None)
-    def test_components_match(self, model):
-        obj_parts = decompose_model(model)
-        csr_parts = decompose_csr(CsrModel.from_model(model))
-        assert len(csr_parts) == len(obj_parts)
-        for o, c in zip(obj_parts, csr_parts):
-            assert c.var_map == o.var_map
-            assert c.model.canonical_text() == write_lp_canonical(o.model)

@@ -71,8 +71,8 @@ class TestWriteLp:
 
 class TestDeterminism:
     def test_two_builds_serialize_identically(self):
-        """Byte-deterministic export: presolve traces and checkpoint
-        journals referencing LP dumps must be diffable across runs."""
+        """Byte-deterministic export: LP dumps must be diffable
+        across runs."""
         from repro.clips import SyntheticClipSpec, make_synthetic_clip
         from repro.eval import paper_rule
         from repro.router import OptRouter

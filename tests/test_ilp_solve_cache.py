@@ -123,13 +123,12 @@ class TestCacheStore:
         options = {"backend": "highs", "time_limit": None}
         solution = solve_with_highs(model)
         assert solution.status is SolveStatus.OPTIMAL
-        assert cache.put(model, options, solution, {"nonzeros_removed": 7.0})
+        assert cache.put(model, options, solution)
 
         entry = cache.get(model, options)
         assert entry is not None
         assert entry.status is SolveStatus.OPTIMAL
         assert entry.objective == pytest.approx(solution.objective)
-        assert entry.presolve_stats == {"nonzeros_removed": 7.0}
         replayed = entry.to_solution(model)
         assert replayed.values == solution.values
         assert model.is_feasible(replayed.values)
@@ -201,7 +200,7 @@ class TestCacheStore:
         entry = CacheEntry(
             status=SolveStatus.OPTIMAL, objective=12.5,
             values_by_name={"x": 1.0}, best_bound=12.5, n_nodes=3,
-            solve_seconds=0.25, presolve_stats={"nonzeros_removed": 4.0},
+            solve_seconds=0.25,
         )
         assert CacheEntry.from_dict(entry.to_dict()) == entry
 
@@ -294,12 +293,6 @@ class TestRouterIntegration:
 
         monkeypatch.setattr(optrouter_mod, "solve_with_highs", boom)
         monkeypatch.setattr(highs_backend, "solve_with_highs", boom)
-        monkeypatch.setattr(
-            optrouter_mod, "solve_reduced",
-            lambda *a, **k: (_ for _ in ()).throw(
-                AssertionError("presolve solve on a warm cache")
-            ),
-        )
 
         warm = OptRouter(solve_cache=SolveCache(tmp_path))
         second = warm.route(clip, rules)
@@ -308,7 +301,6 @@ class TestRouterIntegration:
         assert second.cost == pytest.approx(first.cost)
         assert second.wirelength == first.wirelength
         assert second.n_vias == first.n_vias
-        assert second.presolve_stats == first.presolve_stats
 
     def test_cache_disabled_by_default(self, tmp_path):
         router = OptRouter()
@@ -344,12 +336,6 @@ class TestSweepReplay:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(optrouter_mod, "solve_with_highs", counting)
-        monkeypatch.setattr(
-            optrouter_mod, "solve_reduced",
-            lambda *a, **k: (_ for _ in ()).throw(
-                AssertionError("presolve solve on a warm cache")
-            ),
-        )
 
         again = evaluate_clips(population, rule_set, config)
         assert calls["n"] == 0

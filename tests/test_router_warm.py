@@ -11,7 +11,6 @@ import random
 import pytest
 
 from repro.clips import SyntheticClipSpec, make_synthetic_clip
-from repro.ilp import BnBOptions, Model, SolveStatus, solve_with_bnb, solve_with_highs
 from repro.router import (
     OptRouter,
     RouteStatus,
@@ -20,116 +19,6 @@ from repro.router import (
     WarmStart,
     is_restriction,
 )
-
-
-def small_model():
-    """min -2x0 - 3x1 - x2 over a knapsack; optimum -5 at (1, 1, 0)."""
-    m = Model()
-    x0, x1, x2 = m.binary("x0"), m.binary("x1"), m.binary("x2")
-    m.add(x0 + x1 + x2 <= 2)
-    m.add(2 * x0 + 2 * x1 + x2 <= 4)
-    m.minimize(-(2 * x0 + 3 * x1 + x2))
-    return m
-
-
-class TestBnBIncumbent:
-    def test_feasible_incumbent_does_not_change_optimum(self):
-        cold = solve_with_bnb(small_model(), BnBOptions())
-        seeded = solve_with_bnb(
-            small_model(),
-            BnBOptions(incumbent={0: 1.0, 1: 0.0, 2: 1.0}),  # obj -3
-        )
-        assert cold.status is seeded.status is SolveStatus.OPTIMAL
-        assert seeded.objective == pytest.approx(cold.objective)
-
-    def test_infeasible_incumbent_is_discarded(self):
-        # (1,1,1) violates the first knapsack; the solver must neither
-        # crash nor ever return the seed.
-        seeded = solve_with_bnb(
-            small_model(),
-            BnBOptions(incumbent={0: 1.0, 1: 1.0, 2: 1.0}),
-        )
-        assert seeded.status is SolveStatus.OPTIMAL
-        assert seeded.objective == pytest.approx(-5.0)
-
-    def test_non_integral_incumbent_is_discarded(self):
-        seeded = solve_with_bnb(
-            small_model(), BnBOptions(incumbent={0: 0.5, 1: 0.0, 2: 0.0})
-        )
-        assert seeded.status is SolveStatus.OPTIMAL
-        assert seeded.objective == pytest.approx(-5.0)
-
-    def test_optimal_incumbent_meeting_bound_skips_search(self):
-        seeded = solve_with_bnb(
-            small_model(),
-            BnBOptions(incumbent={0: 1.0, 1: 1.0, 2: 0.0}, lower_bound=-5.0),
-        )
-        assert seeded.status is SolveStatus.OPTIMAL
-        assert seeded.objective == pytest.approx(-5.0)
-        assert seeded.n_nodes == 0  # proven by the bound, not the search
-
-    def test_bound_respects_objective_constant(self):
-        # Same model shifted by +10: bounds are in true objective
-        # space, so the caller passes 5.0, not -5.0.
-        m = Model()
-        x0, x1, x2 = m.binary("x0"), m.binary("x1"), m.binary("x2")
-        m.add(x0 + x1 + x2 <= 2)
-        m.add(2 * x0 + 2 * x1 + x2 <= 4)
-        m.minimize(10 - (2 * x0 + 3 * x1 + x2))
-        seeded = solve_with_bnb(
-            m, BnBOptions(incumbent={0: 1.0, 1: 1.0, 2: 0.0}, lower_bound=5.0)
-        )
-        assert seeded.status is SolveStatus.OPTIMAL
-        assert seeded.objective == pytest.approx(5.0)
-        assert seeded.n_nodes == 0
-
-    def test_loose_bound_does_not_fake_optimality(self):
-        # A bound below the true optimum must not certify a suboptimal
-        # incumbent.
-        seeded = solve_with_bnb(
-            small_model(),
-            BnBOptions(incumbent={0: 1.0, 1: 0.0, 2: 1.0}, lower_bound=-7.0),
-        )
-        assert seeded.status is SolveStatus.OPTIMAL
-        assert seeded.objective == pytest.approx(-5.0)
-
-
-class TestHighsWarmShortcut:
-    def test_bound_met_skips_the_backend(self, monkeypatch):
-        import repro.ilp.highs_backend as hb
-
-        monkeypatch.setattr(
-            hb, "milp",
-            lambda *a, **k: (_ for _ in ()).throw(
-                AssertionError("milp called despite warm shortcut")
-            ),
-        )
-        solution = solve_with_highs(
-            small_model(),
-            warm_start={0: 1.0, 1: 1.0, 2: 0.0},
-            lower_bound=-5.0,
-        )
-        assert solution.status is SolveStatus.OPTIMAL
-        assert solution.objective == pytest.approx(-5.0)
-        assert solution.values[0] == 1.0 and solution.values[2] == 0.0
-
-    def test_infeasible_warm_start_falls_through(self):
-        solution = solve_with_highs(
-            small_model(),
-            warm_start={0: 1.0, 1: 1.0, 2: 1.0},
-            lower_bound=-100.0,
-        )
-        assert solution.status is SolveStatus.OPTIMAL
-        assert solution.objective == pytest.approx(-5.0)
-
-    def test_feasible_but_bound_missed_falls_through(self):
-        solution = solve_with_highs(
-            small_model(),
-            warm_start={0: 1.0, 1: 0.0, 2: 1.0},  # obj -3 > bound -5
-            lower_bound=-5.0,
-        )
-        assert solution.status is SolveStatus.OPTIMAL
-        assert solution.objective == pytest.approx(-5.0)
 
 
 class TestIsRestriction:
