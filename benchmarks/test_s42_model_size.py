@@ -32,7 +32,7 @@ def clip_with(nx, ny, nz, n_nets, seed=0):
 
 
 def model_stats(clip, rules):
-    return OptRouter().build(clip, rules).model.stats()
+    return OptRouter().build(clip, rules).csr.stats()
 
 
 class TestScalingLaws:
@@ -177,7 +177,7 @@ def test_lint_time_stays_linear_in_rows():
     assert not report.has_errors
     # Generous wall-clock ceiling (~50x observed on a laptop): catches
     # a quadratic regression without flaking on slow CI machines.
-    assert elapsed < 5.0, f"lint took {elapsed:.2f}s on {ilp.model.stats()}"
+    assert elapsed < 5.0, f"lint took {elapsed:.2f}s on {ilp.csr.stats()}"
 
 
 @pytest.mark.benchmark(group="s42")
@@ -185,4 +185,4 @@ def test_bench_model_build(benchmark):
     clip = clip_with(7, 10, 4, 3)
     router = OptRouter()
     ilp = benchmark(router.build, clip, RuleConfig(sadp_min_metal=2))
-    assert ilp.model.n_vars > 0
+    assert ilp.csr.n_vars > 0

@@ -37,7 +37,7 @@ def test_bench_model_build_per_rule(benchmark):
     router = OptRouter()
 
     def build_all():
-        return [router.build(clip, rule).model.n_vars for rule in rules]
+        return [router.build(clip, rule).csr.n_vars for rule in rules]
 
     sizes = benchmark(build_all)
     # SADP rules add p variables, so RULE2 (SADP >= M2) builds the

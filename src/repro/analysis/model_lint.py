@@ -1,6 +1,7 @@
 """Pre-solve linting of built MILP models.
 
-Operates on a constructed :class:`~repro.ilp.model.Model` (and, with
+Operates on a built :class:`~repro.ilp.csr.CsrModel`, row by row
+through :meth:`~repro.ilp.csr.CsrModel.rows` (and, with
 routing-specific checks, a
 :class:`~repro.router.formulation.RoutingIlp`) *before* the solver
 runs.  Two classes of findings:
@@ -34,10 +35,14 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.analysis.findings import LintFinding, LintReport, Severity
 from repro.ilp.csr import CsrModel
-from repro.ilp.model import Constraint, Model
 from repro.router.formulation import RoutingIlp
+
+#: One model row as :meth:`CsrModel.rows` yields it.
+_Row = tuple[dict[int, float], float, str]
 
 _TOL = 1e-9
 
@@ -46,16 +51,8 @@ _TOL = 1e-9
 MAX_FINDINGS_PER_CODE = 20
 
 
-def lint_model(model: "Model | CsrModel") -> LintReport:
-    """Run every model-level check; return all findings plus stats.
-
-    Accepts either representation; a columnar :class:`CsrModel` is
-    linted through its lossless object form (lint is a diagnostic
-    path, so the conversion cost is acceptable and the per-row checks
-    stay single-sourced).
-    """
-    if isinstance(model, CsrModel):
-        model = model.to_model()
+def lint_model(model: CsrModel) -> LintReport:
+    """Run every model-level check; return all findings plus stats."""
     report = LintReport(model_name=model.name, stats=dict(model.stats()))
     counts: dict[str, int] = {}
 
@@ -66,9 +63,10 @@ def lint_model(model: "Model | CsrModel") -> LintReport:
                 LintFinding(code, severity, message, dict(context))
             )
 
-    _check_rows(model, emit)
+    rows = list(model.rows())
+    _check_rows(model, rows, emit)
     _check_variables(model, emit)
-    _check_duplicates(model, emit)
+    _check_duplicates(rows, emit)
 
     for code, n in sorted(counts.items()):
         report.stats[f"n_{code.replace('-', '_')}"] = n
@@ -77,7 +75,7 @@ def lint_model(model: "Model | CsrModel") -> LintReport:
 
 def lint_routing_ilp(ilp: RoutingIlp) -> LintReport:
     """Model lint plus routing-structure checks on a built ILP."""
-    report = lint_model(ilp.model)
+    report = lint_model(ilp.csr)
     _check_commodities(ilp, report)
     return report
 
@@ -86,37 +84,38 @@ def lint_routing_ilp(ilp: RoutingIlp) -> LintReport:
 
 
 def _row_activity_range(
-    model: Model, constraint: Constraint
+    lb: list[float], ub: list[float], coefs: dict[int, float], const: float
 ) -> tuple[float, float]:
-    """Min/max of ``expr`` (including its constant) over variable bounds."""
-    lo = hi = constraint.expr.const
-    for index, coef in constraint.expr.coefs.items():
-        var = model.variables[index]
-        a, b = coef * var.lb, coef * var.ub
+    """Min/max of a row's expression (including its constant) over
+    variable bounds."""
+    lo = hi = const
+    for index, coef in coefs.items():
+        a, b = coef * lb[index], coef * ub[index]
         lo += min(a, b)
         hi += max(a, b)
     return lo, hi
 
 
-def _check_rows(model: Model, emit) -> None:
-    for row, con in enumerate(model.constraints):
-        label = con.name or f"row {row}"
-        if not con.expr.coefs:
-            const = con.expr.const
+def _check_rows(model: CsrModel, rows: list[_Row], emit) -> None:
+    lb, ub = model.lb.tolist(), model.ub.tolist()
+    names = model.row_names or [""] * model.n_rows
+    for row, (coefs, const, sense) in enumerate(rows):
+        label = names[row] or f"row {row}"
+        if not coefs:
             violated = (
-                (con.sense == "<=" and const > _TOL)
-                or (con.sense == ">=" and const < -_TOL)
-                or (con.sense == "==" and abs(const) > _TOL)
+                (sense == "<=" and const > _TOL)
+                or (sense == ">=" and const < -_TOL)
+                or (sense == "==" and abs(const) > _TOL)
             )
             if violated:
                 emit(
                     "constant-infeasible-row",
                     Severity.ERROR,
                     f"{label}: constant-only constraint "
-                    f"{const:g} {con.sense} 0 cannot hold",
+                    f"{const:g} {sense} 0 cannot hold",
                     row=row,
                     const=const,
-                    sense=con.sense,
+                    sense=sense,
                 )
             else:
                 emit(
@@ -126,63 +125,68 @@ def _check_rows(model: Model, emit) -> None:
                     row=row,
                 )
             continue
-        lo, hi = _row_activity_range(model, con)
+        lo, hi = _row_activity_range(lb, ub, coefs, const)
         infeasible = (
-            (con.sense == "<=" and lo > _TOL)
-            or (con.sense == ">=" and hi < -_TOL)
-            or (con.sense == "==" and (lo > _TOL or hi < -_TOL))
+            (sense == "<=" and lo > _TOL)
+            or (sense == ">=" and hi < -_TOL)
+            or (sense == "==" and (lo > _TOL or hi < -_TOL))
         )
         if infeasible:
             emit(
                 "bound-infeasible-row",
                 Severity.ERROR,
                 f"{label}: activity range [{lo:g}, {hi:g}] cannot "
-                f"satisfy {con.sense} 0",
+                f"satisfy {sense} 0",
                 row=row,
                 lo=lo,
                 hi=hi,
-                sense=con.sense,
+                sense=sense,
             )
 
 
 # -- variable checks --------------------------------------------------------
 
 
-def _check_variables(model: Model, emit) -> None:
-    referenced: set[int] = set()
-    for con in model.constraints:
-        referenced.update(con.expr.coefs)
-    objective = {i for i, c in model.objective.coefs.items() if c != 0.0}
-    for var in model.variables:
-        if var.is_integer and math.ceil(var.lb - _TOL) > math.floor(var.ub + _TOL):
+def _check_variables(model: CsrModel, emit) -> None:
+    referenced = set(model.indices.tolist())
+    objective = set(np.flatnonzero(model.obj).tolist())
+    for index, (name, lb, ub, is_integer) in enumerate(
+        zip(
+            model.var_names,
+            model.lb.tolist(),
+            model.ub.tolist(),
+            model.integer.tolist(),
+        )
+    ):
+        if is_integer and math.ceil(lb - _TOL) > math.floor(ub + _TOL):
             emit(
                 "empty-integer-domain",
                 Severity.ERROR,
-                f"integer variable {var.name}: no integer point in "
-                f"[{var.lb:g}, {var.ub:g}]",
-                var=var.name,
+                f"integer variable {name}: no integer point in "
+                f"[{lb:g}, {ub:g}]",
+                var=name,
             )
-        elif var.lb == var.ub:
+        elif lb == ub:
             emit(
                 "fixed-variable",
                 Severity.WARN,
-                f"variable {var.name} is fixed to {var.lb:g}",
-                var=var.name,
+                f"variable {name} is fixed to {lb:g}",
+                var=name,
             )
-        if var.index not in referenced and var.index not in objective:
+        if index not in referenced and index not in objective:
             emit(
                 "unused-variable",
                 Severity.WARN,
-                f"variable {var.name} appears in no constraint and has "
+                f"variable {name} appears in no constraint and has "
                 "zero objective coefficient",
-                var=var.name,
+                var=name,
             )
 
 
 # -- duplicate / dominated rows ---------------------------------------------
 
 
-def _check_duplicates(model: Model, emit) -> None:
+def _check_duplicates(rows: list[_Row], emit) -> None:
     # Bucket rows by support signature (sense + sorted variable index
     # set), then normalize each row by a positive scale inside the
     # bucket.  Support collisions are rare in routing models, so the
@@ -192,29 +196,27 @@ def _check_duplicates(model: Model, emit) -> None:
     # coefficient-vector grouping misses.  Normalized form is
     # ``expr + const (sense) 0``, i.e. rhs = -const.
     groups: dict[tuple, list[tuple[int, float]]] = {}
-    for row, con in enumerate(model.constraints):
-        if not con.expr.coefs:
+    for row, (coefs, const, sense) in enumerate(rows):
+        if not coefs:
             continue  # constant rows are handled by _check_rows
-        support = tuple(sorted(con.expr.coefs))
+        support = tuple(sorted(coefs))
         # Dividing by |coef| keeps the scale positive, so the sense is
         # preserved and rows that are positive multiples of each other
         # land on the same normalized key.
-        scale = abs(con.expr.coefs[support[0]]) or 1.0
-        normalized = tuple(
-            round(con.expr.coefs[j] / scale, 12) for j in support
-        )
-        signature = (con.sense, support, normalized)
-        groups.setdefault(signature, []).append((row, -con.expr.const / scale))
-    for (sense, _, _), rows in groups.items():
-        if len(rows) < 2:
+        scale = abs(coefs[support[0]]) or 1.0
+        normalized = tuple(round(coefs[j] / scale, 12) for j in support)
+        signature = (sense, support, normalized)
+        groups.setdefault(signature, []).append((row, -const / scale))
+    for (sense, _, _), members in groups.items():
+        if len(members) < 2:
             continue
         if sense == "<=":
-            keep = min(rows, key=lambda item: item[1])
+            keep = min(members, key=lambda item: item[1])
         elif sense == ">=":
-            keep = max(rows, key=lambda item: item[1])
+            keep = max(members, key=lambda item: item[1])
         else:
-            keep = rows[0]
-        for row, rhs in rows:
+            keep = members[0]
+        for row, rhs in members:
             if row == keep[0]:
                 continue
             if rhs == keep[1]:

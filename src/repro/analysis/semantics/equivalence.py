@@ -26,6 +26,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
+import numpy as np
+
 from repro.analysis.semantics.microclips import MicroClip, micro_corpus
 from repro.analysis.semantics.patterns import (
     NetPattern,
@@ -41,20 +43,15 @@ from repro.analysis.semantics.report import (
 )
 from repro.clips.clip import Clip
 from repro.drc.checker import check_clip_routing
+from repro.ilp.csr import SENSE_LE, SENSES, CooBuilder, CsrModel
+from repro.ilp.model import LinExpr
 from repro.router.formulation import RoutingIlp, build_routing_ilp
 from repro.router.graph import ArcKind
 from repro.router.rules import RuleConfig
 
 
-def _solve(model):
-    from repro.ilp.highs_backend import solve_with_highs
-
-    try:
-        return solve_with_highs(model)
-    except ImportError:  # pragma: no cover - scipy-less fallback
-        from repro.ilp.bnb import solve_with_bnb
-
-        return solve_with_bnb(model)
+#: Feasibility tolerance on bounds, integrality and rows.
+_TOL = 1e-6
 
 
 def _families_in_play(
@@ -83,28 +80,45 @@ def _row_family(ilp: RoutingIlp, row_index: int) -> str:
         for arc_index, var in nv.e.items():
             if ilp.graph.arcs[arc_index].kind in (ArcKind.VIA, ArcKind.SHAPE):
                 via_e.add(var.index)
-    row = ilp.model.constraints[row_index]
-    indices = set(row.expr.coefs)
+    csr = ilp.csr
+    start, end = csr.indptr[row_index], csr.indptr[row_index + 1]
+    indices = set(csr.indices[start:end].tolist())
     if indices & p_indices:
         return "sadp_eol"
-    if indices and indices <= via_e and row.sense == "<=":
+    if indices and indices <= via_e and csr.senses[row_index] == SENSE_LE:
         return "via_adjacency"
     return "core"
 
 
-def _first_violated_row(ilp: RoutingIlp, values: dict[int, float]) -> int | None:
-    model = ilp.model
-    for row_index, con in enumerate(model.constraints):
-        lhs = con.expr.const
-        for index, coef in con.expr.coefs.items():
-            lhs += coef * values.get(index, model.variables[index].lb)
-        if con.sense == "<=" and lhs > 1e-6:
-            return row_index
-        if con.sense == ">=" and lhs < -1e-6:
-            return row_index
-        if con.sense == "==" and abs(lhs) > 1e-6:
-            return row_index
-    return None
+def _row_text(csr: CsrModel, row_index: int) -> str:
+    """A row as ``LinExpr(...) (sense) 0``, for finding messages."""
+    start, end = csr.indptr[row_index], csr.indptr[row_index + 1]
+    expr = LinExpr(
+        dict(
+            zip(csr.indices[start:end].tolist(), csr.data[start:end].tolist())
+        ),
+        float(csr.row_const[row_index]),
+    )
+    return f"{expr!r} {SENSES[csr.senses[row_index]]} 0"
+
+
+def _is_feasible(csr: CsrModel, values: dict[int, float]) -> bool:
+    """True when the point satisfies bounds, integrality, and every row
+    to within :data:`_TOL`; missing variables sit at their (then
+    necessarily finite) lower bound."""
+    x = csr.point(values)
+    return bool(
+        np.isfinite(x).all()
+        and (x >= csr.lb - _TOL).all()
+        and (x <= csr.ub + _TOL).all()
+        and (np.abs(x - np.round(x))[csr.integer] <= _TOL).all()
+        and not len(csr.violated_rows(x, _TOL))
+    )
+
+
+def _first_violated_row(csr: CsrModel, values: dict[int, float]) -> int | None:
+    rows = csr.violated_rows(csr.point(values), _TOL)
+    return int(rows[0]) if len(rows) else None
 
 
 def _pattern_payload(combo: tuple[NetPattern, ...]) -> tuple:
@@ -170,7 +184,7 @@ def check_equivalence(
             observed.add(VIOLATION_FAMILY.get(violation.kind, violation.kind))
 
         values = pattern_assignment(ilp, combo)
-        feasible = values is not None and ilp.model.is_feasible(values)
+        feasible = values is not None and _is_feasible(ilp.csr, values)
         if feasible:
             report.n_feasible += 1
         if clean:
@@ -207,12 +221,11 @@ def check_equivalence(
             if values is None:
                 family, why = "core", "pattern not representable in the ILP"
             else:
-                row = _first_violated_row(ilp, values)
+                row = _first_violated_row(ilp.csr, values)
                 family = "core" if row is None else _row_family(ilp, row)
                 why = (
-                    "assignment violates model row "
-                    f"{row}: {ilp.model.constraints[row].expr!r} "
-                    f"{ilp.model.constraints[row].sense} 0"
+                    f"assignment violates model row {row}: "
+                    + _row_text(ilp.csr, row)
                     if row is not None
                     else "assignment rejected (bounds/integrality)"
                 )
@@ -260,7 +273,7 @@ def _solver_soundness_sweep(
     the pattern enumerator's one-cycle bound skips -- so soundness does
     not rest on the enumerator's decomposition argument.
     """
-    from repro.ilp.model import Constraint, LinExpr
+    from repro.ilp.highs_backend import solve_with_highs
     from repro.ilp.status import SolveStatus
     from repro.router.solution import decode_solution
 
@@ -271,8 +284,10 @@ def _solver_soundness_sweep(
         {var.index for nv in ilp.nets for var in nv.e.values()}
     )
     findings: list[SemanticsFinding] = []
+    cuts = CooBuilder(base=ilp.csr)
+    model = ilp.csr
     for iteration in range(cap):
-        solution = _solve(ilp.model)
+        solution = solve_with_highs(model)
         if solution.status is not SolveStatus.OPTIMAL:
             if solution.status is not SolveStatus.INFEASIBLE:
                 findings.append(
@@ -320,9 +335,8 @@ def _solver_soundness_sweep(
         ]
         coefs = {i: 1.0 for i in zeros}
         coefs.update({i: -1.0 for i in ones})
-        ilp.model.add(
-            Constraint(LinExpr(coefs, float(len(ones) - 1)), ">=")
-        )
+        cuts.ge(LinExpr(coefs, float(len(ones) - 1)))
+        model = cuts.freeze(ilp.csr.name)
     else:
         findings.append(
             SemanticsFinding(

@@ -17,8 +17,9 @@ Each pattern maps two ways:
 - :func:`pattern_assignment` encodes it as a 0/1 point over the ILP's
   variables (path arcs, the matching virtual supersource / supersink /
   pin-chain arcs, and minimally-raised SADP indicator variables),
-  which :meth:`Model.is_feasible` judges.  ``None`` means the pattern
-  is not representable in the ILP at all -- equivalent to infeasible.
+  which the equivalence checker judges against the model's bounds,
+  integrality and rows.  ``None`` means the pattern is not
+  representable in the ILP at all -- equivalent to infeasible.
 
 The SADP ``p`` indicators are the only auxiliary variables: they carry
 ``>=`` lower bounds (raised by wire/cross arc products) and appear
@@ -387,22 +388,25 @@ def _raise_auxiliaries(ilp: RoutingIlp, values: dict[int, float]) -> None:
     raise it to the smallest satisfying value.  Decision variables
     (the e/f support chosen by the pattern) are never touched.
     """
-    model = ilp.model
+    csr = ilp.csr
+    ub = csr.ub.tolist()
+    integer = csr.integer.tolist()
     decision = set()
     for nv in ilp.nets:
         for var in nv.e.values():
             decision.add(var.index)
         for var in nv.f.values():
             decision.add(var.index)
+    ge_rows = [
+        (coefs, const) for coefs, const, sense in csr.rows() if sense == ">="
+    ]
 
     for _ in range(4):
         changed = False
-        for con in model.constraints:
-            if con.sense != ">=":
-                continue
-            lhs = con.expr.const
+        for coefs, const in ge_rows:
+            lhs = const
             free = []
-            for index, coef in con.expr.coefs.items():
+            for index, coef in coefs.items():
                 lhs += coef * values.get(index, 0.0)
                 if index not in decision and coef > 0:
                     free.append((index, coef))
@@ -411,16 +415,15 @@ def _raise_auxiliaries(ilp: RoutingIlp, values: dict[int, float]) -> None:
             raisable = [
                 (index, coef)
                 for index, coef in free
-                if values.get(index, 0.0) < model.variables[index].ub - 1e-9
+                if values.get(index, 0.0) < ub[index] - 1e-9
             ]
             if len(raisable) != 1:
                 continue
             index, coef = raisable[0]
             need = values.get(index, 0.0) + (-lhs) / coef
-            var = model.variables[index]
-            if var.is_integer:
+            if integer[index]:
                 need = float(int(need + 1 - 1e-9))
-            values[index] = min(need, var.ub)
+            values[index] = min(need, ub[index])
             changed = True
         if not changed:
             return

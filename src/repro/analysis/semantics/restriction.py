@@ -48,15 +48,13 @@ from scipy.optimize import linprog
 
 from repro.analysis.semantics.report import SCHEMA_VERSION
 from repro.clips.clip import Clip
-from repro.ilp.csr import SENSE_EQ, SENSE_GE, CsrModel
+from repro.ilp.csr import SENSE_EQ, SENSE_GE, SENSES, CsrModel
 from repro.ilp.model import LinExpr
 from repro.router.formulation import formulation_cache
 from repro.router.rules import RuleConfig, is_restriction
 
 _TOL = 1e-9
 
-#: Sense strings by :class:`CsrModel` sense code.
-_SENSES = ("<=", ">=", "==")
 #: Orientation of an inequality: ``sign * (lhs) <= 0`` is its ``<=`` form.
 _SIGN = {"<=": 1.0, ">=": -1.0}
 
@@ -139,7 +137,7 @@ def _delta_rows(csr: CsrModel, start: int) -> list[_Row]:
     names = [csr.var_names[j] for j in csr.indices[first:].tolist()]
     coefs = csr.data[first:].tolist()
     return [
-        _Row(_SENSES[sense], const, dict(zip(names[lo:hi], coefs[lo:hi])))
+        _Row(SENSES[sense], const, dict(zip(names[lo:hi], coefs[lo:hi])))
         for sense, const, lo, hi in zip(
             csr.senses[start:].tolist(),
             csr.row_const[start:].tolist(),
@@ -153,7 +151,7 @@ def _delta_row(csr: CsrModel, r: int) -> _Row:
     """Row ``r`` of ``csr``, keyed by variable name."""
     lo, hi = int(csr.indptr[r]), int(csr.indptr[r + 1])
     return _Row(
-        _SENSES[csr.senses[r]],
+        SENSES[csr.senses[r]],
         float(csr.row_const[r]),
         dict(zip(
             (csr.var_names[j] for j in csr.indices[lo:hi].tolist()),

@@ -3,8 +3,11 @@
 The paper solves its routing ILPs with ILOG CPLEX; this package
 provides the equivalent capability without external solvers:
 
-- :mod:`repro.ilp.model` -- a small modeling API (variables, linear
-  expressions, constraints, objective) in the spirit of PuLP;
+- :mod:`repro.ilp.csr` -- the one model representation: a MILP as
+  contiguous CSR arrays (:class:`CsrModel`), emitted row by row
+  through :class:`CooBuilder`;
+- :mod:`repro.ilp.model` -- the linear-expression algebra
+  (:class:`Var`, :class:`LinExpr`) rows are written with;
 - :mod:`repro.ilp.highs_backend` -- exact MILP solving through
   ``scipy.optimize.milp`` (the HiGHS branch-and-cut solver);
 - :mod:`repro.ilp.bnb` -- a pure-Python best-first branch-and-bound
@@ -14,25 +17,25 @@ provides the equivalent capability without external solvers:
 Both backends are exact, so OptRouter's optimality claim carries over.
 """
 
-from repro.ilp.model import Constraint, LinExpr, Model, Var
-from repro.ilp.status import Solution, SolveStatus
-from repro.ilp.highs_backend import solve_with_highs
 from repro.ilp.bnb import BnBOptions, solve_with_bnb
-from repro.ilp.lp_format import write_lp, write_lp_canonical
+from repro.ilp.csr import CooBuilder, CsrModel
+from repro.ilp.highs_backend import solve_with_highs
+from repro.ilp.lp_format import write_lp
+from repro.ilp.model import LinExpr, Var
 from repro.ilp.solve_cache import CacheEntry, SolveCache
+from repro.ilp.status import Solution, SolveStatus
 
 __all__ = [
-    "Model",
+    "CooBuilder",
+    "CsrModel",
     "Var",
     "LinExpr",
-    "Constraint",
     "Solution",
     "SolveStatus",
     "solve_with_highs",
     "solve_with_bnb",
     "BnBOptions",
     "write_lp",
-    "write_lp_canonical",
     "CacheEntry",
     "SolveCache",
 ]

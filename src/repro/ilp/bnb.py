@@ -14,14 +14,13 @@ import heapq
 import itertools
 import math
 import time
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from repro.ilp.model import Model
+from repro.ilp.csr import SENSE_EQ, SENSE_GE, CsrModel
 from repro.ilp.status import Solution, SolveStatus
 
 _INT_TOL = 1e-6
@@ -29,65 +28,38 @@ _INT_TOL = 1e-6
 
 @dataclass(frozen=True)
 class BnBOptions:
-    """Branch-and-bound limits.
-
-    ``should_stop`` is a cooperative cancellation hook polled at the
-    same points as the time limit: when it returns True the search
-    stops and hands back the best incumbent as LIMIT (never a wrong
-    answer) -- the mechanism backend racing uses to stop a losing
-    solver without killing its process.
-    """
+    """Branch-and-bound limits."""
 
     max_nodes: int = 200_000
     time_limit: float | None = None
-    should_stop: "Callable[[], bool] | None" = None
 
 
 class _LpData:
-    """Immutable LP arrays shared by all nodes."""
+    """Immutable LP arrays shared by all nodes: ``A_ub`` (``>=`` rows
+    negated) and ``A_eq`` sliced out of the model's CSR matrix, each
+    in row order."""
 
-    def __init__(self, model: Model):
-        n = model.n_vars
-        self.n = n
-        self.cost = np.zeros(n)
-        for index, coef in model.objective.coefs.items():
-            self.cost[index] = coef
-        self.obj_const = model.objective.const
-        self.lb = np.array([v.lb for v in model.variables], dtype=float)
-        self.ub = np.array([v.ub for v in model.variables], dtype=float)
-        self.int_indices = [v.index for v in model.variables if v.is_integer]
+    def __init__(self, model: CsrModel):
+        self.cost = model.obj
+        self.obj_const = model.obj_const
+        self.lb = model.lb
+        self.ub = model.ub
+        self.int_indices = np.flatnonzero(model.integer).tolist()
 
-        ub_rows, ub_cols, ub_data, ub_rhs = [], [], [], []
-        eq_rows, eq_cols, eq_data, eq_rhs = [], [], [], []
-        for con in model.constraints:
-            rhs = -con.expr.const
-            if con.sense == "==":
-                r = len(eq_rhs)
-                for index, coef in con.expr.coefs.items():
-                    eq_rows.append(r)
-                    eq_cols.append(index)
-                    eq_data.append(coef)
-                eq_rhs.append(rhs)
-            else:
-                sign = 1.0 if con.sense == "<=" else -1.0
-                r = len(ub_rhs)
-                for index, coef in con.expr.coefs.items():
-                    ub_rows.append(r)
-                    ub_cols.append(index)
-                    ub_data.append(sign * coef)
-                ub_rhs.append(sign * rhs)
+        matrix = sparse.csr_matrix(
+            (model.data, model.indices, model.indptr),
+            shape=(model.n_rows, model.n_vars),
+        )
+        rhs = -model.row_const
+        ub_rows = np.flatnonzero(model.senses != SENSE_EQ)
+        eq_rows = np.flatnonzero(model.senses == SENSE_EQ)
+        sign = np.where(model.senses[ub_rows] == SENSE_GE, -1.0, 1.0)
         self.a_ub = (
-            sparse.csr_matrix((ub_data, (ub_rows, ub_cols)), shape=(len(ub_rhs), n))
-            if ub_rhs
-            else None
+            sparse.diags(sign) @ matrix[ub_rows] if len(ub_rows) else None
         )
-        self.b_ub = np.array(ub_rhs) if ub_rhs else None
-        self.a_eq = (
-            sparse.csr_matrix((eq_data, (eq_rows, eq_cols)), shape=(len(eq_rhs), n))
-            if eq_rhs
-            else None
-        )
-        self.b_eq = np.array(eq_rhs) if eq_rhs else None
+        self.b_ub = sign * rhs[ub_rows] if len(ub_rows) else None
+        self.a_eq = matrix[eq_rows] if len(eq_rows) else None
+        self.b_eq = rhs[eq_rows] if len(eq_rows) else None
 
     def solve_lp(self, lb: np.ndarray, ub: np.ndarray):
         return linprog(
@@ -114,7 +86,9 @@ def _most_fractional(x: np.ndarray, int_indices: list[int]) -> int | None:
     return best_index
 
 
-def solve_with_bnb(model: Model, options: BnBOptions | None = None) -> Solution:
+def solve_with_bnb(
+    model: CsrModel, options: BnBOptions | None = None
+) -> Solution:
     """Solve a model with best-first branch-and-bound.
 
     Returns OPTIMAL with the proven optimum, INFEASIBLE, or LIMIT with
@@ -123,13 +97,15 @@ def solve_with_bnb(model: Model, options: BnBOptions | None = None) -> Solution:
     if options is None:
         options = BnBOptions()
     t0 = time.perf_counter()
-    data = _LpData(model)
-    if data.n == 0:
+    if model.n_vars == 0:
+        if len(model.violated_rows(np.zeros(0))):
+            return Solution(status=SolveStatus.INFEASIBLE)
         return Solution(
             status=SolveStatus.OPTIMAL,
-            objective=data.obj_const,
-            best_bound=data.obj_const,
+            objective=model.obj_const,
+            best_bound=model.obj_const,
         )
+    data = _LpData(model)
 
     tie = itertools.count()  # FIFO tiebreak; ndarray bounds aren't orderable
     root = (-math.inf, next(tie), data.lb.copy(), data.ub.copy())
@@ -147,11 +123,7 @@ def solve_with_bnb(model: Model, options: BnBOptions | None = None) -> Solution:
     deadline = None if options.time_limit is None else t0 + options.time_limit
 
     def expired() -> bool:
-        # Cancellation shares the time-limit exit paths: both end the
-        # search with an honest LIMIT, never a fabricated proof.
-        if deadline is not None and time.perf_counter() > deadline:
-            return True
-        return options.should_stop is not None and options.should_stop()
+        return deadline is not None and time.perf_counter() > deadline
 
     while heap:
         if expired():
@@ -220,14 +192,6 @@ def solve_with_bnb(model: Model, options: BnBOptions | None = None) -> Solution:
     )
 
 
-def _values_from(model: Model, x: np.ndarray) -> dict[int, float]:
-    values = {}
-    for v in model.variables:
-        value = float(x[v.index])
-        values[v.index] = round(value) if v.is_integer else value
-    return values
-
-
 def _final_solution(
     model, data, x, obj, n_nodes, t0, status, lower: float | None = None
 ) -> Solution:
@@ -244,7 +208,7 @@ def _final_solution(
     return Solution(
         status=status,
         objective=objective,
-        values=_values_from(model, x),
+        values=model.solution_values(x),
         best_bound=best_bound,
         n_nodes=n_nodes,
         solve_seconds=time.perf_counter() - t0,

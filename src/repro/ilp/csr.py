@@ -1,21 +1,19 @@
-"""Columnar (CSR) model representation for the cold-path pipeline.
+"""Columnar (CSR) model representation: the one form of every MILP.
 
-:class:`CsrModel` stores the same MILP a :class:`repro.ilp.model.Model`
-does -- bounds, integrality, objective, and the constraint matrix --
-as contiguous numpy arrays plus a name<->index table, so the hot cold
-path (build -> serialize -> hash -> solve) runs vectorized instead of
-walking per-row ``Constraint`` objects.  The object
-``Model`` remains the property-tested oracle: :meth:`CsrModel.to_model`
-and :meth:`CsrModel.from_model` round-trip losslessly, and
-:meth:`CsrModel.canonical_text` is byte-for-byte identical to
-:func:`repro.ilp.lp_format.write_lp_canonical` on the equivalent
-object model -- the solve-cache content address, journal seals, and
-restriction proofs are therefore oblivious to which representation
-produced them (tests/test_ilp_csr.py sweeps the equivalence).
+:class:`CsrModel` stores a MILP -- bounds, integrality, objective, and
+the constraint matrix -- as contiguous numpy arrays plus a
+name<->index table.  Every consumer reads these arrays: the cold path
+(build -> serialize -> hash -> solve) vectorized, and the per-row
+diagnostics (branch-and-bound's LP slices, the model linter, the
+equivalence checker) through :meth:`CsrModel.rows`,
+:meth:`CsrModel.point` and :meth:`CsrModel.violated_rows`.
+:meth:`CsrModel.canonical_text` is the insertion-order-invariant
+serialization behind the solve-cache content address, journal seals,
+and restriction proofs; ``tests/ilp_oracle.py`` holds the plain
+per-row reference it is proven against.
 
-Rows are normalized exactly like :class:`~repro.ilp.model.Constraint`:
-``sum(data . x) + row_const (sense) 0``, i.e. the usual right-hand
-side is ``-row_const``.
+Rows are normalized as ``sum(data . x) + row_const (sense) 0``, i.e.
+the usual right-hand side is ``-row_const``.
 
 :class:`CooBuilder` is the emission side: the routing formulation
 appends variables and rows (COO triplets) directly, optionally on top
@@ -26,26 +24,27 @@ with zero per-row object churn.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.ilp.model import Constraint, LinExpr, Model, Var
+from repro.ilp.model import LinExpr, Var
 
 #: Sense codes stored in :attr:`CsrModel.senses`.
 SENSE_LE = 0
 SENSE_GE = 1
 SENSE_EQ = 2
 
-_SENSE_TO_CODE = {"<=": SENSE_LE, ">=": SENSE_GE, "==": SENSE_EQ}
-_CODE_TO_SENSE = {SENSE_LE: "<=", SENSE_GE: ">=", SENSE_EQ: "=="}
+#: Sense strings, indexed by sense code.
+SENSES = ("<=", ">=", "==")
 
 
 def _unique_by_bits(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``np.unique(..., return_inverse=True)`` grouping by *bit
     pattern*, so ``-0.0`` and ``0.0`` stay distinct (their ``repr``
-    differs, and the canonical text must match the object oracle's
-    ``repr`` exactly, ``-0.0`` row constants included)."""
+    differs, and the canonical text renders every float with its exact
+    ``repr``, ``-0.0`` row constants included)."""
     bits, inverse = np.unique(
         np.ascontiguousarray(arr, dtype=np.float64).view(np.int64),
         return_inverse=True,
@@ -92,14 +91,6 @@ class CsrModel:
         return len(self.senses)
 
     @property
-    def n_constraints(self) -> int:
-        return self.n_rows
-
-    @property
-    def nnz(self) -> int:
-        return len(self.data)
-
-    @property
     def n_integer_vars(self) -> int:
         return int(np.count_nonzero(self.integer))
 
@@ -112,7 +103,7 @@ class CsrModel:
         return self._name_to_index
 
     def stats(self) -> dict[str, int]:
-        """Identical keys/values to :meth:`Model.stats`."""
+        """Model-size summary used by the Section 4.2 analysis bench."""
         return {
             "n_vars": self.n_vars,
             "n_integer_vars": self.n_integer_vars,
@@ -120,94 +111,18 @@ class CsrModel:
             "n_nonzeros": int(np.count_nonzero(self.data)),
         }
 
-    # -- conversion -----------------------------------------------------------
-
-    @classmethod
-    def from_model(cls, model: Model) -> "CsrModel":
-        """Columnar form of an object model (lossless; exact floats)."""
-        n_rows = len(model.constraints)
-        indptr = np.zeros(n_rows + 1, dtype=np.int64)
-        cols: list[int] = []
-        vals: list[float] = []
-        senses = np.empty(n_rows, dtype=np.int8)
-        row_const = np.empty(n_rows, dtype=np.float64)
-        row_names: list[str] = []
-        for r, con in enumerate(model.constraints):
-            cols.extend(con.expr.coefs.keys())
-            vals.extend(con.expr.coefs.values())
-            indptr[r + 1] = len(cols)
-            senses[r] = _SENSE_TO_CODE[con.sense]
-            row_const[r] = con.expr.const
-            row_names.append(con.name)
-        obj = np.zeros(len(model.variables), dtype=np.float64)
-        for j, coef in model.objective.coefs.items():
-            obj[j] = coef
-        return cls(
-            name=model.name,
-            var_names=[v.name for v in model.variables],
-            lb=np.array([v.lb for v in model.variables], dtype=np.float64),
-            ub=np.array([v.ub for v in model.variables], dtype=np.float64),
-            integer=np.array(
-                [v.is_integer for v in model.variables], dtype=bool
-            ),
-            obj=obj,
-            obj_const=model.objective.const,
-            indptr=indptr,
-            indices=np.asarray(cols, dtype=np.int64),
-            data=np.asarray(vals, dtype=np.float64),
-            senses=senses,
-            row_const=row_const,
-            row_names=row_names,
-        )
-
-    def to_model(self) -> Model:
-        """Object form (the oracle representation); lossless."""
-        model = Model(name=self.name)
-        lb = self.lb.tolist()
-        ub = self.ub.tolist()
-        integer = self.integer.tolist()
-        for j, name in enumerate(self.var_names):
-            model.variables.append(
-                Var(
-                    index=j,
-                    name=name,
-                    lb=lb[j],
-                    ub=ub[j],
-                    is_integer=integer[j],
-                )
-            )
-        indices = self.indices.tolist()
-        data = self.data.tolist()
-        indptr = self.indptr.tolist()
-        consts = self.row_const.tolist()
-        senses = self.senses.tolist()
-        names = self.row_names or [""] * self.n_rows
-        for r in range(self.n_rows):
-            start, end = indptr[r], indptr[r + 1]
-            coefs = dict(zip(indices[start:end], data[start:end]))
-            model.constraints.append(
-                Constraint(
-                    LinExpr(coefs, consts[r]),
-                    _CODE_TO_SENSE[senses[r]],
-                    names[r],
-                )
-            )
-        nz = np.flatnonzero(self.obj)
-        model.objective = LinExpr(
-            dict(zip(nz.tolist(), self.obj[nz].tolist())), self.obj_const
-        )
-        return model
-
     # -- canonical serialization ---------------------------------------------
 
     def canonical_text(self) -> str:
         """Insertion-order-invariant serialization over the buffers.
 
-        Byte-for-byte identical to
-        ``write_lp_canonical(self.to_model())`` -- proven by the
-        hypothesis sweep in ``tests/test_ilp_csr.py`` -- so cache keys,
-        journal seals, and restriction proofs computed from either
-        representation agree.
+        Terms are name-sorted with exact float ``repr``, rows are
+        content-sorted with their names dropped, variables are sorted,
+        and the model name is left out, so two builds of the same model
+        in any order serialize identically -- the content address of
+        the solve cache, journal seals, and restriction proofs.  Proven
+        byte-for-byte against the per-row reference in
+        ``tests/ilp_oracle.py``.
         """
         lines = ["canonical-lp v1"]
         names = self.var_names
@@ -221,7 +136,7 @@ class CsrModel:
         lines.append(f"min {body} | {self.obj_const!r}")
 
         # Rows: entries sorted by (row, variable name) in one lexsort,
-        # then rendered row by row and content-sorted like the oracle.
+        # then rendered row by row and content-sorted.
         # Coefficient values repeat heavily (mostly +-1), so ``repr``
         # -- the expensive shortest-float algorithm -- runs once per
         # unique value, not once per nonzero.
@@ -254,7 +169,7 @@ class CsrModel:
             const_reprs = [f" | {c!r}" for c in uniq_c.tolist()]
             senses = self.senses.tolist()
             rows = sorted(
-                _CODE_TO_SENSE[senses[r]]
+                SENSES[senses[r]]
                 + " "
                 + " ".join(terms[starts[r]:starts[r + 1]])
                 + const_reprs[k]
@@ -279,9 +194,6 @@ class CsrModel:
         )
         return "\n".join(lines) + "\n"
 
-    def canonical_bytes(self) -> bytes:
-        return self.canonical_text().encode("utf-8")
-
     # -- evaluation -----------------------------------------------------------
 
     def row_bounds(self) -> tuple[np.ndarray, np.ndarray]:
@@ -292,22 +204,68 @@ class CsrModel:
         hi = np.where(self.senses != SENSE_GE, rhs, np.inf)
         return lo, hi
 
-    def validate(self):
-        """Run the pre-solve model linter on this model (API parity
-        with :meth:`Model.validate`; the linter accepts the columnar
-        form directly)."""
-        from repro.analysis.model_lint import lint_model
+    def rows(self) -> Iterator[tuple[dict[int, float], float, str]]:
+        """Each row as (column -> coefficient, constant, sense string),
+        in row order."""
+        indptr = self.indptr.tolist()
+        indices = self.indices.tolist()
+        data = self.data.tolist()
+        senses = self.senses.tolist()
+        for r, const in enumerate(self.row_const.tolist()):
+            start, end = indptr[r], indptr[r + 1]
+            yield (
+                dict(zip(indices[start:end], data[start:end])),
+                const,
+                SENSES[senses[r]],
+            )
 
-        return lint_model(self)
+    def point(self, values: dict[int, float]) -> np.ndarray:
+        """The dense point of ``values``, with every missing variable
+        at its lower bound."""
+        x = self.lb.copy()
+        x[list(values)] = list(values.values())
+        return x
+
+    def solution_values(self, x: np.ndarray) -> dict[int, float]:
+        """Every variable's value at the dense point ``x``, integers
+        snapped with Python ``round`` (so values round-trip exactly)."""
+        return {
+            j: round(value) if is_integer else value
+            for j, (value, is_integer) in enumerate(
+                zip(x.tolist(), self.integer.tolist())
+            )
+        }
+
+    def violated_rows(self, x: np.ndarray, tol: float = 1e-6) -> np.ndarray:
+        """Indices (ascending) of the rows the dense point ``x`` misses
+        by more than ``tol``."""
+        entry_rows = np.repeat(
+            np.arange(self.n_rows, dtype=np.int64), np.diff(self.indptr)
+        )
+        activity = self.row_const + np.bincount(
+            entry_rows,
+            weights=self.data * x[self.indices],
+            minlength=self.n_rows,
+        )
+        violated = np.where(
+            self.senses == SENSE_LE,
+            activity > tol,
+            np.where(
+                self.senses == SENSE_GE,
+                activity < -tol,
+                np.abs(activity) > tol,
+            ),
+        )
+        return np.flatnonzero(violated)
 
 
 class CooBuilder:
     """Append-only COO accumulator the formulation emits into.
 
-    Mirrors the :class:`Model` construction API the builder needs
-    (``var``/``binary``/``integer`` returning :class:`Var` handles) but
-    stores rows as flat index/coefficient arrays; :meth:`freeze` makes
-    one CSR construction at the end.  With ``base`` set, new variables
+    ``var``/``binary``/``integer_var`` return :class:`Var` handles,
+    ``le``/``ge``/``eq`` append ``expr (sense) rhs`` rows as flat
+    index/coefficient arrays, and :meth:`freeze` makes one CSR
+    construction at the end.  With ``base`` set, new variables
     and rows extend the frozen base section without copying it -- the
     ``BaseFormulation`` clone-delta path.
     """
@@ -384,7 +342,7 @@ class CooBuilder:
                 self.vals.append(coef)
         self.rowptr.append(len(self.cols))
         self.senses.append(sense)
-        # Same normalization as ``Constraint(expr - rhs, sense)``.
+        # Normalized to ``expr - rhs (sense) 0``.
         self.row_const.append(expr.const - rhs)
         self.row_names.append(name)
 

@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 import time
-from collections.abc import Callable
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.ilp.csr import CsrModel
-from repro.ilp.model import Model
 from repro.ilp.status import Solution, SolveStatus
 
 _STATUS_MAP = {
@@ -20,18 +18,6 @@ _STATUS_MAP = {
     3: SolveStatus.UNBOUNDED,
     4: SolveStatus.ERROR,
 }
-
-
-def _full_point(model: CsrModel, partial: dict[int, float]) -> dict[int, float]:
-    """Every variable's value at a point (missing ones at lb), with
-    integers snapped via Python ``round`` (so values round-trip
-    identically)."""
-    lb, integer = model.lb, model.integer
-    values: dict[int, float] = {}
-    for j in range(model.n_vars):
-        value = float(partial.get(j, float(lb[j])))
-        values[j] = round(value) if integer[j] else value
-    return values
 
 
 def _milp_inputs(model: CsrModel):
@@ -59,16 +45,12 @@ def _milp_inputs(model: CsrModel):
 
 
 def solve_with_highs(
-    model: "Model | CsrModel",
-    time_limit: float | None = None,
-    should_stop: "Callable[[], bool] | None" = None,
+    model: CsrModel, time_limit: float | None = None
 ) -> Solution:
     """Solve a model exactly with HiGHS branch-and-cut.
 
-    Accepts either an object :class:`Model`, converted once with
-    :meth:`CsrModel.from_model`, or a columnar :class:`CsrModel`, whose
-    own contiguous buffers go to ``scipy.optimize.milp`` zero-copy
-    (see :func:`_milp_inputs`).
+    The model's own contiguous buffers go to ``scipy.optimize.milp``
+    zero-copy (see :func:`_milp_inputs`).
 
     The relative MIP gap is fixed at 0: OptRouter requires
     proven-optimal solutions for the paper's methodology to be
@@ -80,22 +62,13 @@ def solve_with_highs(
     and can overshoot).  Unexpected solver exceptions are contained as
     ``ERROR`` solutions so one pathological model cannot take down a
     whole sweep.
-
-    ``should_stop`` is a cooperative cancellation hook, checked before
-    the solve starts (``scipy.optimize.milp`` offers no mid-solve
-    callback, so an in-flight HiGHS solve can only be stopped by
-    killing its process -- which is exactly what the racing layer's
-    terminate path does).  A pre-solve cancellation returns ``LIMIT``.
     """
-    if should_stop is not None and should_stop():
-        return Solution(status=SolveStatus.LIMIT)
-    if isinstance(model, Model):
-        model = CsrModel.from_model(model)
     if time_limit is not None and time_limit <= 0:
         return Solution(status=SolveStatus.LIMIT)
-    n = model.n_vars
     obj_const = float(model.obj_const)
-    if n == 0:
+    if model.n_vars == 0:
+        if len(model.violated_rows(np.zeros(0))):
+            return Solution(status=SolveStatus.INFEASIBLE)
         return Solution(
             status=SolveStatus.OPTIMAL,
             objective=obj_const,
@@ -127,7 +100,7 @@ def solve_with_highs(
     status = _STATUS_MAP.get(result.status, SolveStatus.ERROR)
     solution = Solution(status=status, solve_seconds=elapsed)
     if result.x is not None:
-        solution.values = _full_point(model, dict(enumerate(result.x.tolist())))
+        solution.values = model.solution_values(result.x)
         solution.objective = float(result.fun) + obj_const
         if status in (SolveStatus.OPTIMAL, SolveStatus.LIMIT):
             # Export HiGHS' proven dual bound (true objective space).

@@ -9,20 +9,16 @@ Output is byte-deterministic: terms are emitted in variable-index
 order, constraints in sorted (name, position) order, and the Bounds /
 Binaries / Generals sections in sorted variable-name order.  Two
 builds of the same model therefore serialize identically, which makes
-model dumps diffable.
-
-:func:`write_lp_canonical` goes further and is *insertion-order
-invariant*: terms are keyed by variable name (not index), rows are
-content-sorted with positional auto-names dropped, floats use exact
-``repr``, and the model name is excluded.  Two semantically equal
-models built in any variable/constraint order serialize to the same
-bytes -- the content-address for the persistent solve cache
-(:mod:`repro.ilp.solve_cache`).
+model dumps diffable.  (The insertion-order-invariant serialization
+that content-addresses the solve cache is
+:meth:`repro.ilp.csr.CsrModel.canonical_text`.)
 """
 
 from __future__ import annotations
 
-from repro.ilp.model import LinExpr, Model
+import numpy as np
+
+from repro.ilp.csr import CsrModel
 
 
 def _term(coef: float, name: str, first: bool) -> str:
@@ -33,54 +29,57 @@ def _term(coef: float, name: str, first: bool) -> str:
     return f"{sign}{magnitude:g} {name}"
 
 
-def _expr_text(model: Model, expr: LinExpr) -> str:
-    if not expr.coefs:
+def _expr_text(names: list[str], coefs: dict[int, float]) -> str:
+    if not coefs:
         return "0"
     parts = []
-    for index in sorted(expr.coefs):
-        coef = expr.coefs[index]
-        parts.append(_term(coef, model.variables[index].name, first=not parts))
+    for index in sorted(coefs):
+        parts.append(_term(coefs[index], names[index], first=not parts))
     return " ".join(parts)
 
 
-def write_lp(model: Model) -> str:
+def write_lp(model: CsrModel) -> str:
     """Serialize a model in CPLEX LP format (minimization)."""
+    names = model.var_names
+    nz = np.flatnonzero(model.obj)
+    objective = dict(zip(nz.tolist(), model.obj[nz].tolist()))
     lines = [f"\\ Problem: {model.name}", "Minimize", " obj:"]
-    lines[-1] += " " + _expr_text(model, model.objective)
-    if model.objective.const:
-        lines.append(f"\\ constant offset {model.objective.const:g} not encoded")
+    lines[-1] += " " + _expr_text(names, objective)
+    if model.obj_const:
+        lines.append(f"\\ constant offset {model.obj_const:g} not encoded")
 
     lines.append("Subject To")
+    row_names = model.row_names or [""] * model.n_rows
     named = sorted(
-        (con.name or f"c{index}", index, con)
-        for index, con in enumerate(model.constraints)
+        (row_names[index] or f"c{index}", index, row)
+        for index, row in enumerate(model.rows())
     )
-    for name, _, con in named:
-        rhs = -con.expr.const
-        op = {"<=": "<=", ">=": ">=", "==": "="}[con.sense]
-        lines.append(f" {name}: {_expr_text(model, con.expr)} {op} {rhs:g}")
+    for name, _, (coefs, const, sense) in named:
+        op = {"<=": "<=", ">=": ">=", "==": "="}[sense]
+        lines.append(f" {name}: {_expr_text(names, coefs)} {op} {-const:g}")
 
-    bounded = sorted(
-        (
-            v for v in model.variables
-            if not (v.is_integer and v.lb == 0.0 and v.ub == 1.0)
-        ),
-        key=lambda v: v.name,
+    variables = sorted(
+        zip(names, model.lb.tolist(), model.ub.tolist(), model.integer.tolist()),
+        key=lambda v: v[0],
     )
+    bounded = [
+        (name, lb, ub) for name, lb, ub, is_int in variables
+        if not (is_int and lb == 0.0 and ub == 1.0)
+    ]
     if bounded:
         lines.append("Bounds")
-        for v in bounded:
-            ub = "+inf" if v.ub == float("inf") else f"{v.ub:g}"
-            lines.append(f" {v.lb:g} <= {v.name} <= {ub}")
+        for name, lb, ub in bounded:
+            upper = "+inf" if ub == float("inf") else f"{ub:g}"
+            lines.append(f" {lb:g} <= {name} <= {upper}")
 
-    binaries = sorted(
-        v.name for v in model.variables
-        if v.is_integer and v.ub == 1.0 and v.lb == 0.0
-    )
-    generals = sorted(
-        v.name for v in model.variables
-        if v.is_integer and not (v.ub == 1.0 and v.lb == 0.0)
-    )
+    binaries = [
+        name for name, lb, ub, is_int in variables
+        if is_int and lb == 0.0 and ub == 1.0
+    ]
+    generals = [
+        name for name, lb, ub, is_int in variables
+        if is_int and not (lb == 0.0 and ub == 1.0)
+    ]
     if binaries:
         lines.append("Binaries")
         lines.append(" " + " ".join(binaries))
@@ -88,44 +87,4 @@ def write_lp(model: Model) -> str:
         lines.append("Generals")
         lines.append(" " + " ".join(generals))
     lines.append("End")
-    return "\n".join(lines) + "\n"
-
-
-def _canonical_expr(model: Model, expr: LinExpr) -> str:
-    """Name-keyed, exact-float rendering of a linear expression."""
-    terms = sorted(
-        (model.variables[index].name, coef)
-        for index, coef in expr.coefs.items()
-        if coef != 0.0
-    )
-    body = " ".join(f"{coef!r} {name}" for name, coef in terms)
-    return f"{body} | {expr.const!r}"
-
-
-def write_lp_canonical(model: Model) -> str:
-    """Insertion-order-invariant serialization for content addressing.
-
-    Two models with the same variables (by name/bounds/integrality),
-    the same constraint *set*, and the same objective produce
-    byte-identical output regardless of the order anything was added
-    in.  Any coefficient, bound, sense, rhs, or integrality change
-    produces different output.  Constraint names are dropped (the
-    default positional ``c{i}`` names would leak insertion order);
-    the model name is dropped too.  Not valid LP-file syntax -- this
-    is a cache key, not an interchange format.
-    """
-    lines = ["canonical-lp v1"]
-    lines.append("min " + _canonical_expr(model, model.objective))
-    rows = sorted(
-        f"{con.sense} {_canonical_expr(model, con.expr)}"
-        for con in model.constraints
-    )
-    lines.extend(rows)
-    lines.append("vars")
-    lines.extend(
-        sorted(
-            f"{v.name} {v.lb!r} {v.ub!r} {'i' if v.is_integer else 'c'}"
-            for v in model.variables
-        )
-    )
     return "\n".join(lines) + "\n"

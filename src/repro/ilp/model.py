@@ -1,26 +1,23 @@
-"""Small MILP modeling layer (variables, expressions, constraints).
+"""Linear expressions over decision variables.
 
-Designed for building the routing ILPs of Section 3: creation of many
-binary variables, sum expressions, and <= / >= / == constraints.  The
-model is solver-independent; backends consume its arrays.
+The routing formulation writes its rows with this small algebra:
+:class:`Var` handles combine with scalars into :class:`LinExpr`
+sums, and :class:`repro.ilp.csr.CooBuilder` (which hands out the
+handles) appends them with ``le``/``ge``/``eq`` as rows of one
+:class:`repro.ilp.csr.CsrModel`.
 
 Example:
-    >>> m = Model("demo")
-    >>> x = m.binary("x")
-    >>> y = m.binary("y")
-    >>> m.add(x + y <= 1)
-    >>> m.minimize(-2 * x - y)
+    >>> from repro.ilp.csr import CooBuilder
+    >>> b = CooBuilder()
+    >>> x = b.binary("x")
+    >>> y = b.binary("y")
+    >>> b.le(x + y, 1)
+    >>> b.minimize(-2 * x - y)
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from repro.analysis.findings import LintReport
-    from repro.ilp.csr import CsrModel
+from dataclasses import dataclass
 
 
 class LinExpr:
@@ -85,15 +82,6 @@ class LinExpr:
     def __neg__(self) -> "LinExpr":
         return self * -1.0
 
-    def __le__(self, other) -> "Constraint":
-        return Constraint(self - other, "<=")
-
-    def __ge__(self, other) -> "Constraint":
-        return Constraint(self - other, ">=")
-
-    def __eq__(self, other) -> "Constraint":  # type: ignore[override]
-        return Constraint(self - other, "==")
-
     __hash__ = None  # expressions are mutable
 
     def __repr__(self) -> str:
@@ -103,7 +91,7 @@ class LinExpr:
 
 @dataclass(frozen=True)
 class Var:
-    """A decision variable handle (owned by a :class:`Model`)."""
+    """A decision variable handle (one column of a model)."""
 
     index: int
     name: str
@@ -129,155 +117,3 @@ class Var:
 
     def __neg__(self) -> LinExpr:
         return LinExpr({self.index: -1.0})
-
-    def __le__(self, other) -> "Constraint":
-        return LinExpr({self.index: 1.0}) <= other
-
-    def __ge__(self, other) -> "Constraint":
-        return LinExpr({self.index: 1.0}) >= other
-
-    # NB: Var keeps dataclass equality/hash (needed for dict keys); use
-    # `LinExpr(...) == rhs` or `var + 0 == rhs` to build an equality
-    # constraint from a bare variable.
-
-
-@dataclass(frozen=True)
-class Constraint:
-    """``expr (<=|>=|==) 0`` in normalized form."""
-
-    expr: LinExpr
-    sense: str  # "<=", ">=", "=="
-    name: str = ""
-
-    def __post_init__(self) -> None:
-        if self.sense not in ("<=", ">=", "=="):
-            raise ValueError(f"bad sense {self.sense!r}")
-
-    def named(self, name: str) -> "Constraint":
-        """A renamed copy; the expression is copied too, so mutating
-        either constraint's (mutable) ``LinExpr`` never leaks into the
-        other."""
-        return Constraint(self.expr.copy(), self.sense, name)
-
-
-@dataclass
-class Model:
-    """A MILP: variables, constraints, and a minimization objective."""
-
-    name: str = "model"
-    variables: list[Var] = field(default_factory=list)
-    constraints: list[Constraint] = field(default_factory=list)
-    objective: LinExpr = field(default_factory=LinExpr)
-
-    def var(
-        self,
-        name: str,
-        lb: float = 0.0,
-        ub: float = float("inf"),
-        integer: bool = False,
-    ) -> Var:
-        if lb > ub:
-            raise ValueError(f"variable {name}: lb {lb} > ub {ub}")
-        v = Var(index=len(self.variables), name=name, lb=lb, ub=ub, is_integer=integer)
-        self.variables.append(v)
-        return v
-
-    def binary(self, name: str) -> Var:
-        return self.var(name, 0.0, 1.0, integer=True)
-
-    def integer(self, name: str, lb: float = 0.0, ub: float = float("inf")) -> Var:
-        return self.var(name, lb, ub, integer=True)
-
-    def add(self, constraint: Constraint, name: str = "") -> Constraint:
-        if name:
-            constraint = constraint.named(name)
-        self.constraints.append(constraint)
-        return constraint
-
-    def add_all(self, constraints: Iterable[Constraint]) -> None:
-        for constraint in constraints:
-            self.add(constraint)
-
-    def minimize(self, expr: "LinExpr | Var") -> None:
-        self.objective = LinExpr._as_expr(expr).copy()
-
-    @property
-    def n_vars(self) -> int:
-        return len(self.variables)
-
-    @property
-    def n_constraints(self) -> int:
-        return len(self.constraints)
-
-    @property
-    def n_integer_vars(self) -> int:
-        return sum(1 for v in self.variables if v.is_integer)
-
-    def stats(self) -> dict[str, int]:
-        """Model-size summary used by the Section 4.2 analysis bench."""
-        nonzeros = sum(len(c.expr.coefs) for c in self.constraints)
-        return {
-            "n_vars": self.n_vars,
-            "n_integer_vars": self.n_integer_vars,
-            "n_constraints": self.n_constraints,
-            "n_nonzeros": nonzeros,
-        }
-
-    def objective_value(self, values: dict[int, float]) -> float:
-        """Objective (including the constant) at a point; variables
-        missing from ``values`` sit at their lower bound."""
-        total = self.objective.const
-        for index, coef in self.objective.coefs.items():
-            total += coef * values.get(index, self.variables[index].lb)
-        return total
-
-    def is_feasible(self, values: dict[int, float], tol: float = 1e-6) -> bool:
-        """True when the point satisfies bounds, integrality, and every
-        constraint to within ``tol``.  Missing variables sit at their
-        lower bound (which must then be finite).
-
-        This is the warm-start gate: a seeded incumbent is only
-        admitted after passing this check, so a stale or rule-invalid
-        point can never become the reported solution.
-        """
-
-        def at(index: int) -> float:
-            return values.get(index, self.variables[index].lb)
-
-        for v in self.variables:
-            x = at(v.index)
-            if x != x or x in (float("inf"), float("-inf")):
-                return False
-            if x < v.lb - tol or x > v.ub + tol:
-                return False
-            if v.is_integer and abs(x - round(x)) > tol:
-                return False
-        for con in self.constraints:
-            lhs = con.expr.const
-            for index, coef in con.expr.coefs.items():
-                lhs += coef * at(index)
-            if con.sense == "<=" and lhs > tol:
-                return False
-            if con.sense == ">=" and lhs < -tol:
-                return False
-            if con.sense == "==" and abs(lhs) > tol:
-                return False
-        return True
-
-    def to_csr(self) -> "CsrModel":
-        """Columnar (:class:`repro.ilp.csr.CsrModel`) form; lossless."""
-        from repro.ilp.csr import CsrModel
-
-        return CsrModel.from_model(self)
-
-    @staticmethod
-    def from_csr(csr: "CsrModel") -> "Model":
-        """Object form of a columnar model; lossless."""
-        return csr.to_model()
-
-    def validate(self) -> "LintReport":
-        """Run the pre-solve model linter (:mod:`repro.analysis`) on
-        this model and return its report."""
-        from repro.analysis.model_lint import lint_model
-
-        return lint_model(self)

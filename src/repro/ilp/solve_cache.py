@@ -3,7 +3,7 @@
 A solve is pure: the same model under the same solver options always
 admits the same status and optimal objective.  Keying on the SHA-256
 of the insertion-order-invariant serialization
-(:func:`repro.ilp.lp_format.write_lp_canonical`) plus the canonical
+(:meth:`repro.ilp.csr.CsrModel.canonical_text`) plus the canonical
 JSON of the solver options therefore lets repeated and resumed sweeps
 skip identical solves entirely -- a second ``repro evaluate
 --solve-cache`` run over an unchanged clip set performs zero backend
@@ -39,26 +39,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.ilp.csr import CsrModel
-from repro.ilp.lp_format import write_lp_canonical
-from repro.ilp.model import Model
 from repro.ilp.status import Solution, SolveStatus
 from repro.util.integrity import seal_record, verify_seal
-
-
-def _canonical_text(model: "Model | CsrModel") -> str:
-    """Canonical LP text of either representation.  The two are
-    byte-for-byte identical on equivalent models (a property-tested
-    invariant of :meth:`CsrModel.canonical_text`), so cache keys are
-    oblivious to which representation produced them."""
-    if isinstance(model, CsrModel):
-        return model.canonical_text()
-    return write_lp_canonical(model)
-
-
-def _names_by_index(model: "Model | CsrModel") -> dict[int, str]:
-    if isinstance(model, CsrModel):
-        return dict(enumerate(model.var_names))
-    return {v.index: v.name for v in model.variables}
 
 #: v2 added the per-entry integrity seal; unsealed v1 entries read as
 #: misses (the re-solve rewrites them sealed).
@@ -82,12 +64,9 @@ class CacheEntry:
     n_nodes: int = 0
     solve_seconds: float = 0.0
 
-    def to_solution(self, model: "Model | CsrModel") -> Solution:
+    def to_solution(self, model: CsrModel) -> Solution:
         """Remap name-keyed values onto this model's variable indices."""
-        if isinstance(model, CsrModel):
-            by_name = model.name_to_index
-        else:
-            by_name = {v.name: v.index for v in model.variables}
+        by_name = model.name_to_index
         values = {
             by_name[name]: value
             for name, value in self.values_by_name.items()
@@ -148,9 +127,9 @@ class SolveCache:
     # -- keys ---------------------------------------------------------------
 
     @staticmethod
-    def key_for(model: "Model | CsrModel", options: dict) -> str:
+    def key_for(model: CsrModel, options: dict) -> str:
         """SHA-256 over the canonical model bytes and solver options."""
-        payload = _canonical_text(model) + json.dumps(
+        payload = model.canonical_text() + json.dumps(
             options, sort_keys=True, default=str
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
@@ -162,7 +141,7 @@ class SolveCache:
 
     def get(
         self,
-        model: "Model | CsrModel",
+        model: CsrModel,
         options: dict,
         key: "str | None" = None,
     ) -> "CacheEntry | None":
@@ -221,7 +200,7 @@ class SolveCache:
 
     def put(
         self,
-        model: "Model | CsrModel",
+        model: CsrModel,
         options: dict,
         solution: Solution,
         key: "str | None" = None,
@@ -230,14 +209,14 @@ class SolveCache:
         ``key`` is an optional precomputed :meth:`key_for` result."""
         if solution.status not in _CACHEABLE:
             return False
-        by_index = _names_by_index(model)
+        names = model.var_names
         entry = CacheEntry(
             status=solution.status,
             objective=solution.objective,
             values_by_name={
-                by_index[index]: value
+                names[index]: value
                 for index, value in solution.values.items()
-                if index in by_index
+                if 0 <= index < len(names)
             },
             best_bound=solution.best_bound,
             n_nodes=solution.n_nodes,

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.clips.clip import Clip, ClipNet
 from repro.ilp.csr import CooBuilder, CsrModel
-from repro.ilp.model import LinExpr, Model, Var
+from repro.ilp.model import LinExpr, Var
 from repro.router.graph import ArcKind, ShapeViaInstance, SwitchboxGraph, build_graph
 from repro.router.rules import RuleConfig, eol_grid_offset
 
@@ -70,26 +70,15 @@ class NetVars:
 class RoutingIlp:
     """A built model plus the handles needed to decode its solution.
 
-    The model lives natively in columnar form (:attr:`csr`); the sweep
-    (cache hashing, the HiGHS handoff, restriction proofs) consumes
-    the arrays directly.  :attr:`model` lazily materializes
-    the equivalent object :class:`Model` for consumers that still walk
-    constraints (the equivalence checker, the model linter, the bnb
-    backend) and caches it, so code that *mutates* ``ilp.model`` keeps
-    seeing its own edits; the CSR side is never written back to.
+    The model exists in one form, the columnar :attr:`csr`: cache
+    hashing, both solver backends, restriction proofs, the model
+    linter and the equivalence checker all read its arrays.
     """
 
     csr: CsrModel
     graph: SwitchboxGraph
     nets: list[NetVars]
     rules: RuleConfig
-    _model: "Model | None" = field(default=None, repr=False)
-
-    @property
-    def model(self) -> Model:
-        if self._model is None:
-            self._model = self.csr.to_model()
-        return self._model
 
 
 @dataclass

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 import time
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.analysis.certify import certify_infeasible
@@ -160,12 +159,6 @@ class OptRouter:
     reuse_formulation: bool = True
     #: persistent content-addressed solve cache (None = disabled).
     solve_cache: SolveCache | None = None
-    #: cooperative cancellation hook passed through to the backends
-    #: (polled by B&B at its deadline checks; checked pre-solve by
-    #: HiGHS).  In-process only -- not picklable, not part of the
-    #: solve-cache key, and can only turn a solve into LIMIT earlier,
-    #: never change a completed answer.
-    cancel_check: "Callable[[], bool] | None" = None
 
     def build(self, clip: Clip, rules: RuleConfig) -> RoutingIlp:
         """Build (but do not solve) the ILP for inspection/analysis."""
@@ -178,15 +171,9 @@ class OptRouter:
         self, model: CsrModel, time_limit: float | None
     ) -> Solution:
         if self.backend == "highs":
-            # HiGHS consumes the columnar form zero-copy.
-            return solve_with_highs(
-                model, time_limit=time_limit, should_stop=self.cancel_check
-            )
+            return solve_with_highs(model, time_limit=time_limit)
         if self.backend == "bnb":
-            options = BnBOptions(
-                time_limit=time_limit, should_stop=self.cancel_check
-            )
-            return solve_with_bnb(model.to_model(), options)
+            return solve_with_bnb(model, BnBOptions(time_limit=time_limit))
         raise ValueError(f"unknown backend {self.backend!r}")
 
     def _cache_options(self) -> dict:

@@ -147,12 +147,13 @@ class TestProvenanceRecords:
 
 class TestCacheForwardCompat:
     def test_future_entry_version_is_miss_and_quarantined(self, tmp_path):
-        from repro.ilp import Model, SolveCache, Solution, SolveStatus
+        from repro.ilp import CooBuilder, SolveCache, Solution, SolveStatus
 
-        model = Model(name="m")
-        x = model.binary("x")
-        model.add(x + 0 <= 1)
-        model.minimize(-x)
+        builder = CooBuilder()
+        x = builder.binary("x")
+        builder.le(x, 1)
+        builder.minimize(-x)
+        model = builder.freeze("m")
         cache = SolveCache(tmp_path)
         assert cache.put(model, {}, Solution(status=SolveStatus.LIMIT))
 
@@ -214,13 +215,14 @@ class TestArtifactsWithPresolveAccounting:
         self, tmp_path, capsys
     ):
         from repro.cli import main
-        from repro.ilp import Model, Solution, SolveCache, SolveStatus
+        from repro.ilp import CooBuilder, Solution, SolveCache, SolveStatus
         from repro.ilp.solve_cache import CacheEntry
 
-        model = Model(name="m")
-        x = model.binary("x")
-        model.add(x + 0 <= 1)
-        model.minimize(-x)
+        builder = CooBuilder()
+        x = builder.binary("x")
+        builder.le(x, 1)
+        builder.minimize(-x)
+        model = builder.freeze("m")
         cache = SolveCache(tmp_path)
         assert cache.put(
             model, {}, Solution(status=SolveStatus.OPTIMAL, objective=-1.0,

@@ -402,17 +402,9 @@ class TestRacedBudgetedSweeps:
 
 
 class TestColumnarSweep:
-    def test_all_optimal_study_builds_no_object_model(self, monkeypatch):
+    def test_all_optimal_study_builds_no_object_model(self):
         # Restriction proofs read the CSR rule delta and HiGHS takes
-        # the CSR arrays.  With every pair OPTIMAL no audit re-solves
-        # on B&B (which still converts), so a default incremental sweep
-        # never materializes an object Model.
-        from repro.ilp.csr import CsrModel
-
-        def to_model(self):
-            raise AssertionError("the sweep built an object Model")
-
-        monkeypatch.setattr(CsrModel, "to_model", to_model)
+        # the CSR arrays; every ILP exists only as a CsrModel.
         spec = SyntheticClipSpec(nx=5, ny=6, nz=3, n_nets=2, sinks_per_net=1,
                                  access_points_per_pin=2)
         clips = [make_synthetic_clip(spec, seed=s) for s in range(2)]

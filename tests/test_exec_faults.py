@@ -136,12 +136,13 @@ class TestDiskFullFault:
 
     def test_cache_put_degrades_and_cleans_temp(self, tmp_path):
         from repro.exec.faults import inject_disk_full
-        from repro.ilp import Model, Solution, SolveCache, SolveStatus
+        from repro.ilp import CooBuilder, Solution, SolveCache, SolveStatus
 
-        model = Model(name="m")
-        x = model.binary("x")
-        model.add(x + 0 <= 1)
-        model.minimize(-x)
+        builder = CooBuilder()
+        x = builder.binary("x")
+        builder.le(x, 1)
+        builder.minimize(-x)
+        model = builder.freeze("m")
         cache = SolveCache(tmp_path / "cache")
         inject_disk_full(str(tmp_path))
         ok = cache.put(

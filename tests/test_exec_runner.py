@@ -402,6 +402,16 @@ class TestAttemptLog:
         assert all(e["outcome"] == "crash" for e in result.attempt_log)
 
 
+def unpicklable_router(**kwargs) -> OptRouter:
+    """An OptRouter that spawn cannot hand to a child: its class is
+    local to this function, so pickle cannot look it up by name."""
+
+    class LocalRouter(OptRouter):
+        pass
+
+    return LocalRouter(**kwargs)
+
+
 class TestMpContext:
     def test_start_method_is_deterministic_not_platform_default(self):
         import multiprocessing as mp
@@ -423,8 +433,7 @@ class TestMpContext:
             runner_mod, "_mp_context", lambda: mp.get_context("spawn")
         )
         population = clips(1)
-        router = OptRouter(time_limit=30.0)
-        router.cancel_check = lambda: False  # lambdas cannot pickle
+        router = unpicklable_router(time_limit=30.0)
         job = RouteJob.from_router(population[0], RuleConfig(), router)
         result = SupervisedRunner(
             SupervisorConfig(n_workers=1, isolation="process")
@@ -441,8 +450,7 @@ class TestMpContext:
             runner_mod, "_mp_context", lambda: mp.get_context("spawn")
         )
         population = clips(1)
-        router = OptRouter(time_limit=30.0)
-        router.cancel_check = lambda: False
+        router = unpicklable_router(time_limit=30.0)
         job = RouteJob.from_router(population[0], RuleConfig(), router)
         result = SupervisedRunner(
             SupervisorConfig(

@@ -4,8 +4,8 @@ import pytest
 
 from repro.ilp import (
     BnBOptions,
+    CooBuilder,
     LinExpr,
-    Model,
     SolveStatus,
     solve_with_bnb,
     solve_with_highs,
@@ -18,13 +18,13 @@ BACKENDS = [
 
 
 def knapsack():
-    m = Model("knapsack")
+    b = CooBuilder()
     values = [10, 13, 7, 8, 6]
     weights = [3, 4, 2, 3, 2]
-    xs = [m.binary(f"x{i}") for i in range(5)]
-    m.add(sum((w * x for w, x in zip(weights, xs)), LinExpr()) <= 7)
-    m.minimize(sum((-v * x for v, x in zip(values, xs)), LinExpr()))
-    return m, xs
+    xs = [b.binary(f"x{i}") for i in range(5)]
+    b.le(sum((w * x for w, x in zip(weights, xs)), LinExpr()), 7)
+    b.minimize(sum((-v * x for v, x in zip(values, xs)), LinExpr()))
+    return b.freeze("knapsack"), xs
 
 
 @pytest.mark.parametrize("solve", BACKENDS)
@@ -36,43 +36,57 @@ class TestBackends:
         assert solution.objective == pytest.approx(-23.0)  # {x0,x1} or {x0,x2,x4}
 
     def test_infeasible(self, solve):
-        m = Model()
-        x = m.binary("x")
-        m.add(x + 0 >= 2)
-        m.minimize(x + 0)
-        assert solve(m).status is SolveStatus.INFEASIBLE
+        b = CooBuilder()
+        x = b.binary("x")
+        b.ge(x, 2)
+        b.minimize(x)
+        assert solve(b.freeze("model")).status is SolveStatus.INFEASIBLE
 
     def test_equality_constraints(self, solve):
-        m = Model()
-        x = m.integer("x", 0, 10)
-        y = m.integer("y", 0, 10)
-        m.add(LinExpr({x.index: 1.0, y.index: 1.0}) == 7)
-        m.add(x - y <= 1)
-        m.minimize(-2 * x - y)
-        solution = solve(m)
+        b = CooBuilder()
+        x = b.integer_var("x", 0, 10)
+        y = b.integer_var("y", 0, 10)
+        b.eq(LinExpr({x.index: 1.0, y.index: 1.0}), 7)
+        b.le(x - y, 1)
+        b.minimize(-2 * x - y)
+        solution = solve(b.freeze("model"))
         assert solution.status is SolveStatus.OPTIMAL
         assert solution.value(x) == 4 and solution.value(y) == 3
 
     def test_continuous_variables(self, solve):
-        m = Model()
-        x = m.var("x", 0.0, 10.0)
-        b = m.binary("b")
-        m.add(x - 4 * b <= 0)
-        m.minimize(-x + 3 * b)
-        solution = solve(m)
+        b = CooBuilder()
+        x = b.var("x", 0.0, 10.0)
+        z = b.binary("z")
+        b.le(x - 4 * z, 0)
+        b.minimize(-x + 3 * z)
+        solution = solve(b.freeze("model"))
         assert solution.status is SolveStatus.OPTIMAL
         assert solution.objective == pytest.approx(-1.0)
         assert solution.value(x) == pytest.approx(4.0)
 
     def test_empty_model(self, solve):
-        assert solve(Model()).status is SolveStatus.OPTIMAL
+        assert solve(CooBuilder().freeze("model")).status is SolveStatus.OPTIMAL
+
+    @pytest.mark.parametrize(
+        ("const", "status"),
+        [(3.0, SolveStatus.INFEASIBLE), (-3.0, SolveStatus.OPTIMAL)],
+    )
+    def test_no_variables_reads_constant_rows(self, solve, const, status):
+        # ``3 <= 0`` cannot hold even with nothing to choose.
+        b = CooBuilder()
+        b.le(LinExpr(const=const))
+        b.minimize(LinExpr(const=5.0))
+        solution = solve(b.freeze("model"))
+        assert solution.status is status
+        if status is SolveStatus.OPTIMAL:
+            assert solution.objective == 5.0
 
     def test_objective_constant_carried(self, solve):
-        m = Model()
-        x = m.binary("x")
-        m.add(x + 0 >= 1)
-        m.minimize(x + 10)
-        assert solve(m).objective == pytest.approx(11.0)
+        b = CooBuilder()
+        x = b.binary("x")
+        b.ge(x, 1)
+        b.minimize(x + 10)
+        assert solve(b.freeze("model")).objective == pytest.approx(11.0)
 
 
 class TestAgreement:
@@ -81,17 +95,18 @@ class TestAgreement:
 
         rng = random.Random(0)
         for trial in range(15):
-            m = Model(f"rand{trial}")
-            xs = [m.binary(f"x{i}") for i in range(6)]
+            builder = CooBuilder()
+            xs = [builder.binary(f"x{i}") for i in range(6)]
             for _ in range(4):
                 expr = sum(
                     (rng.choice([1, 2, 3]) * x for x in rng.sample(xs, 3)),
                     LinExpr(),
                 )
-                m.add(expr <= rng.choice([2, 3, 4]))
-            m.minimize(
+                builder.le(expr, rng.choice([2, 3, 4]))
+            builder.minimize(
                 sum((rng.choice([-3, -2, -1, 1]) * x for x in xs), LinExpr())
             )
+            m = builder.freeze(f"rand{trial}")
             a = solve_with_highs(m)
             b = solve_with_bnb(m)
             assert a.status == b.status
@@ -124,7 +139,7 @@ def _routing_model(nx=6, ny=8, nz=4, n_nets=4, seed=0):
         SyntheticClipSpec(nx=nx, ny=ny, nz=nz, n_nets=n_nets, sinks_per_net=1),
         seed=seed,
     )
-    return OptRouter().build(clip, RuleConfig()).model
+    return OptRouter().build(clip, RuleConfig()).csr
 
 
 class TestTimeLimits:

@@ -2,20 +2,20 @@
 
 import pytest
 
-from repro.ilp import LinExpr, Model
+from repro.ilp import CooBuilder, LinExpr
 from repro.ilp.lp_format import write_lp
 
 
 def sample_model():
-    m = Model("sample")
+    m = CooBuilder()
     x = m.binary("x")
     y = m.binary("y")
-    z = m.integer("z", 0, 7)
+    z = m.integer_var("z", 0, 7)
     w = m.var("w", -2.0, 3.5)
-    m.add(2 * x + 3 * y - z <= 4, name="cap")
-    m.add(LinExpr({x.index: 1.0, w.index: 1.0}) == 1)
+    m.le(2 * x + 3 * y - z, 4, name="cap")
+    m.eq(LinExpr({x.index: 1.0, w.index: 1.0}), 1)
     m.minimize(x + 2 * y + 0.5 * z - w)
-    return m
+    return m.freeze("sample")
 
 
 class TestWriteLp:
@@ -53,13 +53,13 @@ class TestWriteLp:
             seed=0,
         )
         ilp = OptRouter().build(clip, RuleConfig())
-        text = write_lp(ilp.model)
+        text = write_lp(ilp.csr)
         assert text.startswith("\\ Problem: optroute_")
         assert text.rstrip().endswith("End")
         # One constraint line per model constraint.
         body = text.split("Subject To")[1].split("Bounds")[0]
         n_lines = sum(1 for line in body.splitlines() if ":" in line)
-        assert n_lines == ilp.model.n_constraints
+        assert n_lines == ilp.csr.n_rows
 
     def test_objective_coefficients(self):
         text = write_lp(sample_model())
@@ -84,27 +84,27 @@ class TestDeterminism:
         for rule in ("RULE1", "RULE7", "RULE11"):
             rules = paper_rule(rule)
             first = write_lp(
-                OptRouter().build(make_synthetic_clip(spec, seed=5), rules).model
+                OptRouter().build(make_synthetic_clip(spec, seed=5), rules).csr
             )
             second = write_lp(
-                OptRouter().build(make_synthetic_clip(spec, seed=5), rules).model
+                OptRouter().build(make_synthetic_clip(spec, seed=5), rules).csr
             )
             assert first == second
 
     def test_emission_order_is_sorted(self):
         # Insertion order must not leak: permuting constraint insertion
         # yields the same bytes (same names, same rows).
-        m1 = Model("p")
+        m1 = CooBuilder()
         x = m1.binary("x")
         y = m1.binary("y")
-        m1.add(x + y <= 1, name="a")
-        m1.add(x - y >= 0, name="b")
+        m1.le(x + y, 1, name="a")
+        m1.ge(x - y, 0, name="b")
         m1.minimize(x + y)
 
-        m2 = Model("p")
+        m2 = CooBuilder()
         x = m2.binary("x")
         y = m2.binary("y")
-        m2.add(x - y >= 0, name="b")
-        m2.add(x + y <= 1, name="a")
+        m2.ge(x - y, 0, name="b")
+        m2.le(x + y, 1, name="a")
         m2.minimize(x + y)
-        assert write_lp(m1) == write_lp(m2)
+        assert write_lp(m1.freeze("p")) == write_lp(m2.freeze("p"))

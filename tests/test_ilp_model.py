@@ -1,51 +1,52 @@
-"""Tests for the MILP modeling layer."""
+"""Tests for the MILP modeling layer: the expression algebra and the
+builder that emits rows into a ``CsrModel``."""
 
 import pytest
 
-from repro.ilp import LinExpr, Model
+from repro.ilp import CooBuilder, LinExpr
 
 
 class TestLinExpr:
     def test_var_arithmetic(self):
-        m = Model()
+        m = CooBuilder()
         x, y = m.binary("x"), m.binary("y")
         expr = 2 * x + 3 * y - 1
         assert expr.coefs == {x.index: 2.0, y.index: 3.0}
         assert expr.const == -1.0
 
     def test_addition_merges_terms(self):
-        m = Model()
+        m = CooBuilder()
         x = m.binary("x")
         expr = x + x + x
         assert expr.coefs == {x.index: 3.0}
 
     def test_cancellation_drops_zero(self):
-        m = Model()
+        m = CooBuilder()
         x, y = m.binary("x"), m.binary("y")
         expr = (x + y) - x
         assert expr.coefs == {y.index: 1.0}
 
     def test_rsub(self):
-        m = Model()
+        m = CooBuilder()
         x = m.binary("x")
         expr = 5 - x
         assert expr.const == 5.0
         assert expr.coefs == {x.index: -1.0}
 
     def test_negation_and_scaling(self):
-        m = Model()
+        m = CooBuilder()
         x = m.binary("x")
         assert (-x).coefs == {x.index: -1.0}
         assert (x * 0.5).coefs == {x.index: 0.5}
 
     def test_nonlinear_rejected(self):
-        m = Model()
+        m = CooBuilder()
         x, y = m.binary("x"), m.binary("y")
         with pytest.raises(TypeError):
             (x + 0) * (y + 0)
 
     def test_inplace_ops_mutate(self):
-        m = Model()
+        m = CooBuilder()
         x, y = m.binary("x"), m.binary("y")
         expr = LinExpr()
         expr += x
@@ -54,83 +55,56 @@ class TestLinExpr:
 
 
 class TestConstraints:
+    """Rows are stored normalized: ``expr - rhs (sense) 0``."""
+
     def test_le_normalization(self):
-        m = Model()
+        m = CooBuilder()
         x = m.binary("x")
-        con = 2 * x <= 1
-        assert con.sense == "<="
-        assert con.expr.const == -1.0
+        m.le(2 * x, 1)
+        ((coefs, const, sense),) = m.freeze("m").rows()
+        assert sense == "<="
+        assert coefs == {x.index: 2.0}
+        assert const == -1.0
 
     def test_ge_and_eq(self):
-        m = Model()
+        m = CooBuilder()
         x = m.binary("x")
-        assert (x + 0 >= 1).sense == ">="
-        assert (LinExpr({x.index: 1.0}) == 1).sense == "=="
+        m.ge(x, 1)
+        m.eq(LinExpr({x.index: 1.0}), 1)
+        assert [sense for _, _, sense in m.freeze("m").rows()] == [">=", "=="]
 
     def test_named(self):
-        m = Model()
+        m = CooBuilder()
         x = m.binary("x")
-        con = m.add(x <= 1, name="cap")
-        assert con.name == "cap"
-
-    def test_named_does_not_mutate_shared_state(self):
-        m = Model()
-        x = m.binary("x")
-        original = x <= 1
-        renamed = original.named("cap")
-        # The original keeps its (empty) name and its own expression.
-        assert original.name == ""
-        assert renamed.expr is not original.expr
-        # Mutating one side's LinExpr never leaks into the other.
-        renamed.expr._iadd(x, 1.0)
-        assert original.expr.coefs == {x.index: 1.0}
-        original.expr._iadd(x, 5.0)
-        assert renamed.expr.coefs == {x.index: 2.0}
+        m.le(x, 1, name="cap")
+        assert m.freeze("m").row_names == ["cap"]
 
 
 class TestModel:
     def test_variable_kinds(self):
-        m = Model()
+        m = CooBuilder()
         b = m.binary("b")
-        i = m.integer("i", 0, 9)
+        i = m.integer_var("i", 0, 9)
         c = m.var("c", -1.0, 1.0)
         assert b.is_integer and b.ub == 1.0
         assert i.is_integer and i.ub == 9
         assert not c.is_integer
-        assert m.n_vars == 3
-        assert m.n_integer_vars == 2
+        model = m.freeze("kinds")
+        assert model.n_vars == 3
+        assert model.n_integer_vars == 2
 
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
-            Model().var("x", 2.0, 1.0)
+            CooBuilder().var("x", 2.0, 1.0)
 
     def test_stats(self):
-        m = Model()
+        m = CooBuilder()
         x, y = m.binary("x"), m.binary("y")
-        m.add(x + y <= 1)
-        m.add(x - y >= 0)
+        m.le(x + y, 1)
+        m.ge(x - y, 0)
         m.minimize(x + 2 * y)
-        stats = m.stats()
+        stats = m.freeze("stats").stats()
         assert stats == {
             "n_vars": 2, "n_integer_vars": 2,
             "n_constraints": 2, "n_nonzeros": 4,
         }
-
-    def test_validate_delegates_to_linter(self):
-        from repro.analysis import Severity
-
-        m = Model("bad")
-        x = m.binary("x")
-        m.add(x - x + 3 <= 0)  # collapses to the constant row 3 <= 0
-        report = m.validate()
-        assert report.model_name == "bad"
-        assert report.has_errors
-        assert report.errors[0].severity is Severity.ERROR
-        assert report.errors[0].code == "constant-infeasible-row"
-
-    def test_validate_clean_model(self):
-        m = Model()
-        x, y = m.binary("x"), m.binary("y")
-        m.add(x + y <= 1)
-        m.minimize(x + y)
-        assert not m.validate().has_errors

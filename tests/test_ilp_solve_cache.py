@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 from repro.clips import SyntheticClipSpec, make_synthetic_clip
 from repro.ilp import (
     CacheEntry,
-    Model,
+    CooBuilder,
     Solution,
     SolveCache,
     SolveStatus,
     solve_with_highs,
-    write_lp_canonical,
 )
 from repro.router import OptRouter, RouteStatus, RuleConfig, ViaRestriction
 
@@ -25,49 +24,49 @@ def knapsack_model(*, order=None, coef=3.0, ub=1.0, sense_le=True, name="m"):
     ``order`` permutes variable creation and constraint insertion;
     the canonical serialization must not notice.
     """
-    m = Model(name=name)
+    m = CooBuilder()
     var_names = ["x0", "x1", "x2"]
     if order is not None:
         var_names = [var_names[i] for i in order]
     vars_by_name = {n: m.binary(n) for n in var_names}
     x0, x1, x2 = (vars_by_name[n] for n in ["x0", "x1", "x2"])
     cons = [
-        (x0 + x1 + x2 <= 2 if sense_le else x0 + x1 + x2 >= 2),
-        coef * x0 + 2 * x1 + x2 <= 4,
-        x1 + 0 <= ub,
+        (m.le if sense_le else m.ge, x0 + x1 + x2, 2),
+        (m.le, coef * x0 + 2 * x1 + x2, 4),
+        (m.le, x1, ub),
     ]
     if order is not None:
         cons = [cons[i] for i in order]
-    for con in cons:
-        m.add(con)
+    for add, expr, rhs in cons:
+        add(expr, rhs)
     m.minimize(-(2 * x0 + 3 * x1 + x2))
-    return m
+    return m.freeze(name)
 
 
 class TestCanonicalSerialization:
     def test_insertion_order_invariant(self):
-        base = write_lp_canonical(knapsack_model())
+        base = knapsack_model().canonical_text()
         for order in [(1, 2, 0), (2, 0, 1), (2, 1, 0)]:
-            assert write_lp_canonical(knapsack_model(order=order)) == base
+            assert knapsack_model(order=order).canonical_text() == base
 
     def test_model_name_excluded(self):
-        assert write_lp_canonical(knapsack_model(name="a")) == (
-            write_lp_canonical(knapsack_model(name="b"))
+        assert knapsack_model(name="a").canonical_text() == (
+            knapsack_model(name="b").canonical_text()
         )
 
     def test_coefficient_perturbation_changes_bytes(self):
-        assert write_lp_canonical(knapsack_model(coef=3.0)) != (
-            write_lp_canonical(knapsack_model(coef=3.0000001))
+        assert knapsack_model(coef=3.0).canonical_text() != (
+            knapsack_model(coef=3.0000001).canonical_text()
         )
 
     def test_bound_perturbation_changes_bytes(self):
-        assert write_lp_canonical(knapsack_model(ub=1.0)) != (
-            write_lp_canonical(knapsack_model(ub=0.0))
+        assert knapsack_model(ub=1.0).canonical_text() != (
+            knapsack_model(ub=0.0).canonical_text()
         )
 
     def test_sense_change_changes_bytes(self):
-        assert write_lp_canonical(knapsack_model(sense_le=True)) != (
-            write_lp_canonical(knapsack_model(sense_le=False))
+        assert knapsack_model(sense_le=True).canonical_text() != (
+            knapsack_model(sense_le=False).canonical_text()
         )
 
     @settings(max_examples=40, deadline=None)
@@ -75,8 +74,8 @@ class TestCanonicalSerialization:
     def test_random_shuffles_are_invariant(self, rng):
         order = [0, 1, 2]
         rng.shuffle(order)
-        assert write_lp_canonical(knapsack_model(order=tuple(order))) == (
-            write_lp_canonical(knapsack_model())
+        assert knapsack_model(order=tuple(order)).canonical_text() == (
+            knapsack_model().canonical_text()
         )
 
 
@@ -107,11 +106,11 @@ class TestCacheKey:
             seed=0,
         )
         router = OptRouter()
-        m1 = router.build(clip, RuleConfig(name="RULE1")).model
+        m1 = router.build(clip, RuleConfig(name="RULE1")).csr
         m6 = router.build(
             clip,
             RuleConfig(name="RULE6", via_restriction=ViaRestriction.ORTHOGONAL),
-        ).model
+        ).csr
         options = {"backend": "highs"}
         assert SolveCache.key_for(m1, options) != SolveCache.key_for(m6, options)
 
@@ -131,7 +130,7 @@ class TestCacheStore:
         assert entry.objective == pytest.approx(solution.objective)
         replayed = entry.to_solution(model)
         assert replayed.values == solution.values
-        assert model.is_feasible(replayed.values)
+        assert not len(model.violated_rows(model.point(replayed.values)))
 
     def test_values_remap_by_name_across_insertion_orders(self, tmp_path):
         # Populate from one insertion order, replay onto another: the
@@ -144,9 +143,10 @@ class TestCacheStore:
         entry = cache.get(reader, options)
         assert entry is not None
         replayed = entry.to_solution(reader)
-        assert reader.is_feasible(replayed.values)
-        assert reader.objective_value(replayed.values) == pytest.approx(
-            writer.objective_value(solve_with_highs(writer).values)
+        x = reader.point(replayed.values)
+        assert not len(reader.violated_rows(x))
+        assert reader.obj @ x + reader.obj_const == pytest.approx(
+            solve_with_highs(writer).objective
         )
 
     def test_miss_on_empty_cache(self, tmp_path):

@@ -13,13 +13,13 @@ class TestSolveStatus:
         assert not SolveStatus.INFEASIBLE.is_optimal
 
     def test_solution_value_accessor(self):
-        from repro.ilp import Model, solve_with_highs
+        from repro.ilp import CooBuilder, solve_with_highs
 
-        m = Model()
+        m = CooBuilder()
         x = m.binary("x")
-        m.add(x + 0 >= 1)
-        m.minimize(x + 0)
-        solution = solve_with_highs(m)
+        m.ge(x, 1)
+        m.minimize(x)
+        solution = solve_with_highs(m.freeze("model"))
         assert solution.value(x) == 1
 
 

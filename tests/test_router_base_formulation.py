@@ -45,14 +45,14 @@ class TestSpecializeEquivalence:
         for rule in RULES:
             shared = base.specialize(rule)
             cold = build_routing_ilp(c, rule, reuse=False)
-            assert shared.model.stats() == cold.model.stats(), rule.name
+            assert shared.csr.stats() == cold.csr.stats(), rule.name
 
     def test_solve_outcomes_match_cold_build(self):
         c = clip()
         base = BaseFormulation.build(c)
         for rule in RULES:
-            shared = solve_with_highs(base.specialize(rule).model)
-            cold = solve_with_highs(build_routing_ilp(c, rule, reuse=False).model)
+            shared = solve_with_highs(base.specialize(rule).csr)
+            cold = solve_with_highs(build_routing_ilp(c, rule, reuse=False).csr)
             assert shared.status is cold.status, rule.name
             if shared.objective is not None:
                 assert shared.objective == pytest.approx(cold.objective)
@@ -65,9 +65,9 @@ class TestSpecializeEquivalence:
         core_stats = base.core.stats()
         heavy = base.specialize(RULES[3])
         free = base.specialize(RULES[0])
-        assert free.model.stats() == core_stats
-        assert heavy.model.stats()["n_constraints"] > (
-            free.model.stats()["n_constraints"]
+        assert free.csr.stats() == core_stats
+        assert heavy.csr.stats()["n_constraints"] > (
+            free.csr.stats()["n_constraints"]
         )
         # And the base model itself was never touched.
         assert base.core.stats() == core_stats
@@ -88,8 +88,8 @@ class TestSpecializeEquivalence:
         c = clip()
         cheap = BaseFormulation.build(c, via_cost=1.0).specialize(RULES[0])
         dear = BaseFormulation.build(c, via_cost=9.0).specialize(RULES[0])
-        s_cheap = solve_with_highs(cheap.model)
-        s_dear = solve_with_highs(dear.model)
+        s_cheap = solve_with_highs(cheap.csr)
+        s_dear = solve_with_highs(dear.csr)
         assert s_cheap.objective <= s_dear.objective
 
 
@@ -148,13 +148,13 @@ class TestFormulationCache:
 class TestCompatibilityWrapper:
     def test_build_routing_ilp_defaults_to_shared_cache(self):
         # Two builds of the same clip share the core; the public
-        # RoutingIlp surface (model, nets, graph) is fully populated
+        # RoutingIlp surface (csr, nets, graph) is fully populated
         # either way.
         c = clip()
         ilp_a = build_routing_ilp(c, RULES[0])
         ilp_b = build_routing_ilp(c, RULES[2])
         assert ilp_a.graph is ilp_b.graph
-        assert ilp_a.model is not ilp_b.model
+        assert ilp_a.csr is not ilp_b.csr
 
     def test_reuse_false_builds_private_graph(self):
         c = clip()

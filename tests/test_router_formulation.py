@@ -101,20 +101,20 @@ class TestConstraintStructure:
 
     def test_via_restriction_scales_constraints(self):
         clip = two_pin_clip()
-        n_none = build_routing_ilp(clip, RuleConfig()).model.n_constraints
+        n_none = build_routing_ilp(clip, RuleConfig()).csr.n_rows
         n_4 = build_routing_ilp(
             clip, RuleConfig(via_restriction=ViaRestriction.ORTHOGONAL)
-        ).model.n_constraints
+        ).csr.n_rows
         n_8 = build_routing_ilp(
             clip, RuleConfig(via_restriction=ViaRestriction.FULL)
-        ).model.n_constraints
+        ).csr.n_rows
         assert n_none < n_4 < n_8
 
 
 class TestFlowSemantics:
     def test_source_emits_sink_count_units(self):
         ilp = build_routing_ilp(three_pin_clip(), RuleConfig())
-        solution = solve_with_highs(ilp.model)
+        solution = solve_with_highs(ilp.csr)
         assert solution.status is SolveStatus.OPTIMAL
         nv = ilp.nets[0]
         out_from_source = sum(
@@ -126,7 +126,7 @@ class TestFlowSemantics:
 
     def test_each_sink_absorbs_one_unit(self):
         ilp = build_routing_ilp(three_pin_clip(), RuleConfig())
-        solution = solve_with_highs(ilp.model)
+        solution = solve_with_highs(ilp.csr)
         nv = ilp.nets[0]
         for sink in nv.supersinks:
             inflow = sum(
@@ -142,4 +142,4 @@ class TestFlowSemantics:
             ilp.nets[0].e[a].index for a in ilp.nets[0].virtual_arcs
         }
         for index in virtual_indices:
-            assert index not in ilp.model.objective.coefs
+            assert ilp.csr.obj[index] == 0.0

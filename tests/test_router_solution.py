@@ -26,7 +26,7 @@ def simple_clip():
 class TestDecode:
     def test_decodes_expected_edges(self):
         ilp = build_routing_ilp(simple_clip(), RuleConfig())
-        routing = decode_solution(ilp, solve_with_highs(ilp.model))
+        routing = decode_solution(ilp, solve_with_highs(ilp.csr))
         (net,) = routing.nets
         assert net.net_name == "a"
         assert net.wirelength == 3
@@ -47,7 +47,7 @@ class TestDecode:
 
     def test_virtual_arcs_not_decoded(self):
         ilp = build_routing_ilp(simple_clip(), RuleConfig())
-        routing = decode_solution(ilp, solve_with_highs(ilp.model))
+        routing = decode_solution(ilp, solve_with_highs(ilp.csr))
         for net in routing.nets:
             for a, b in net.wire_edges:
                 assert len(a) == 3 and len(b) == 3  # grid vertices only

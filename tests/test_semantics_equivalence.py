@@ -134,3 +134,25 @@ class TestSolverSweep:
         assert report.ok
         assert report.exhausted
         assert not any(f.kind == "sweep_limit" for f in report.findings)
+
+
+class TestFeasibilityGate:
+    """Pattern points are judged on bounds, integrality and rows, all
+    within 1e-6, with missing variables at their lower bound."""
+
+    def test_gate_rules(self):
+        from repro.analysis.semantics.equivalence import _is_feasible
+        from repro.ilp import CooBuilder
+
+        b = CooBuilder()
+        x = b.binary("x")
+        y = b.var("y", lb=0.0, ub=2.0)
+        b.le(x + y, 2)
+        csr = b.freeze("gate")
+        assert _is_feasible(csr, {x.index: 1, y.index: 1.0})
+        assert _is_feasible(csr, {x.index: 1 + 1e-7})
+        assert not _is_feasible(csr, {x.index: 0.5})  # integrality
+        assert not _is_feasible(csr, {y.index: 2.5})  # bound
+        assert not _is_feasible(csr, {x.index: 1, y.index: 1.5})  # row
+        assert not _is_feasible(csr, {y.index: float("nan")})
+        assert not _is_feasible(csr, {y.index: float("inf")})

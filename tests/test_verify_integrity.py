@@ -13,7 +13,7 @@ import json
 from hypothesis import given, settings, strategies as st
 
 from repro.exec import CheckpointJournal, flip_bit, truncate_file
-from repro.ilp import LinExpr, Model, solve_with_bnb
+from repro.ilp import CooBuilder, solve_with_bnb
 from repro.ilp.solve_cache import SolveCache
 from repro.util.integrity import canonical_checksum, seal_record, verify_seal
 from repro.verify import scan_cache, scan_journal
@@ -128,12 +128,12 @@ class TestJournalScan:
 
 
 def tiny_model():
-    model = Model("tiny")
-    x = model.binary("x")
-    y = model.binary("y")
-    model.add(x + y >= 1)
-    model.minimize(2 * x + 3 * y + 1.0)
-    return model
+    builder = CooBuilder()
+    x = builder.binary("x")
+    y = builder.binary("y")
+    builder.ge(x + y, 1)
+    builder.minimize(2 * x + 3 * y + 1.0)
+    return builder.freeze("tiny")
 
 
 class TestCacheCorruption:
