@@ -6,9 +6,10 @@ Commands:
   under a named Table 3 rule, print metrics and an ASCII rendering.
 - ``evaluate`` (alias ``eval``): run the Figure-6 Δcost flow on
   synthetic clips for a technology's applicable rules, under the
-  fault-tolerant supervisor — supports parallel workers, a backend
-  fallback chain, and resumable checkpoints (``--checkpoint`` /
-  ``--resume``).
+  fault-tolerant supervisor — supports a backend fallback chain,
+  resumable checkpoints (``--checkpoint`` / ``--resume``), and
+  lease-coordinated worker processes over the checkpoint journal
+  (``--procs N --checkpoint PATH``).
 - ``full-flow``: synthesize/place/route a design, extract clips, rank
   them, and report the top pin costs.
 - ``rules``: print the Table 3 rule matrix.
@@ -23,8 +24,8 @@ Commands:
   when anything was quarantined.
 - ``serve``: run the crash-safe sweep service -- an HTTP API with a
   durable WAL-backed experiment queue, admission control, graceful
-  drain, and a shared cross-tenant solve-cache tier
-  (:mod:`repro.service`).
+  drain, a shared cross-tenant solve-cache tier, and ``--procs`` lease
+  workers per sweep (:mod:`repro.service`).
 - ``cache``: inspect (``stats``), bound (``evict``), or wipe
   (``clear``) a persistent solve cache.
 """
@@ -111,8 +112,7 @@ def _cmd_evaluate(args) -> int:
         else None
     )
     supervisor = SupervisorConfig(
-        n_workers=args.workers,
-        isolation="inline" if args.workers == 1 else "process",
+        isolation="inline",
         retry=RetryPolicy(max_attempts=args.max_attempts),
         backends=fallback,
     )
@@ -142,7 +142,6 @@ def _cmd_evaluate(args) -> int:
             clips, rules,
             EvalConfig(
                 time_limit_per_clip=args.time_limit,
-                incremental=not args.no_incremental,
                 solve_cache_dir=args.solve_cache,
                 audit=not args.no_audit,
                 cross_check_fraction=args.cross_check,
@@ -219,7 +218,7 @@ def _cmd_serve(args) -> int:
         host=args.host,
         port=args.port,
         concurrency=args.concurrency,
-        sweep_workers=args.workers,
+        sweep_procs=args.procs,
         default_time_limit=args.time_limit,
         solve_cache=args.solve_cache,
         no_solve_cache=args.no_solve_cache,
@@ -572,8 +571,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--sinks", type=int, default=1)
     ev.add_argument("--access-points", type=int, default=2)
     ev.add_argument("--time-limit", type=float, default=30.0)
-    ev.add_argument("--workers", type=int, default=1,
-                    help="supervised worker count (>1 uses process isolation)")
     ev.add_argument("--checkpoint", default=None, metavar="PATH",
                     help="journal completed (clip, rule) pairs to a JSONL file")
     ev.add_argument("--resume", action="store_true",
@@ -583,9 +580,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "'highs,bnb,baseline'")
     ev.add_argument("--max-attempts", type=int, default=2,
                     help="attempts per backend before falling back")
-    ev.add_argument("--no-incremental", action="store_true",
-                    help="disable cross-rule warm starts (cold solve "
-                         "per (clip, rule) pair, historical order)")
     ev.add_argument("--solve-cache", default=None, metavar="DIR",
                     help="persistent content-addressed solve cache; "
                          "repeated sweeps replay identical solves")
@@ -643,8 +637,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="0 picks an ephemeral port (printed on start)")
     srv.add_argument("--concurrency", type=int, default=1,
                      help="experiments run concurrently (threads)")
-    srv.add_argument("--workers", type=int, default=1,
-                     help="supervised workers inside each sweep")
+    srv.add_argument("--procs", type=int, default=1,
+                     help="lease-coordinated worker processes inside "
+                          "each sweep (the experiment's journal is the "
+                          "coordination log)")
     srv.add_argument("--time-limit", type=float, default=20.0,
                      help="default per-clip solver limit for payloads "
                           "that name none")

@@ -35,7 +35,8 @@ from repro.exec.portfolio import (
     predicted_hard,
 )
 from repro.exec.runner import RouteJob, SupervisedRunner
-from repro.router.optrouter import OptRouteResult, RouteStatus
+from repro.ilp.solve_cache import SolveCache
+from repro.router.optrouter import OptRouteResult, OptRouter, RouteStatus, WarmStart
 from repro.router.rules import RuleConfig, is_restriction
 from repro.router.solution import ClipRouting
 
@@ -290,19 +291,6 @@ class EvalConfig:
     via_cost: float = 4.0
     backend: str = "highs"
     certify: bool = True
-    #: schedule each clip's rules as one group in lattice order (the
-    #: baseline, the rule restricting all others, then the rest by
-    #: :func:`is_restriction` rank) so that every settled outcome of
-    #: the clip warm-starts the rules after it -- sound shortcuts
-    #: only, identical results (see :func:`warm_job` and
-    #: docs/performance.md).  Every bound or inherited infeasibility
-    #: needs a model-level
-    #: :class:`~repro.analysis.semantics.restriction.RestrictionProof`
-    #: of its edge; an edge the syntactic predicate accepts but the
-    #: prover cannot certify is never warmed and is reported in
-    #: ``DeltaCostStudy.restriction_disagreements``.  Off = historical
-    #: rule-major order, no warm starts.
-    incremental: bool = True
     #: directory of the persistent solve cache (None = disabled).
     solve_cache_dir: str | None = None
     #: certify every result; quarantine and heal audit failures.
@@ -334,11 +322,14 @@ class EvalConfig:
 class _SweepPlan:
     """Everything the executors of one sweep agree on, computed once.
 
-    ``pairs`` lists every (clip, rule) pair in input order -- clip-major
-    with ``incremental``, else rule-major -- which is the order jobs are
-    built in.  ``groups`` is the execution order, as indices into
-    ``pairs``: one group per clip, its rules in :func:`_lattice_order`,
-    with ``incremental``, else one group per pair; hardest clip first when
+    ``pairs`` lists every (clip, rule) pair in clip-major input order,
+    which is the order jobs are built in.  ``groups`` is the execution
+    order, as indices into ``pairs``: one group per clip, its rules in
+    :func:`_lattice_order` (the baseline, the rule restricting all
+    others, then the rest by :func:`is_restriction` rank), so that
+    every settled outcome of the clip warm-starts the rules after it
+    through :func:`warm_job` -- sound shortcuts only, identical results
+    (see docs/performance.md).  Groups run hardest clip first when
     racing or budgeted, so the most uncertain work runs while the
     budget is still generous.  ``race_set`` names the clips raced on
     both exact backends, ``deadlines`` is each clip's share of the time
@@ -387,18 +378,14 @@ def _plan_sweep(
     clips: Sequence[Clip], rules: Sequence[RuleConfig], config: EvalConfig
 ) -> _SweepPlan:
     """Plan a sweep once, at its start (see :class:`_SweepPlan`)."""
-    if config.incremental:
-        pairs = [(clip, rule) for clip in clips for rule in rules]
-        order = _lattice_order(rules)
-        by_clip: dict[str, list[int]] = {}
-        for c, clip in enumerate(clips):
-            by_clip.setdefault(clip.name, []).extend(
-                c * len(rules) + r for r in order
-            )
-        groups = list(by_clip.values())
-    else:
-        pairs = [(clip, rule) for rule in rules for clip in clips]
-        groups = [[i] for i in range(len(pairs))]
+    pairs = [(clip, rule) for clip in clips for rule in rules]
+    order = _lattice_order(rules)
+    by_clip: dict[str, list[int]] = {}
+    for c, clip in enumerate(clips):
+        by_clip.setdefault(clip.name, []).extend(
+            c * len(rules) + r for r in order
+        )
+    groups = list(by_clip.values())
     race_set = (
         frozenset(predicted_hard(list(clips))) if config.race else frozenset()
     )
@@ -472,18 +459,20 @@ def evaluate_clips(
     where it stopped and reproduces the uninterrupted study exactly
     (results are deterministic per pair).  Without ``resume`` an
     existing journal is truncated.  ``supervisor`` selects isolation /
-    retry / fallback policy (default: inline single-worker, matching
-    the historical in-process flow; ``config.race`` lifts inline
-    isolation to per-attempt processes, since racers are processes);
-    ``fault_plan`` is for the robustness tests.
+    retry / fallback policy (default: inline, the in-process flow;
+    ``config.race`` lifts inline isolation to per-attempt processes,
+    since racers are processes); ``fault_plan`` is for the robustness
+    tests.
 
     ``config.n_procs > 1`` switches to the lease-coordinated
-    distributed fabric (requires ``checkpoint_path``); ``chaos_kills``
-    SIGKILLs that many random workers mid-sweep (the chaos scenario)
-    and ``stop_event`` is the graceful-shutdown hook.  ``on_outcome``
-    is an observer called with each :class:`ClipRuleOutcome` of a
-    single-process sweep right after it is journaled (progress
-    streaming; chaos-kill triggers).
+    distributed fabric (requires ``checkpoint_path``), the one way a
+    sweep runs in parallel; ``chaos_kills`` SIGKILLs that many random
+    workers mid-sweep (the chaos scenario) and ``stop_event`` is the
+    graceful-shutdown hook.  ``on_outcome`` is an observer called once
+    with the :class:`ClipRuleOutcome` of each pair this sweep journals,
+    right after it is journaled (progress streaming; chaos-kill
+    triggers); a distributed sweep reports a pair when the
+    coordinator's journal poll first sees it.
     """
     if config is None:
         config = EvalConfig()
@@ -502,7 +491,7 @@ def evaluate_clips(
     if config.n_procs <= 1:
         return _execute(
             plan,
-            supervisor or SupervisorConfig(n_workers=1, isolation="inline"),
+            supervisor or SupervisorConfig(isolation="inline"),
             journal,
             done,
             fault_plan=fault_plan,
@@ -523,6 +512,7 @@ def evaluate_clips(
         chaos_kills=chaos_kills,
         chaos_seed=chaos_seed,
         stop_event=stop_event,
+        on_outcome=on_outcome,
     )
 
 
@@ -582,14 +572,26 @@ def _execute(
     # Clips whose journaled prior attempt hit LIMIT race as well.
     limited = {o.clip_name for o in done.values() if o.status is RouteStatus.LIMIT}
 
+    router = OptRouter(
+        wire_cost=config.wire_cost,
+        via_cost=config.via_cost,
+        backend=config.backend,
+        time_limit=config.time_limit_per_clip,
+        certify=config.certify,
+        solve_cache=(
+            SolveCache(config.solve_cache_dir)
+            if config.solve_cache_dir is not None
+            else None
+        ),
+    )
+
     def make_job(clip: Clip, rule: RuleConfig) -> RouteJob:
-        time_limit = config.time_limit_per_clip
+        job_router = router
         if plan.deadlines is not None and clip.name in plan.deadlines:
             # The clip's budget share, spread across its rule jobs.
             per_pair = plan.deadlines[clip.name] / len(plan.rules)
-            time_limit = (
-                per_pair if time_limit is None else min(time_limit, per_pair)
-            )
+            if router.time_limit is None or per_pair < router.time_limit:
+                job_router = replace(router, time_limit=per_pair)
         race_with = None
         if (
             plan.race_set
@@ -597,17 +599,7 @@ def _execute(
             and (clip.name in plan.race_set or clip.name in limited)
         ):
             race_with = RACE_BACKENDS
-        return RouteJob(
-            clip=clip,
-            rules=rule,
-            wire_cost=config.wire_cost,
-            via_cost=config.via_cost,
-            backend=config.backend,
-            time_limit=time_limit,
-            certify=config.certify,
-            solve_cache_dir=config.solve_cache_dir,
-            race_with=race_with,
-        )
+        return RouteJob(clip, rule, job_router, race_with=race_with)
 
     jobs = {
         i: make_job(clip, rule)
@@ -640,15 +632,7 @@ def _execute(
         """Cold re-solve of a quarantined pair: primary backend, no
         warm start, no solve cache, and crucially no fault plan -- the
         heal path must not share the machinery that produced the lie."""
-        from repro.router.optrouter import OptRouter
-
-        result = OptRouter(
-            wire_cost=config.wire_cost,
-            via_cost=config.via_cost,
-            backend=config.backend,
-            time_limit=config.time_limit_per_clip,
-            certify=config.certify,
-        ).route(clip, rule)
+        result = replace(router, solve_cache=None).route(clip, rule)
         result.backend = config.backend
         return result
 
@@ -731,7 +715,7 @@ def _execute(
         groups,
         fault_plan=fault_plan,
         on_result=on_result,
-        derive=derive if config.incremental else None,
+        derive=derive,
     )
 
     study = DeltaCostStudy(
@@ -795,6 +779,7 @@ def _evaluate_distributed(
     chaos_kills: int,
     chaos_seed: int,
     stop_event: "threading.Event | None",
+    on_outcome: "Callable[[ClipRuleOutcome], None] | None",
 ) -> DeltaCostStudy:
     """Lease-coordinated multi-process evaluation.
 
@@ -806,6 +791,11 @@ def _evaluate_distributed(
     re-solves anything still missing on what is left of the sweep's
     budget, and builds the study -- so the returned report is
     byte-identical to a single-process run of the same sweep.
+
+    ``on_outcome`` sees each result record the coordinator's journal
+    snapshots hold that is neither in ``done`` nor already reported,
+    and each pair the closing pass solves itself: every pair this
+    sweep journals, once.
     """
     # Imported at call time, so that a wrapper installed on the module
     # attribute (sweepbench's span tracer) sees the call.
@@ -816,9 +806,7 @@ def _evaluate_distributed(
         _run_lease_group,
         plan=plan,
         journal_path=str(journal.path),
-        supervisor=replace(
-            supervisor or SupervisorConfig(), n_workers=1, isolation="process"
-        ),
+        supervisor=replace(supervisor or SupervisorConfig(), isolation="process"),
         fault_plan=fault_plan,
     )
     monkey = None
@@ -832,6 +820,15 @@ def _evaluate_distributed(
             CheckpointJournal(journal.path),
             KillPlan(plan.config.n_procs, chaos_kills, seed=chaos_seed),
         )
+    reported = set(done)
+
+    def report_new(records: "list[dict]") -> None:
+        for record in dedupe_results(records):
+            key = (record["clip"], record["rule"])
+            if key not in reported and on_outcome is not None:
+                reported.add(key)
+                on_outcome(outcome_from_record(record))
+
     report = run_distributed(
         journal.path,
         plan.lease_keys(done),
@@ -839,14 +836,16 @@ def _evaluate_distributed(
         dist_config,
         monkey=monkey,
         stop_event=stop_event,
+        on_snapshot=report_new if on_outcome is not None else None,
     )
     # Closing pass: ``load`` heals the journal, and the plan's budget
     # has been draining since the sweep started.
     study = _execute(
         plan,
-        SupervisorConfig(n_workers=1, isolation="inline"),
+        SupervisorConfig(isolation="inline"),
         journal,
         _journaled(journal.load()),
+        on_outcome=on_outcome,
     )
     study.distributed_report = report
     return study
@@ -888,8 +887,14 @@ def warm_job(
     The baseline's edge is proven for every follower (its optimum is
     the starting bound); any other edge only where
     :func:`is_restriction` accepts it and its proof would change the
-    outcome.  The seed's provenance rides on the job
-    (``warm_bound_from``/``warm_routing_from``).
+    outcome.  The seed rides on the job as a :class:`WarmStart`, and
+    its provenance as ``warm_bound_from``/``warm_routing_from``.
+
+    Every bound or inherited infeasibility needs a model-level
+    :class:`~repro.analysis.semantics.restriction.RestrictionProof` of
+    its edge; an edge the syntactic predicate accepts but the prover
+    cannot certify is never warmed, and the sweep reports it in
+    ``DeltaCostStudy.restriction_disagreements``.
     """
     from repro.drc.checker import check_clip_routing  # avoid cycle
 
@@ -910,7 +915,9 @@ def warm_job(
 
     for rule, outcome, _ in trusted:
         if outcome.status is RouteStatus.INFEASIBLE and edge(rule):
-            return replace(job, warm_infeasible=True, warm_bound_from=rule.name)
+            return replace(
+                job, warm=WarmStart(infeasible=True), warm_bound_from=rule.name
+            )
 
     optima = [
         (rule, outcome.cost)
@@ -925,7 +932,7 @@ def warm_job(
     if base_optimum is not None and edge(baseline):
         bound, bound_from = base_optimum, baseline.name
     with_bound = (
-        replace(job, warm_lower_bound=bound, warm_bound_from=bound_from)
+        replace(job, warm=WarmStart(lower_bound=bound), warm_bound_from=bound_from)
         if bound_from
         else job
     )
@@ -981,9 +988,7 @@ def warm_job(
         bound, bound_from = lift[1], lift[0].name
     return replace(
         job,
-        warm_routing=routing,
-        warm_cost=cost,
-        warm_lower_bound=bound,
+        warm=WarmStart(routing=routing, cost=cost, lower_bound=bound),
         warm_bound_from=bound_from,
         warm_routing_from=source,
     )

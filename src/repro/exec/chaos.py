@@ -26,6 +26,9 @@ from dataclasses import dataclass, field
 from repro.exec.checkpoint import CheckpointJournal
 from repro.exec.leases import LeaseBoard
 
+#: Seconds between the monkey's journal polls.
+POLL_INTERVAL = 0.05
+
 
 @dataclass(frozen=True)
 class KillPlan:
@@ -67,7 +70,6 @@ class ChaosMonkey:
     #: worker slot -> live PID, registered by the coordinator as it
     #: spawns workers (and re-registered for replacements).
     pids: dict = field(default_factory=dict)
-    poll_interval: float = 0.05
     killed: "list[int]" = field(default_factory=list)
     _stop: threading.Event = field(default_factory=threading.Event)
     _thread: "threading.Thread | None" = None
@@ -102,7 +104,7 @@ class ChaosMonkey:
                 if worker_name(slot) in holders:
                     self._kill(slot, pid)
                     pending.remove(slot)
-            self._stop.wait(self.poll_interval)
+            self._stop.wait(POLL_INTERVAL)
 
     def _kill(self, slot: int, pid: int) -> None:
         try:

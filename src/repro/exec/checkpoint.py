@@ -53,9 +53,9 @@ RECORD_VERSION = 2
 class CheckpointJournal:
     """Append-only JSONL journal of completed job records.
 
-    Thread-safe: the supervised runner appends from supervision
-    threads.  Records are plain dicts; the eval layer owns the
-    outcome <-> record conversion.
+    Thread-safe: a lease worker's heartbeat thread appends while its
+    main thread claims and finishes groups.  Records are plain dicts;
+    the eval layer owns the outcome <-> record conversion.
 
     After :meth:`load`, ``quarantined`` holds a ``(line_number,
     reason, raw_line)`` tuple per rejected record of that load.

@@ -37,7 +37,16 @@ from pathlib import Path
 from repro.exec.chaos import ChaosMonkey, worker_name
 from repro.exec.checkpoint import CheckpointJournal
 from repro.exec.leases import Heartbeat, LeaseBoard, LeaseManager
-from repro.exec.runner import _mp_context
+from repro.exec.runner import _detach_wakeup_fd, _mp_context
+
+
+#: Seconds between the coordinator's journal polls (and between a
+#: worker's claim attempts while every remaining group is held).
+POLL_INTERVAL = 0.05
+
+#: Replacements of dead workers per run; past it, the coordinator
+#: finishes the remaining groups inline.
+MAX_RESPAWNS = 4
 
 
 class SweepInterrupted(RuntimeError):
@@ -59,17 +68,14 @@ class DistributedConfig:
     ``lease_ttl`` must comfortably exceed ``heartbeat_interval`` (a
     live worker refreshes its lease several times per TTL) yet stay
     small enough that a killed worker's group is reclaimed quickly.
-    ``max_respawns`` bounds replacement of dead workers; past it, the
-    coordinator degrades to finishing the remaining groups inline.
+    ``respawn`` replaces dead workers, up to :data:`MAX_RESPAWNS`.
     """
 
     n_procs: int = 2
     lease_ttl: float = 5.0
     heartbeat_interval: float = 1.0
-    poll_interval: float = 0.05
     join_grace: float = 10.0
     respawn: bool = True
-    max_respawns: int = 4
 
     def __post_init__(self) -> None:
         if self.n_procs < 1:
@@ -101,7 +107,6 @@ def _worker_entry(
     work: "Callable[[str], None]",
     lease_ttl: float,
     heartbeat_interval: float,
-    poll_interval: float,
 ) -> None:
     """Worker-process main loop: claim, heartbeat, work, mark done.
 
@@ -114,6 +119,7 @@ def _worker_entry(
         raise SystemExit(0)
 
     try:
+        _detach_wakeup_fd()
         signal.signal(signal.SIGTERM, _graceful_term)
     except ValueError:  # pragma: no cover - non-main thread
         pass
@@ -134,7 +140,7 @@ def _worker_entry(
             if claimed is None:
                 # Everything left is held by live peers; wait for a
                 # completion or an expiry.
-                time.sleep(poll_interval)
+                time.sleep(POLL_INTERVAL)
                 continue
             heartbeat = Heartbeat(manager, claimed, heartbeat_interval)
             heartbeat.start()
@@ -154,17 +160,21 @@ def run_distributed(
     config: DistributedConfig | None = None,
     monkey: ChaosMonkey | None = None,
     stop_event: "threading.Event | None" = None,
+    on_snapshot: "Callable[[list[dict]], None] | None" = None,
 ) -> DistributedReport:
     """Run ``work`` over every group with lease-coordinated workers.
 
     Blocks until every group is marked done in the journal.  Dead
-    workers are respawned up to ``config.max_respawns``; if all
-    workers die past that bound, the coordinator finishes the
-    remaining groups inline -- no group is ever lost.  ``monkey`` (the
-    chaos scenario) gets each worker PID registered before it starts
-    shooting.  ``stop_event`` is the graceful-shutdown hook: when set
-    (by a signal handler), workers are reaped and
-    :class:`SweepInterrupted` is raised with the journal path.
+    workers are respawned up to :data:`MAX_RESPAWNS`; if all workers
+    die past that bound, the coordinator finishes the remaining groups
+    inline -- no group is ever lost.  ``monkey`` (the chaos scenario)
+    gets each worker PID registered before it starts shooting.
+    ``stop_event`` is the graceful-shutdown hook: when set (by a
+    signal handler), workers are reaped and :class:`SweepInterrupted`
+    is raised with the journal path.  ``on_snapshot`` sees the records
+    of every journal snapshot the coordinator polls, and a last one
+    after the workers are reaped (which also holds the groups it
+    finished inline).
     """
     if config is None:
         config = DistributedConfig()
@@ -186,7 +196,6 @@ def run_distributed(
                 work,
                 config.lease_ttl,
                 config.heartbeat_interval,
-                config.poll_interval,
             ),
             name=worker_name(slot),
             daemon=False,  # workers spawn per-attempt child processes
@@ -207,7 +216,10 @@ def run_distributed(
                     "workers reaped",
                     journal_path,
                 )
-            board = LeaseBoard.from_records(journal.read())
+            records = journal.read()
+            if on_snapshot is not None:
+                on_snapshot(records)
+            board = LeaseBoard.from_records(records)
             remaining = [g for g in keys if not board.is_done(g)]
             if not remaining:
                 break
@@ -216,7 +228,7 @@ def run_distributed(
                     continue
                 proc.join(0)
                 del workers[slot]
-                if config.respawn and report.respawns < config.max_respawns:
+                if config.respawn and report.respawns < MAX_RESPAWNS:
                     report.respawns += 1
                     workers[slot] = spawn(slot)
             if not workers:
@@ -234,14 +246,16 @@ def run_distributed(
                     coordinator.done(group)
                     report.inline_groups.append(group)
                 break
-            time.sleep(config.poll_interval)
+            time.sleep(POLL_INTERVAL)
     finally:
         if monkey is not None:
             monkey.stop()
             report.killed = list(monkey.killed)
         _shutdown(workers, config.join_grace)
-    board = LeaseBoard.from_records(journal.read())
-    report.reclaims = board.reclaim_count()
+    records = journal.read()
+    if on_snapshot is not None:
+        on_snapshot(records)
+    report.reclaims = LeaseBoard.from_records(records).reclaim_count()
     report.elapsed = time.monotonic() - t0
     return report
 

@@ -52,12 +52,25 @@ class RetryPolicy:
         return base * (1.0 - self.jitter_fraction / 2 + self.jitter_fraction * u)
 
 
+#: The hard wall-clock deadline of one attempt is its time limit times
+#: this factor: the slack lets a solver finish a solve that honors its
+#: (advisory) internal limit, and keeps the deadline under the
+#: acceptance bound of twice the limit.
+HARD_DEADLINE_FACTOR = 1.5
+
+
+def deadline_for(time_limit: float | None) -> float | None:
+    """Hard wall-clock deadline for one attempt (None = no limit)."""
+    if time_limit is None:
+        return None
+    return time_limit * HARD_DEADLINE_FACTOR
+
+
 @dataclass(frozen=True)
 class SupervisorConfig:
     """Knobs of the supervised runner.
 
     Attributes:
-        n_workers: concurrent jobs (supervision threads).
         isolation: ``"process"`` runs each attempt in its own child
             process (crash isolation + preemptive deadlines);
             ``"inline"`` runs attempts in the calling process (for
@@ -69,37 +82,14 @@ class SupervisorConfig:
             fallback: only the job's own backend is used.  A job whose
             backend appears in the chain starts from that position;
             otherwise its backend is tried first, then the whole chain.
-        hard_deadline_factor: the hard wall-clock deadline per attempt
-            is ``time_limit * hard_deadline_factor`` — the slack lets a
-            solver finish a solve that honors its (advisory) internal
-            limit.  Must keep the deadline under the acceptance bound
-            of 2x the configured limit.
-        hard_deadline: explicit per-attempt deadline in seconds,
-            overriding the factor.  ``None`` with a job ``time_limit``
-            of ``None`` means no deadline.
     """
 
-    n_workers: int = 1
     isolation: str = "process"
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     backends: tuple[str, ...] | None = None
-    hard_deadline_factor: float = 1.5
-    hard_deadline: float | None = None
 
     def __post_init__(self) -> None:
-        if self.n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
         if self.isolation not in ("process", "inline"):
             raise ValueError(f"unknown isolation {self.isolation!r}")
         if self.backends is not None and not self.backends:
             raise ValueError("backends chain must be non-empty or None")
-        if not 1.0 <= self.hard_deadline_factor <= 2.0:
-            raise ValueError("hard_deadline_factor must be in [1.0, 2.0]")
-
-    def deadline_for(self, time_limit: float | None) -> float | None:
-        """Hard wall-clock deadline for one attempt."""
-        if self.hard_deadline is not None:
-            return self.hard_deadline
-        if time_limit is None:
-            return None
-        return time_limit * self.hard_deadline_factor

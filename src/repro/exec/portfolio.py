@@ -207,9 +207,9 @@ def _certifier_for(job) -> ResultAuditor:
     # cross-check, and a wrong INFEASIBLE still fails certification
     # whenever any racer finds a routing first.
     return ResultAuditor(
-        wire_cost=job.wire_cost,
-        via_cost=job.via_cost,
-        backend=job.backend,
+        wire_cost=job.router.wire_cost,
+        via_cost=job.router.via_cost,
+        backend=job.router.backend,
         config=AuditConfig(confirm_infeasible=False),
     )
 

@@ -14,11 +14,13 @@ runs under a supervisor that
   ``highs -> bnb -> baseline``), tagging every result with the
   backend/attempt that produced it.
 
-Architecture: ``n_workers`` supervision threads each run one job at a
-time; every *attempt* is a fresh child process connected by a pipe.
-The supervisor waits on the pipe with a timeout, so a crash (EOF), a
+Architecture: the runner works through its jobs one at a time; every
+*attempt* is a fresh child process connected by a pipe.  The
+supervisor waits on the pipe with a timeout, so a crash (EOF), a
 wedge (poll timeout), and a success (payload) are all first-class
-outcomes.  See ``docs/robustness.md``.
+outcomes.  A sweep runs in parallel only on lease workers
+(:mod:`repro.exec.distributed`), each with its own runner.  See
+``docs/robustness.md``.
 """
 
 from __future__ import annotations
@@ -28,9 +30,7 @@ import pickle
 import signal
 import time
 from collections.abc import Callable, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from threading import Lock
 
 from repro.clips.clip import Clip
 from repro.exec.faults import (
@@ -41,10 +41,9 @@ from repro.exec.faults import (
     apply_fault,
     mutate_result,
 )
-from repro.exec.policy import SupervisorConfig
+from repro.exec.policy import SupervisorConfig, deadline_for
 from repro.router.optrouter import OptRouteResult, OptRouter, RouteStatus, WarmStart
 from repro.router.rules import RuleConfig
-from repro.router.solution import ClipRouting
 
 #: Exit code the worker's SIGTERM handler uses for a clean fast exit.
 _TERM_EXIT = 97
@@ -58,67 +57,28 @@ class SweepAborted(RuntimeError):
 class RouteJob:
     """One (clip, rule) routing job.
 
-    ``router`` optionally carries the caller's router instance so its
-    exact settings (including subclasses) are honored; backends other
-    than the router's own are derived with :func:`dataclasses.replace`.
+    ``router`` is the sweep's router, whose settings (subclasses
+    included) every attempt honors; an attempt on another backend
+    derives its router with :func:`dataclasses.replace`.
     """
 
     clip: Clip
     rules: RuleConfig
-    wire_cost: float = 1.0
-    via_cost: float = 4.0
-    backend: str = "highs"
-    time_limit: float | None = None
-    certify: bool = True
-    router: OptRouter | None = None
-    #: cross-rule warm-start seed, set by the incremental sweep's
-    #: ``derive`` hook from the clip's settled outcomes.
-    warm_routing: "ClipRouting | None" = None
-    warm_cost: float | None = None
-    warm_lower_bound: float | None = None
-    warm_infeasible: bool = False
+    router: OptRouter
+    #: cross-rule warm-start seed, set by the sweep's ``derive`` hook
+    #: from the clip's settled outcomes.
+    warm: WarmStart | None = None
     #: the seed's provenance, as rule names: the rule whose proven
     #: outcome gave the lower bound (or the inherited infeasibility)
     #: and the rule whose routing is offered for reuse ("" = none).
     #: Bookkeeping for the sweep's journal; the router ignores them.
     warm_bound_from: str = ""
     warm_routing_from: str = ""
-    #: persistent solve-cache directory (None = no cache).
-    solve_cache_dir: str | None = None
     #: backends to race concurrently for this job (portfolio mode);
     #: None/empty = no racing.  The supervisor races them in separate
     #: processes and keeps the first *certified* answer; on a failed
     #: race the job falls through to the normal retry/fallback chain.
     race_with: tuple[str, ...] | None = None
-
-    def warm_start(self) -> "WarmStart | None":
-        if (
-            self.warm_routing is None
-            and self.warm_lower_bound is None
-            and not self.warm_infeasible
-        ):
-            return None
-        return WarmStart(
-            routing=self.warm_routing,
-            cost=self.warm_cost,
-            lower_bound=self.warm_lower_bound,
-            infeasible=self.warm_infeasible,
-        )
-
-    @classmethod
-    def from_router(
-        cls, clip: Clip, rules: RuleConfig, router: OptRouter
-    ) -> "RouteJob":
-        return cls(
-            clip=clip,
-            rules=rules,
-            wire_cost=router.wire_cost,
-            via_cost=router.via_cost,
-            backend=router.backend,
-            time_limit=router.time_limit,
-            certify=router.certify,
-            router=router,
-        )
 
 
 @dataclass(frozen=True)
@@ -140,45 +100,13 @@ def _attempt_entry(
     }
 
 
-def _router_for(job: RouteJob, backend: str) -> OptRouter:
-    if job.router is not None:
-        router = job.router
-        if router.backend != backend:
-            router = replace(router, backend=backend)
-        if job.solve_cache_dir is not None and router.solve_cache is None:
-            from repro.ilp.solve_cache import SolveCache
-
-            router = replace(
-                router, solve_cache=SolveCache(job.solve_cache_dir)
-            )
-        return router
-    solve_cache = None
-    if job.solve_cache_dir is not None:
-        from repro.ilp.solve_cache import SolveCache
-
-        solve_cache = SolveCache(job.solve_cache_dir)
-    return OptRouter(
-        wire_cost=job.wire_cost,
-        via_cost=job.via_cost,
-        backend=backend,
-        time_limit=job.time_limit,
-        certify=job.certify,
-        solve_cache=solve_cache,
-    )
-
-
 def _route_with_backend(job: RouteJob, backend: str) -> OptRouteResult:
     if backend == "baseline":
         return _route_with_baseline(job)
-    router = _router_for(job, backend)
-    warm = job.warm_start()
-    # Only seeded jobs pass the keyword: OptRouter subclasses that
-    # predate the warm path and override route(clip, rules) keep
-    # working everywhere no seed is scheduled.
-    if warm is None:
-        result = router.route(job.clip, job.rules)
-    else:
-        result = router.route(job.clip, job.rules, warm=warm)
+    router = job.router
+    if router.backend != backend:
+        router = replace(router, backend=backend)
+    result = router.route(job.clip, job.rules, warm=job.warm)
     result.backend = backend
     return result
 
@@ -193,7 +121,9 @@ def _route_with_baseline(job: RouteJob) -> OptRouteResult:
     """
     from repro.router.baseline import BaselineClipRouter
 
-    base = BaselineClipRouter(wire_cost=job.wire_cost, via_cost=job.via_cost)
+    base = BaselineClipRouter(
+        wire_cost=job.router.wire_cost, via_cost=job.router.via_cost
+    )
     t0 = time.perf_counter()
     res = base.route(job.clip, job.rules)
     elapsed = time.perf_counter() - t0
@@ -236,6 +166,7 @@ def _worker_main(job, backend, fault, attempt, conn) -> None:
     # Cooperative interrupt handling: a supervisor terminate() must not
     # leave the solver wedged in native code longer than necessary.
     try:
+        _detach_wakeup_fd()
         signal.signal(signal.SIGTERM, lambda *_: _fast_exit())
     except ValueError:  # non-main thread (never expected; be safe)
         pass
@@ -252,6 +183,17 @@ def _worker_main(job, backend, fault, attempt, conn) -> None:
             conn.close()
         except Exception:
             pass
+
+
+def _detach_wakeup_fd() -> None:
+    """Stop this forked child's signals from reaching its parent.
+
+    A fork inherits the parent's signal wakeup fd -- in ``repro
+    serve``, the self-pipe of the asyncio loop whose SIGTERM handler
+    drains the server -- so every signal the child receives (the
+    supervisor's terminate() included) would also run the parent's
+    handler."""
+    signal.set_wakeup_fd(-1)
 
 
 def _fast_exit() -> None:
@@ -295,23 +237,6 @@ class SupervisedRunner:
 
     # -- public API ---------------------------------------------------------
 
-    def run(
-        self,
-        jobs: Sequence[RouteJob],
-        fault_plan: FaultPlan | None = None,
-        on_result: "Callable[[int, OptRouteResult], None] | None" = None,
-    ) -> list[OptRouteResult]:
-        """Run all jobs; results come back in input order.
-
-        ``on_result(index, result)`` fires as each job completes (under
-        a lock when parallel) — the checkpoint hook.  Results are
-        complete even when individual jobs crash or time out; only an
-        injected ABORT fault raises :class:`SweepAborted`.
-        """
-        return self.run_groups(
-            [[job] for job in jobs], fault_plan=fault_plan, on_result=on_result
-        )
-
     def run_groups(
         self,
         groups: Sequence[Sequence[RouteJob]],
@@ -319,62 +244,35 @@ class SupervisedRunner:
         on_result: "Callable[[int, OptRouteResult], None] | None" = None,
         derive: "Callable[[RouteJob], RouteJob] | None" = None,
     ) -> list[OptRouteResult]:
-        """Run groups of jobs; jobs within a group run *in order on
-        one worker*, so later jobs can be rewritten from earlier
-        results — the cross-rule warm-start mechanism (one group per
-        clip, in the sweep's lattice order).
+        """Run groups of jobs in order, one job at a time; results come
+        back in that order.  Jobs within a group may be rewritten from
+        earlier results -- the cross-rule warm-start mechanism (one
+        group per clip, in the sweep's lattice order).
 
         ``derive(job)`` is called right before each job runs, after
-        ``on_result`` has seen every earlier job of the group; it
-        returns the (possibly rewritten) job to run.  Parallelism is
-        across groups.  Fault indices and ``on_result`` indices are
-        flat positions in the concatenated job order, so journals and
-        fault plans are agnostic of the grouping.
+        ``on_result(index, result)`` -- the checkpoint hook -- has seen
+        every earlier job; it returns the (possibly rewritten) job to
+        run.  Fault indices and ``on_result`` indices are flat
+        positions in the concatenated job order, so journals and fault
+        plans are agnostic of the grouping.  Results are complete even
+        when individual jobs crash or time out; only an injected ABORT
+        fault raises :class:`SweepAborted`.
         """
-        flat: list[RouteJob] = [job for group in groups for job in group]
-        faults = [
-            fault_plan.fault_for(i, job.clip.name, job.rules.name)
-            if fault_plan is not None
-            else None
-            for i, job in enumerate(flat)
-        ]
-        starts: list[int] = []
-        offset = 0
-        for group in groups:
-            starts.append(offset)
-            offset += len(group)
-        results: list[OptRouteResult | None] = [None] * len(flat)
-        lock = Lock()
-        sequential = self.config.n_workers == 1
-
-        def _run_group(g: int) -> None:
-            for j, job in enumerate(groups[g]):
-                index = starts[g] + j
-                if derive is not None:
-                    job = derive(job)
-                result = self.run_one(job, faults[index], index=index)
-                if sequential:
-                    results[index] = result
-                    if on_result is not None:
-                        on_result(index, result)
-                else:
-                    with lock:
-                        results[index] = result
-                        if on_result is not None:
-                            on_result(index, result)
-
-        if sequential:
-            for g in range(len(groups)):
-                _run_group(g)
-            return [r for r in results if r is not None]
-
-        with ThreadPoolExecutor(max_workers=self.config.n_workers) as pool:
-            futures = [
-                pool.submit(_run_group, g) for g in range(len(groups))
-            ]
-            for future in futures:
-                future.result()  # propagate SweepAborted / internal errors
-        return [r for r in results if r is not None]
+        results: list[OptRouteResult] = []
+        for job in (job for group in groups for job in group):
+            index = len(results)
+            fault = (
+                fault_plan.fault_for(index, job.clip.name, job.rules.name)
+                if fault_plan is not None
+                else None
+            )
+            if derive is not None:
+                job = derive(job)
+            result = self.run_one(job, fault, index=index)
+            results.append(result)
+            if on_result is not None:
+                on_result(index, result)
+        return results
 
     def run_one(
         self,
@@ -463,17 +361,21 @@ class SupervisedRunner:
         if budget is None:
             return job
         tier = budget.tier()  # "race" | "single" | "baseline"
+        router = job.router
         changes: dict = {}
+        routing: dict = {}
         if tier != "race" and job.race_with:
             changes["race_with"] = None
-        if tier == "baseline" and job.backend != "baseline":
-            changes["backend"] = "baseline"
+        if tier == "baseline" and router.backend != "baseline":
+            routing["backend"] = "baseline"
             changes["race_with"] = None
-        clamped = budget.clamp(job.time_limit)
+        clamped = budget.clamp(router.time_limit)
         if clamped is not None and (
-            job.time_limit is None or clamped < job.time_limit
+            router.time_limit is None or clamped < router.time_limit
         ):
-            changes["time_limit"] = max(0.1, clamped)
+            routing["time_limit"] = max(0.1, clamped)
+        if routing:
+            changes["router"] = replace(router, **routing)
         return replace(job, **changes) if changes else job
 
     def _race(
@@ -498,8 +400,8 @@ class SupervisedRunner:
         outcome = race_solve(
             job,
             backends,
-            deadline=self.config.deadline_for(job.time_limit),
-            certify_winner=job.certify,
+            deadline=deadline_for(job.router.time_limit),
+            certify_winner=job.router.certify,
         )
         label = "race:" + "+".join(backends)
         if outcome.winner is not None:
@@ -529,12 +431,13 @@ class SupervisedRunner:
     # -- internals ----------------------------------------------------------
 
     def _chain(self, job: RouteJob) -> tuple[str, ...]:
+        backend = job.router.backend
         chain = self.config.backends
         if chain is None:
-            return (job.backend,)
-        if job.backend in chain:
-            return tuple(chain[chain.index(job.backend):])
-        return (job.backend, *chain)
+            return (backend,)
+        if backend in chain:
+            return tuple(chain[chain.index(backend):])
+        return (backend, *chain)
 
     def _attempt(
         self, job: RouteJob, backend: str, fault: FaultSpec | None, attempt: int
@@ -566,7 +469,7 @@ class SupervisedRunner:
         except Exception as exc:  # worker-equivalent containment
             return None, _Failure("error", f"{type(exc).__name__}: {exc}")
         elapsed = time.perf_counter() - t0
-        deadline = self.config.deadline_for(job.time_limit)
+        deadline = deadline_for(job.router.time_limit)
         if deadline is not None and elapsed > deadline:
             # Inline isolation cannot preempt; enforce the deadline
             # post-hoc so both isolation modes share semantics.
@@ -598,7 +501,7 @@ class SupervisedRunner:
             child_conn.close()
             return self._attempt_inline(job, backend, fault, attempt)
         child_conn.close()
-        deadline = self.config.deadline_for(job.time_limit)
+        deadline = deadline_for(job.router.time_limit)
         try:
             if not parent_conn.poll(deadline):
                 self._reap(proc)

@@ -155,8 +155,9 @@ class FormulationCache:
     Keyed on clip *identity* plus the core knobs.  Clips are frozen
     dataclasses and the cache keeps strong references, so an id key
     can neither go stale through mutation nor be reused while cached.
-    Thread-safe: the supervised runner specializes from several
-    supervision threads; ``specialize`` itself only reads the base.
+    Thread-safe: the service's scheduler threads (``repro serve
+    --concurrency``) run sweeps in one process; ``specialize`` itself
+    only reads the base.
     """
 
     def __init__(self, max_entries: int = 4):

@@ -29,7 +29,7 @@ from repro.router.solution import ClipRouting, decode_solution
 class WarmStart:
     """Cross-rule seed for :meth:`OptRouter.route`.
 
-    Produced by the incremental sweep (:func:`repro.eval.flow.warm_job`)
+    Produced by the lattice sweep (:func:`repro.eval.flow.warm_job`)
     from the clip's *settled* outcomes under other rules, over edges
     proven to be restrictions (see
     :func:`repro.router.rules.is_restriction` and

@@ -20,10 +20,11 @@ pair and requeue, the WAL records the requeue, and the process exits
 covers it -- the drain just avoids abandoning a half-solved pair.
 
 The asyncio loop serves HTTP; sweeps run on scheduler threads (the
-solver work is CPU-bound and blocking).  Handlers touch shared state
-only through the thread-safe store/scheduler/admission objects, and
-run blocking report rebuilds in the default executor so the control
-plane stays responsive mid-sweep.
+solver work is CPU-bound and blocking), each on ``--procs`` lease
+workers.  Handlers touch shared state only through the thread-safe
+store/scheduler/admission objects, and run blocking report rebuilds
+in the default executor so the control plane stays responsive
+mid-sweep.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ class ServiceConfig:
     host: str = "127.0.0.1"
     port: int = 8080
     concurrency: int = 1
-    sweep_workers: int = 1
+    sweep_procs: int = 1
     default_time_limit: float = 20.0
     solve_cache: "str | None" = None  # default: <data_dir>/solve-cache
     no_solve_cache: bool = False
@@ -96,7 +97,7 @@ class ServiceApp:
         self.solve_cache_dir = cache_dir
         self.scheduler = Scheduler(self.store, SchedulerConfig(
             n_workers=config.concurrency,
-            sweep_workers=config.sweep_workers,
+            sweep_procs=config.sweep_procs,
             solve_cache_dir=cache_dir,
             chaos_kill_after=config.chaos_kill_after,
         ))

@@ -2,8 +2,9 @@
 
 Worker threads (``n_workers``) pull QUEUED experiments and run each
 through :func:`repro.eval.flow.evaluate_clips` -- the same supervised,
-checkpointed, audited path the CLI uses, which is what makes the
-service's reports byte-identical to a sequential ``repro evaluate``.
+checkpointed, audited path the CLI uses, on ``sweep_procs`` lease
+workers, which is what makes the service's reports byte-identical to
+a sequential ``repro evaluate``.
 
 **Ordering.**  Tenants are served round-robin (least recently served
 first), so one tenant's backlog cannot starve another; within a
@@ -16,9 +17,9 @@ runs while the service is freshest.  Ordering never affects results
 moment an experiment is scheduled:
 
 - tier 0 (light load): the payload's racing request is honored;
-- tier 1 (``degrade_at_depth``): racing is disabled -- same results,
-  less CPU per pair;
-- tier 2 (``baseline_at_depth``): a tight :class:`SweepBudget` is
+- tier 1 (:data:`DEGRADE_AT_DEPTH`): racing is disabled -- same
+  results, less CPU per pair;
+- tier 2 (:data:`BASELINE_AT_DEPTH`): a tight :class:`SweepBudget` is
   imposed, engaging the existing racing->single->baseline budget
   ladder inside the sweep; the experiment is marked DEGRADED because
   budget-expired pairs carry no optimality guarantee.
@@ -29,8 +30,9 @@ SIGKILL re-solves only un-journaled pairs -- and a re-run of a
 *complete* journal performs zero solves and just re-renders the
 report.  A drain or cancel sets the experiment's stop event; the
 sweep raises :class:`SweepInterrupted` *after* journaling the
-in-flight pair, and the scheduler maps that to QUEUED (drain --
-resumes after restart) or CANCELLED (client asked).
+in-flight pair (on lease workers, at the coordinator's next journal
+poll, after reaping the workers), and the scheduler maps that to
+QUEUED (drain -- resumes after restart) or CANCELLED (client asked).
 
 **Chaos hook.**  ``chaos_kill_after=N`` SIGKILLs the *whole server
 process* after the Nth journaled pair -- the acceptance scenario's
@@ -46,9 +48,15 @@ import threading
 from dataclasses import dataclass
 
 from repro.exec.distributed import SweepInterrupted
-from repro.exec.policy import SupervisorConfig
 from repro.service.experiments import Experiment, ExperimentState
 from repro.service.store import ExperimentStore, TransitionError
+
+#: Queue depth at which racing is disabled (tier 1).
+DEGRADE_AT_DEPTH = 4
+#: Queue depth at which the budget ladder engages (tier 2).
+BASELINE_AT_DEPTH = 8
+#: Tier-2 budget: this many seconds per (clip, rule) pair.
+BASELINE_SECONDS_PER_PAIR = 5.0
 
 
 @dataclass(frozen=True)
@@ -57,28 +65,19 @@ class SchedulerConfig:
 
     #: concurrent experiments (threads; each runs one sweep).
     n_workers: int = 1
-    #: supervised workers *inside* each sweep (1 = inline isolation).
-    sweep_workers: int = 1
+    #: lease-worker processes *inside* each sweep
+    #: (``EvalConfig.n_procs``; 1 = one inline process).
+    sweep_procs: int = 1
     #: shared content-addressed solve-cache directory (None disables).
     solve_cache_dir: "str | None" = None
-    #: queue depth at which racing is disabled (tier 1).
-    degrade_at_depth: int = 4
-    #: queue depth at which the budget ladder engages (tier 2).
-    baseline_at_depth: int = 8
-    #: tier-2 budget: this many seconds per (clip, rule) pair.
-    baseline_seconds_per_pair: float = 5.0
     #: SIGKILL the server after this many journaled pairs (0 = off).
     chaos_kill_after: int = 0
 
     def __post_init__(self) -> None:
         if self.n_workers < 1:
             raise ValueError("n_workers must be >= 1")
-        if self.sweep_workers < 1:
-            raise ValueError("sweep_workers must be >= 1")
-        if not 0 < self.degrade_at_depth <= self.baseline_at_depth:
-            raise ValueError(
-                "need 0 < degrade_at_depth <= baseline_at_depth"
-            )
+        if self.sweep_procs < 1:
+            raise ValueError("sweep_procs must be >= 1")
 
 
 class Scheduler:
@@ -156,9 +155,9 @@ class Scheduler:
 
     def _tier(self) -> int:
         depth = self.store.counts()["pending_total"]
-        if depth >= self.config.baseline_at_depth:
+        if depth >= BASELINE_AT_DEPTH:
             return 2
-        if depth >= self.config.degrade_at_depth:
+        if depth >= DEGRADE_AT_DEPTH:
             return 1
         return 0
 
@@ -282,19 +281,16 @@ class Scheduler:
         resolved = experiment.resolved
         time_budget = resolved.time_budget
         if tier >= 2:
-            tight = self.config.baseline_seconds_per_pair * experiment.n_pairs
+            tight = BASELINE_SECONDS_PER_PAIR * experiment.n_pairs
             time_budget = (
                 tight if time_budget is None else min(time_budget, tight)
             )
         config = EvalConfig(
             time_limit_per_clip=resolved.time_limit,
             solve_cache_dir=self.config.solve_cache_dir,
+            n_procs=self.config.sweep_procs,
             race=resolved.race and tier == 0,
             time_budget=time_budget,
-        )
-        supervisor = SupervisorConfig(
-            n_workers=self.config.sweep_workers,
-            isolation="inline" if self.config.sweep_workers == 1 else "process",
         )
         journal_path = self.store.journal_path(experiment.id)
         experiment.completed_pairs = self._journaled_pairs(journal_path)
@@ -316,7 +312,6 @@ class Scheduler:
             config,
             checkpoint_path=journal_path,
             resume=True,
-            supervisor=supervisor,
             stop_event=stop,
             on_outcome=on_outcome,
         )

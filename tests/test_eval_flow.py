@@ -17,6 +17,8 @@ from repro.eval import (
 from repro.eval.report import format_sorted_traces
 from repro.router import RuleConfig, ViaRestriction
 
+from .sweep_oracle import cold_study
+
 
 @pytest.fixture(scope="module")
 def study():
@@ -317,7 +319,7 @@ class TestRacedBudgetedSweeps:
         def run_one(self, job, fault=None, index=0):
             with open(log_path, "a", encoding="utf-8") as handle:
                 handle.write(json.dumps(
-                    [job.clip.name, job.rules.name, job.time_limit]
+                    [job.clip.name, job.rules.name, job.router.time_limit]
                 ) + "\n")
             return original(self, job, fault, index)
 
@@ -370,7 +372,7 @@ class TestRacedBudgetedSweeps:
             clips, rules,
             EvalConfig(time_limit_per_clip=None, race=True,
                        time_budget=self.BUDGET),
-            supervisor=SupervisorConfig(n_workers=1, isolation="process"),
+            supervisor=SupervisorConfig(isolation="process"),
         )
         self._check(study, clips, rules, log_path)
 
@@ -399,6 +401,74 @@ class TestRacedBudgetedSweeps:
         )
         assert study.distributed_report is not None
         self._check(study, clips, rules, log_path)
+
+
+class TestOnOutcome:
+    """``on_outcome`` reports each pair a sweep journals exactly once:
+    inline, on lease workers (also with one or both SIGKILLed, when the
+    coordinator finishes the groups left inline), on a resume, and in
+    the coordinator's closing pass."""
+
+    def _clips(self):
+        spec = SyntheticClipSpec(nx=5, ny=6, nz=3, n_nets=2, sinks_per_net=1)
+        return [make_synthetic_clip(spec, seed=s) for s in range(4)]
+
+    def _pairs(self, clips):
+        from repro.eval import rules_for_technology
+
+        return sorted(
+            (clip.name, rule.name)
+            for clip in clips
+            for rule in rules_for_technology("N7-9T")
+        )
+
+    def _sweep(self, clips, path, n_procs=1, **kwargs):
+        """The (clip, rule) pairs ``on_outcome`` saw, in report order."""
+        from repro.eval import rules_for_technology
+
+        seen = []
+        evaluate_clips(
+            clips, rules_for_technology("N7-9T"),
+            EvalConfig(time_limit_per_clip=30.0, n_procs=n_procs),
+            checkpoint_path=path,
+            on_outcome=lambda o: seen.append((o.clip_name, o.rule_name)),
+            **kwargs,
+        )
+        return seen
+
+    @pytest.mark.parametrize(
+        "n_procs, chaos_kills", [(1, 0), (2, 0), (2, 1), (2, 2)],
+        ids=["inline", "lease-workers", "chaos-kill", "all-workers-killed"],
+    )
+    def test_every_pair_once(self, tmp_path, n_procs, chaos_kills):
+        clips = self._clips()
+        seen = self._sweep(
+            clips, tmp_path / "sweep.jsonl", n_procs, chaos_kills=chaos_kills
+        )
+        assert sorted(seen) == self._pairs(clips)
+
+    def test_resume_reports_only_the_missing_pairs(self, tmp_path):
+        clips = self._clips()
+        path = tmp_path / "sweep.jsonl"
+        self._sweep(clips[:2], path)
+        seen = self._sweep(clips, path, 2, resume=True)
+        assert sorted(seen) == self._pairs(clips[2:])
+
+    def test_closing_pass_reports_the_pairs_it_solves(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.exec.distributed as distributed
+        from repro.exec import DistributedReport
+
+        def no_workers(journal_path, keys, work, config, **_):
+            return DistributedReport(config.n_procs, len(keys))
+
+        # Workers that journal nothing leave every pair to the
+        # coordinator's closing pass.
+        monkeypatch.setattr(distributed, "run_distributed", no_workers)
+        clips = self._clips()[:2]
+        seen = self._sweep(clips, tmp_path / "sweep.jsonl", 2)
+        assert sorted(seen) == self._pairs(clips)
 
 
 class TestColumnarSweep:
@@ -518,8 +588,9 @@ class TestWarmJob:
     def _warm(self, follower, settled, names, prover):
         from repro.eval.flow import warm_job
         from repro.exec import RouteJob
+        from repro.router import OptRouter
 
-        job = RouteJob(clip=_via_pair_clip(), rules=paper_rule(follower))
+        job = RouteJob(_via_pair_clip(), paper_rule(follower), OptRouter())
         rules = [paper_rule(name) for name in names]
         return job, warm_job(job, settled, rules, prover)
 
@@ -533,17 +604,17 @@ class TestWarmJob:
         }
         prover = _Prover()
         _, rule8 = self._warm("RULE8", settled, names, prover)
-        assert rule8.warm_infeasible and rule8.warm_bound_from == "RULE3"
+        assert rule8.warm.infeasible and rule8.warm_bound_from == "RULE3"
         # RULE6 does not restrict RULE3: it keeps only RULE1's bound.
         _, rule6 = self._warm("RULE6", settled, names, prover)
-        assert not rule6.warm_infeasible
-        assert (rule6.warm_lower_bound, rule6.warm_bound_from) == (8.0, "RULE1")
+        assert not rule6.warm.infeasible
+        assert (rule6.warm.lower_bound, rule6.warm_bound_from) == (8.0, "RULE1")
         assert ("RULE3", "RULE6") not in prover.calls
         # An edge the prover cannot certify transfers nothing.
         _, unproven = self._warm(
             "RULE8", settled, names, _Prover(refused={("RULE3", "RULE8")})
         )
-        assert not unproven.warm_infeasible
+        assert not unproven.warm.infeasible
 
     def test_no_lift_proof_when_the_baseline_bound_is_met(self):
         from repro.router import RouteStatus
@@ -554,8 +625,8 @@ class TestWarmJob:
         }
         prover = _Prover()
         _, job = self._warm("RULE9", settled, ("RULE1", "RULE6", "RULE9"), prover)
-        assert job.warm_routing is APART
-        assert (job.warm_cost, job.warm_lower_bound) == (8.0, 8.0)
+        assert job.warm.routing is APART
+        assert (job.warm.cost, job.warm.lower_bound) == (8.0, 8.0)
         assert (job.warm_bound_from, job.warm_routing_from) == ("RULE1", "RULE6")
         # RULE6 -> RULE9 could lift the bound, but nothing needs it.
         assert prover.calls == [("RULE1", "RULE9")]
@@ -570,15 +641,15 @@ class TestWarmJob:
         prover = _Prover()
         names = ("RULE1", "RULE6", "RULE9")
         _, job = self._warm("RULE9", settled, names, prover)
-        assert job.warm_routing is APART and job.warm_lower_bound == 8.0
+        assert job.warm.routing is APART and job.warm.lower_bound == 8.0
         assert (job.warm_bound_from, job.warm_routing_from) == ("RULE6", "RULE6")
         assert prover.calls == [("RULE1", "RULE9"), ("RULE6", "RULE9")]
         # Without that proof the routing is not offered.
         _, refused = self._warm(
             "RULE9", settled, names, _Prover(refused={("RULE6", "RULE9")})
         )
-        assert refused.warm_routing is None
-        assert (refused.warm_lower_bound, refused.warm_bound_from) == (7.0, "RULE1")
+        assert refused.warm.routing is None
+        assert (refused.warm.lower_bound, refused.warm_bound_from) == (7.0, "RULE1")
 
     def test_degraded_or_quarantined_outcomes_seed_nothing(self):
         from repro.router import RouteStatus
@@ -614,13 +685,13 @@ class TestWarmJob:
             "RULE5": self._settled("RULE5", RouteStatus.OPTIMAL, 8.0, APART),
         }
         _, job = self._warm("RULE6", settled, names, _Prover())
-        assert job.warm_routing is APART and job.warm_routing_from == "RULE5"
+        assert job.warm.routing is APART and job.warm_routing_from == "RULE5"
         # With only the failing routing settled, none is offered; the
         # baseline's bound still seeds the job.
         _, alone = self._warm(
             "RULE6", {"RULE1": settled["RULE1"]}, names, _Prover()
         )
-        assert alone.warm_routing is None
+        assert alone.warm.routing is None
         assert alone.warm_bound_from == "RULE1"
 
 
@@ -635,7 +706,7 @@ class TestLatticeSweep:
         clips = [make_synthetic_clip(spec, seed=s) for s in (7003, 7034)]
         return (
             evaluate_clips(clips, paper_rules(), EvalConfig()),
-            evaluate_clips(clips, paper_rules(), EvalConfig(incremental=False)),
+            cold_study(clips, paper_rules(), EvalConfig()),
         )
 
     def test_rule_major_results_in_at_most_six_cold_solves(self, studies):

@@ -156,7 +156,7 @@ class TestResume:
         reference_table = format_delta_cost_table(reference)
 
         # Kill the sweep partway through (keyed, so it fires at that
-        # exact pair regardless of batch position).  The incremental
+        # exact pair regardless of batch position).  The lattice
         # schedule is clip-major: clip0 finishes both rules, clip1
         # finishes RULE1, then the abort fires on clip1/RULE6.
         abort_plan = FaultPlan(
@@ -180,8 +180,7 @@ class TestResume:
             population, rule_set, CONFIG,
             checkpoint_path=path, resume=True,
             supervisor=SupervisorConfig(
-                n_workers=1, isolation="inline",
-                retry=RetryPolicy(max_attempts=1),
+                isolation="inline", retry=RetryPolicy(max_attempts=1)
             ),
             fault_plan=tripwire,
         )
@@ -214,8 +213,7 @@ class TestResume:
             population, rule_set, CONFIG,
             checkpoint_path=path, resume=True,
             supervisor=SupervisorConfig(
-                n_workers=1, isolation="inline",
-                retry=RetryPolicy(max_attempts=1),
+                isolation="inline", retry=RetryPolicy(max_attempts=1)
             ),
             fault_plan=tripwire,
         )
@@ -256,8 +254,7 @@ class TestResume:
             population, rule_set, CONFIG,
             checkpoint_path=path,
             supervisor=SupervisorConfig(
-                n_workers=1, isolation="inline",
-                retry=RetryPolicy(max_attempts=1),
+                isolation="inline", retry=RetryPolicy(max_attempts=1)
             ),
             fault_plan=crash,
         )

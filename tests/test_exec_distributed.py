@@ -44,6 +44,12 @@ def slow_append_result(group, journal_path):
     append_result(group, journal_path)
 
 
+def stuck_append_result(group, journal_path):
+    """Work that outlasts any grace period: only a SIGTERM ends it."""
+    time.sleep(30.0)
+    append_result(group, journal_path)
+
+
 def crash_once_then_append(group, journal_path):
     """Die hard on the first attempt of g0; succeed on any retry.
 
@@ -159,6 +165,44 @@ class TestRunDistributed:
                 stop_event=stop,
             )
         assert info.value.journal_path == path
+
+    def test_reaped_worker_does_not_signal_the_parent_loop(self, tmp_path):
+        """``repro serve`` coordinates under an asyncio loop whose
+        SIGTERM handler drains the server; the SIGTERM that reaps a
+        worker past its grace must not reach that handler."""
+        import asyncio
+        import signal
+        import threading
+
+        from repro.exec import SweepInterrupted
+
+        path = str(tmp_path / "j.jsonl")
+        stop = threading.Event()
+        fired = []
+
+        def coordinate():
+            with pytest.raises(SweepInterrupted):
+                run_distributed(
+                    path, ["g0"],
+                    partial(stuck_append_result, journal_path=path),
+                    DistributedConfig(n_procs=1, lease_ttl=1.0,
+                                      heartbeat_interval=0.2, join_grace=0.2),
+                    stop_event=stop,
+                )
+
+        async def supervise():
+            loop = asyncio.get_running_loop()
+            loop.add_signal_handler(signal.SIGTERM, fired.append, "TERM")
+            try:
+                loop.call_later(1.0, stop.set)  # the worker is solving
+                await loop.run_in_executor(None, coordinate)
+                await asyncio.sleep(0.5)  # a stray wakeup would land here
+            finally:
+                loop.remove_signal_handler(signal.SIGTERM)
+
+        asyncio.run(supervise())
+        assert fired == []
+        assert result_clips(path) == []  # reaped before it journaled
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

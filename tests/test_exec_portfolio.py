@@ -121,7 +121,7 @@ class TestRaceSolve:
     def test_race_produces_certified_optimal_and_cancels_loser(self):
         clip = clips(1)[0]
         router = OptRouter(time_limit=30.0)
-        job = RouteJob.from_router(clip, RuleConfig(), router)
+        job = RouteJob(clip, RuleConfig(), router)
         outcome = race_solve(job, ("highs", "bnb"), deadline=60.0)
         assert outcome.winner in ("highs", "bnb")
         assert outcome.result.status is RouteStatus.OPTIMAL
@@ -134,7 +134,7 @@ class TestRaceSolve:
         clip = clips(1)[0]
         router = OptRouter(time_limit=30.0)
         sequential = router.route(clip, RuleConfig())
-        job = RouteJob.from_router(clip, RuleConfig(), router)
+        job = RouteJob(clip, RuleConfig(), router)
         outcome = race_solve(job, ("highs", "bnb"), deadline=60.0)
         assert outcome.result.cost == sequential.cost
         assert outcome.result.status is sequential.status
@@ -142,7 +142,7 @@ class TestRaceSolve:
     def test_race_deadline_yields_timeout_result(self):
         clip = clips(1)[0]
         router = OptRouter(time_limit=30.0)
-        job = RouteJob.from_router(clip, RuleConfig(), router)
+        job = RouteJob(clip, RuleConfig(), router)
         outcome = race_solve(job, ("highs", "bnb"), deadline=0.0)
         assert outcome.winner is None
         assert outcome.result.status is RouteStatus.TIMEOUT

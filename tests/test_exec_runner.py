@@ -37,9 +37,12 @@ def clips(n=3):
 
 def jobs_for(population, time_limit=30.0, backend="highs"):
     router = OptRouter(time_limit=time_limit, backend=backend)
-    return [
-        RouteJob.from_router(clip, RuleConfig(), router) for clip in population
-    ]
+    return [RouteJob(clip, RuleConfig(), router) for clip in population]
+
+
+def run_jobs(runner, jobs, **kwargs):
+    """Run each job as its own group; results in input order."""
+    return runner.run_groups([[job] for job in jobs], **kwargs)
 
 
 def fast_retry(max_attempts=2):
@@ -49,12 +52,14 @@ def fast_retry(max_attempts=2):
 class TestCleanRuns:
     def test_inline_and_process_agree(self):
         population = clips()
-        inline = SupervisedRunner(
-            SupervisorConfig(n_workers=1, isolation="inline")
-        ).run(jobs_for(population))
-        proc = SupervisedRunner(
-            SupervisorConfig(n_workers=2, isolation="process")
-        ).run(jobs_for(population))
+        inline = run_jobs(
+            SupervisedRunner(SupervisorConfig(isolation="inline")),
+            jobs_for(population),
+        )
+        proc = run_jobs(
+            SupervisedRunner(SupervisorConfig(isolation="process")),
+            jobs_for(population),
+        )
         assert [r.cost for r in inline] == [r.cost for r in proc]
         assert all(r.status is RouteStatus.OPTIMAL for r in proc)
         assert all(r.backend == "highs" for r in proc)
@@ -64,9 +69,11 @@ class TestCleanRuns:
     def test_on_result_fires_for_every_job(self):
         population = clips()
         seen = []
-        SupervisedRunner(
-            SupervisorConfig(n_workers=2, isolation="process")
-        ).run(jobs_for(population), on_result=lambda i, r: seen.append(i))
+        run_jobs(
+            SupervisedRunner(SupervisorConfig(isolation="process")),
+            jobs_for(population),
+            on_result=lambda i, r: seen.append(i),
+        )
         assert sorted(seen) == [0, 1, 2]
 
     def test_inline_honors_router_subclass(self):
@@ -75,18 +82,16 @@ class TestCleanRuns:
         calls = []
 
         class CountingRouter(OptRouter):
-            def route(self, clip, rules=None):
+            def route(self, clip, rules=None, warm=None):
                 calls.append(clip.name)
-                return super().route(clip, rules)
+                return super().route(clip, rules, warm=warm)
 
         population = clips(2)
         router = CountingRouter(time_limit=30.0)
-        results = SupervisedRunner(
-            SupervisorConfig(n_workers=1, isolation="inline")
-        ).run([
-            RouteJob.from_router(clip, RuleConfig(), router)
-            for clip in population
-        ])
+        results = run_jobs(
+            SupervisedRunner(SupervisorConfig(isolation="inline")),
+            [RouteJob(clip, RuleConfig(), router) for clip in population],
+        )
         assert calls == [c.name for c in population]
         assert all(r.feasible for r in results)
 
@@ -96,11 +101,9 @@ class TestCrashIsolation:
         population = clips(3)
         plan = FaultPlan(by_index={1: FaultSpec(FaultKind.CRASH)})
         runner = SupervisedRunner(
-            SupervisorConfig(
-                n_workers=2, isolation="process", retry=fast_retry(2)
-            )
+            SupervisorConfig(isolation="process", retry=fast_retry(2))
         )
-        results = runner.run(jobs_for(population), fault_plan=plan)
+        results = run_jobs(runner, jobs_for(population), fault_plan=plan)
         # Order preserved, statuses correct, sibling results intact.
         assert [r.clip_name for r in results] == [c.name for c in population]
         assert results[0].status is RouteStatus.OPTIMAL
@@ -112,11 +115,9 @@ class TestCrashIsolation:
         population = clips(1)
         plan = FaultPlan(by_index={0: FaultSpec(FaultKind.CRASH, exit_code=73)})
         runner = SupervisedRunner(
-            SupervisorConfig(
-                n_workers=1, isolation="process", retry=fast_retry(2)
-            )
+            SupervisorConfig(isolation="process", retry=fast_retry(2))
         )
-        result = runner.run(jobs_for(population), fault_plan=plan)[0]
+        result = run_jobs(runner, jobs_for(population), fault_plan=plan)[0]
         assert result.status is RouteStatus.ERROR
         assert result.attempts == 2  # retried before giving up
         assert "crash" in result.diagnostics
@@ -126,11 +127,9 @@ class TestCrashIsolation:
         population = clips(2)
         plan = FaultPlan(by_index={0: FaultSpec(FaultKind.CRASH)})
         runner = SupervisedRunner(
-            SupervisorConfig(
-                n_workers=1, isolation="inline", retry=fast_retry(1)
-            )
+            SupervisorConfig(isolation="inline", retry=fast_retry(1))
         )
-        results = runner.run(jobs_for(population), fault_plan=plan)
+        results = run_jobs(runner, jobs_for(population), fault_plan=plan)
         assert results[0].status is RouteStatus.ERROR
         assert results[1].status is RouteStatus.OPTIMAL
 
@@ -141,29 +140,56 @@ class TestHardDeadline:
         population = clips(1)
         plan = FaultPlan(by_index={0: FaultSpec(FaultKind.SLEEP, sleep_seconds=30.0)})
         runner = SupervisedRunner(
-            SupervisorConfig(
-                n_workers=1, isolation="process", retry=fast_retry(1)
-            )
+            SupervisorConfig(isolation="process", retry=fast_retry(1))
         )
         t0 = time.perf_counter()
-        result = runner.run(
-            jobs_for(population, time_limit=limit), fault_plan=plan
+        result = run_jobs(
+            runner, jobs_for(population, time_limit=limit), fault_plan=plan
         )[0]
         elapsed = time.perf_counter() - t0
         assert result.status is RouteStatus.TIMEOUT
         assert elapsed < 2 * limit
         assert "deadline" in result.diagnostics
 
+    def test_reaped_attempt_does_not_signal_the_parent_loop(self):
+        """The service supervises attempts under an asyncio loop whose
+        SIGTERM handler drains the server; the SIGTERM that reaps a
+        wedged attempt must not reach that handler."""
+        import asyncio
+        import signal
+
+        population = clips(1)
+        plan = FaultPlan(by_index={0: FaultSpec(FaultKind.SLEEP, sleep_seconds=30.0)})
+        runner = SupervisedRunner(
+            SupervisorConfig(isolation="process", retry=fast_retry(1))
+        )
+        fired = []
+
+        async def supervise():
+            loop = asyncio.get_running_loop()
+            loop.add_signal_handler(signal.SIGTERM, fired.append, "TERM")
+            try:
+                result = await loop.run_in_executor(None, lambda: run_jobs(
+                    runner, jobs_for(population, time_limit=0.5),
+                    fault_plan=plan,
+                )[0])
+                await asyncio.sleep(0.5)  # a stray wakeup would land here
+            finally:
+                loop.remove_signal_handler(signal.SIGTERM)
+            return result
+
+        result = asyncio.run(supervise())
+        assert result.status is RouteStatus.TIMEOUT
+        assert fired == []
+
     def test_timeout_skips_retries_on_same_backend(self):
         population = clips(1)
         plan = FaultPlan(by_index={0: FaultSpec(FaultKind.SLEEP, sleep_seconds=30.0)})
         runner = SupervisedRunner(
-            SupervisorConfig(
-                n_workers=1, isolation="process", retry=fast_retry(3)
-            )
+            SupervisorConfig(isolation="process", retry=fast_retry(3))
         )
-        result = runner.run(
-            jobs_for(population, time_limit=0.5), fault_plan=plan
+        result = run_jobs(
+            runner, jobs_for(population, time_limit=0.5), fault_plan=plan
         )[0]
         # A deterministic deadline blowup is not retried on the same
         # backend: one attempt, then give up (no fallback configured).
@@ -177,11 +203,9 @@ class TestRetry:
         plan = FaultPlan(by_index={0: FaultSpec(FaultKind.FLAKY, fail_attempts=1)})
         for isolation in ("inline", "process"):
             runner = SupervisedRunner(
-                SupervisorConfig(
-                    n_workers=1, isolation=isolation, retry=fast_retry(2)
-                )
+                SupervisorConfig(isolation=isolation, retry=fast_retry(2))
             )
-            result = runner.run(jobs_for(population), fault_plan=plan)[0]
+            result = run_jobs(runner, jobs_for(population), fault_plan=plan)[0]
             assert result.status is RouteStatus.OPTIMAL
             assert result.attempts == 2
             assert not result.degraded
@@ -199,11 +223,7 @@ class TestRetry:
         with pytest.raises(ValueError):
             RetryPolicy(max_attempts=0)
         with pytest.raises(ValueError):
-            SupervisorConfig(n_workers=0)
-        with pytest.raises(ValueError):
             SupervisorConfig(isolation="thread")
-        with pytest.raises(ValueError):
-            SupervisorConfig(hard_deadline_factor=5.0)
         with pytest.raises(ValueError):
             RetryPolicy(jitter_fraction=1.5)
 
@@ -238,21 +258,21 @@ class TestRetry:
 class TestFallbackChain:
     def test_falls_back_to_bnb_with_same_optimum(self):
         population = clips(1)
-        clean = SupervisedRunner(
-            SupervisorConfig(n_workers=1, isolation="inline")
-        ).run(jobs_for(population))[0]
+        clean = run_jobs(
+            SupervisedRunner(SupervisorConfig(isolation="inline")),
+            jobs_for(population),
+        )[0]
         plan = FaultPlan(
             by_index={0: FaultSpec(FaultKind.CRASH, only_backend="highs")}
         )
         runner = SupervisedRunner(
             SupervisorConfig(
-                n_workers=1,
                 isolation="process",
                 retry=fast_retry(1),
                 backends=("highs", "bnb"),
             )
         )
-        result = runner.run(jobs_for(population), fault_plan=plan)[0]
+        result = run_jobs(runner, jobs_for(population), fault_plan=plan)[0]
         assert result.status is RouteStatus.OPTIMAL
         assert result.backend == "bnb"
         assert result.degraded  # non-primary backend is flagged
@@ -260,21 +280,21 @@ class TestFallbackChain:
 
     def test_exhausted_chain_degrades_to_baseline(self):
         population = clips(1)
-        clean = SupervisedRunner(
-            SupervisorConfig(n_workers=1, isolation="inline")
-        ).run(jobs_for(population))[0]
+        clean = run_jobs(
+            SupervisedRunner(SupervisorConfig(isolation="inline")),
+            jobs_for(population),
+        )[0]
         plan = FaultPlan(
             by_index={0: FaultSpec(FaultKind.CRASH, only_backend="highs")}
         )
         runner = SupervisedRunner(
             SupervisorConfig(
-                n_workers=1,
                 isolation="process",
                 retry=fast_retry(2),
                 backends=("highs", "baseline"),
             )
         )
-        result = runner.run(jobs_for(population), fault_plan=plan)[0]
+        result = run_jobs(runner, jobs_for(population), fault_plan=plan)[0]
         # Baseline produces a routing but no optimality proof: tagged
         # LIMIT + degraded so Δcost accounting excludes it.
         assert result.status is RouteStatus.LIMIT
@@ -289,13 +309,12 @@ class TestFallbackChain:
         plan = FaultPlan(by_index={0: FaultSpec(FaultKind.CRASH)})  # all backends
         runner = SupervisedRunner(
             SupervisorConfig(
-                n_workers=1,
                 isolation="process",
                 retry=fast_retry(2),
                 backends=("highs", "bnb"),
             )
         )
-        result = runner.run(jobs_for(population), fault_plan=plan)[0]
+        result = run_jobs(runner, jobs_for(population), fault_plan=plan)[0]
         assert result.status is RouteStatus.ERROR
         assert result.attempts == 4
         assert result.diagnostics.count("crash") == 4
@@ -319,11 +338,9 @@ class TestCorruptResults:
         plan = FaultPlan(by_index={0: FaultSpec(FaultKind.CORRUPT)})
         for isolation in ("inline", "process"):
             runner = SupervisedRunner(
-                SupervisorConfig(
-                    n_workers=1, isolation=isolation, retry=fast_retry(1)
-                )
+                SupervisorConfig(isolation=isolation, retry=fast_retry(1))
             )
-            result = runner.run(jobs_for(population), fault_plan=plan)[0]
+            result = run_jobs(runner, jobs_for(population), fault_plan=plan)[0]
             assert result.status is RouteStatus.ERROR
             assert "corrupt" in result.diagnostics
 
@@ -334,13 +351,12 @@ class TestCorruptResults:
         )
         runner = SupervisedRunner(
             SupervisorConfig(
-                n_workers=1,
                 isolation="inline",
                 retry=fast_retry(1),
                 backends=("highs", "bnb"),
             )
         )
-        result = runner.run(jobs_for(population), fault_plan=plan)[0]
+        result = run_jobs(runner, jobs_for(population), fault_plan=plan)[0]
         assert result.status is RouteStatus.OPTIMAL
         assert result.backend == "bnb"
 
@@ -350,11 +366,12 @@ class TestAbort:
         population = clips(2)
         plan = FaultPlan(by_index={1: FaultSpec(FaultKind.ABORT)})
         runner = SupervisedRunner(
-            SupervisorConfig(n_workers=1, isolation="inline")
+            SupervisorConfig(isolation="inline")
         )
         completed = []
         with pytest.raises(SweepAborted):
-            runner.run(
+            run_jobs(
+                runner,
                 jobs_for(population),
                 fault_plan=plan,
                 on_result=lambda i, r: completed.append(i),
@@ -366,7 +383,7 @@ class TestAttemptLog:
     def test_clean_run_logs_one_ok_attempt(self):
         [job] = jobs_for(clips(1))
         result = SupervisedRunner(
-            SupervisorConfig(n_workers=1, isolation="inline")
+            SupervisorConfig(isolation="inline")
         ).run_one(job)
         assert result.status is RouteStatus.OPTIMAL
         assert len(result.attempt_log) == 1
@@ -379,9 +396,7 @@ class TestAttemptLog:
     def test_crash_retry_logs_failure_then_success(self):
         [job] = jobs_for(clips(1))
         result = SupervisedRunner(
-            SupervisorConfig(
-                n_workers=1, isolation="inline", retry=fast_retry()
-            )
+            SupervisorConfig(isolation="inline", retry=fast_retry())
         ).run_one(job, FaultSpec(FaultKind.FLAKY, fail_attempts=1))
         assert result.status is RouteStatus.OPTIMAL
         assert result.attempts == 2
@@ -393,7 +408,7 @@ class TestAttemptLog:
         [job] = jobs_for(clips(1))
         result = SupervisedRunner(
             SupervisorConfig(
-                n_workers=1, isolation="inline", retry=fast_retry(2),
+                isolation="inline", retry=fast_retry(2),
                 backends=("highs",),
             )
         ).run_one(job, FaultSpec(FaultKind.CRASH))
@@ -434,9 +449,9 @@ class TestMpContext:
         )
         population = clips(1)
         router = unpicklable_router(time_limit=30.0)
-        job = RouteJob.from_router(population[0], RuleConfig(), router)
+        job = RouteJob(population[0], RuleConfig(), router)
         result = SupervisedRunner(
-            SupervisorConfig(n_workers=1, isolation="process")
+            SupervisorConfig(isolation="process")
         ).run_one(job)
         assert result.status is RouteStatus.OPTIMAL
         assert result.attempts == 1
@@ -451,11 +466,9 @@ class TestMpContext:
         )
         population = clips(1)
         router = unpicklable_router(time_limit=30.0)
-        job = RouteJob.from_router(population[0], RuleConfig(), router)
+        job = RouteJob(population[0], RuleConfig(), router)
         result = SupervisedRunner(
-            SupervisorConfig(
-                n_workers=1, isolation="process", retry=fast_retry()
-            )
+            SupervisorConfig(isolation="process", retry=fast_retry())
         ).run_one(job, FaultSpec(FaultKind.FLAKY, fail_attempts=1))
         # The injected crash fired inside the inline fallback (it was
         # not silently dropped with the failed pickling), then retry
@@ -470,10 +483,10 @@ class TestRacingIntegration:
         population = clips(1)
         router = OptRouter(time_limit=30.0)
         sequential = router.route(population[0], RuleConfig())
-        job = RouteJob.from_router(population[0], RuleConfig(), router)
+        job = RouteJob(population[0], RuleConfig(), router)
         job = replace(job, race_with=("highs", "bnb"))
         result = SupervisedRunner(
-            SupervisorConfig(n_workers=1, isolation="process")
+            SupervisorConfig(isolation="process")
         ).run_one(job)
         assert result.status is sequential.status
         assert result.cost == sequential.cost
@@ -483,10 +496,10 @@ class TestRacingIntegration:
     def test_inline_isolation_skips_race_with_note(self):
         population = clips(1)
         router = OptRouter(time_limit=30.0)
-        job = RouteJob.from_router(population[0], RuleConfig(), router)
+        job = RouteJob(population[0], RuleConfig(), router)
         job = replace(job, race_with=("highs", "bnb"))
         result = SupervisedRunner(
-            SupervisorConfig(n_workers=1, isolation="inline")
+            SupervisorConfig(isolation="inline")
         ).run_one(job)
         assert result.status is RouteStatus.OPTIMAL
         assert "race skipped" in (result.diagnostics or "")
@@ -496,7 +509,7 @@ class TestBudgetedDegradation:
     def _job(self):
         population = clips(1)
         router = OptRouter(time_limit=30.0)
-        job = RouteJob.from_router(population[0], RuleConfig(), router)
+        job = RouteJob(population[0], RuleConfig(), router)
         return replace(job, race_with=("highs", "bnb"))
 
     def test_generous_budget_keeps_racing(self):
@@ -504,7 +517,7 @@ class TestBudgetedDegradation:
 
         budget = SweepBudget(total=10_000.0)
         runner = SupervisedRunner(
-            SupervisorConfig(n_workers=1, isolation="process"), budget=budget
+            SupervisorConfig(isolation="process"), budget=budget
         )
         result = runner.run_one(self._job())
         assert result.status is RouteStatus.OPTIMAL
@@ -518,7 +531,7 @@ class TestBudgetedDegradation:
             total=100.0, started=0.0, clock=lambda: now[0]
         )  # 25% left -> single tier
         runner = SupervisedRunner(
-            SupervisorConfig(n_workers=1, isolation="process"), budget=budget
+            SupervisorConfig(isolation="process"), budget=budget
         )
         result = runner.run_one(self._job())
         assert result.status is RouteStatus.OPTIMAL
@@ -531,7 +544,7 @@ class TestBudgetedDegradation:
         now = [99.0]
         budget = SweepBudget(total=100.0, started=0.0, clock=lambda: now[0])
         runner = SupervisedRunner(
-            SupervisorConfig(n_workers=1, isolation="inline"), budget=budget
+            SupervisorConfig(isolation="inline"), budget=budget
         )
         result = runner.run_one(self._job())
         assert result.backend == "baseline"

@@ -1,6 +1,6 @@
 """Warm-start / bound-reuse soundness: seeded solves must be exact.
 
-The incremental sweep is only a performance feature: every shortcut it
+The lattice sweep's warm starts are only a performance feature: every shortcut it
 takes (inherited infeasibility, reused baseline routing, inherited
 lower bound) must produce bit-identical statuses and equal optimal
 objectives to a cold solve.  These tests attack each shortcut.
@@ -139,10 +139,12 @@ class TestOptRouterWarm:
         pytest.skip("no seed produced a DRC-dirty baseline routing")
 
     def test_incremental_sweep_equals_cold_sweep(self):
-        """End to end: the incremental schedule (warm starts, bound
-        reuse, formulation sharing) reproduces the rule-major cold
-        sweep's statuses and objectives exactly."""
+        """End to end: the lattice schedule (warm starts, bound
+        reuse, formulation sharing) reproduces a cold solve of every
+        pair's statuses and objectives exactly."""
         from repro.eval import EvalConfig, evaluate_clips
+
+        from .sweep_oracle import cold_study
 
         rng = random.Random(7)
         population = [_clip(rng.randrange(100)) for _ in range(3)]
@@ -163,10 +165,7 @@ class TestOptRouterWarm:
             ),
         ]
         config = EvalConfig(time_limit_per_clip=30.0)
-        cold = evaluate_clips(
-            population, rule_set,
-            EvalConfig(time_limit_per_clip=30.0, incremental=False),
-        )
+        cold = cold_study(population, rule_set, config)
         warm = evaluate_clips(population, rule_set, config)
         for rule_name in cold.rule_names:
             cold_out = {

@@ -22,6 +22,8 @@ from repro.router.rules import (
     is_restriction,
 )
 
+from .sweep_oracle import cold_study
+
 
 def _micro_clip(name: str):
     for micro in micro_corpus():
@@ -203,11 +205,8 @@ class TestCertifiedWarmSweep:
             clips, rules,
             EvalConfig(time_limit_per_clip=30.0, audit=False),
         )
-        cold = evaluate_clips(
-            clips, rules,
-            EvalConfig(
-                time_limit_per_clip=30.0, audit=False, incremental=False
-            ),
+        cold = cold_study(
+            clips, rules, EvalConfig(time_limit_per_clip=30.0, audit=False)
         )
         # No predicate-vs-prover disagreement in the buggy direction.
         assert warm.restriction_disagreements == []

@@ -16,7 +16,10 @@ One module-scoped fixture drives the whole cycle against real
    with every result audit-certified;
 5. SIGTERM drains the server gracefully: exit code 0.
 
-The individual tests below just assert over the captured artifacts.
+A second fixture runs the kill, restart and drain with ``--procs 2``,
+each sweep on two lease workers, and checks that no process outlives
+the cycle.  The individual tests below just assert over the captured
+artifacts.
 """
 
 import json
@@ -103,8 +106,44 @@ def _wait_terminal(port, exp_id, timeout=280.0):
     raise TimeoutError(f"experiment {exp_id} did not terminate")
 
 
+def _processes_naming(path):
+    """PIDs of live processes whose command line names ``path`` (lease
+    workers are forks of the server, so they carry its command line);
+    None where ``/proc`` is not available."""
+    proc = Path("/proc")
+    if not proc.is_dir():
+        return None
+    needle = str(path).encode()
+    pids = []
+    for entry in proc.iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            cmdline = (entry / "cmdline").read_bytes()
+        except OSError:
+            continue  # exited while we looked
+        if needle in cmdline:
+            pids.append(int(entry.name))
+    return pids
+
+
 @pytest.fixture(scope="module")
-def chaos(tmp_path_factory):
+def baseline_stdout():
+    """The sequential baseline: one CLI sweep in a fresh process."""
+    baseline = subprocess.run(
+        [sys.executable, "-m", "repro.cli", *BASELINE_CLI],
+        capture_output=True,
+        text=True,
+        env=_env(),
+        cwd=REPO,
+        timeout=280,
+        check=True,
+    )
+    return baseline.stdout
+
+
+@pytest.fixture(scope="module")
+def chaos(tmp_path_factory, baseline_stdout):
     root = tmp_path_factory.mktemp("chaos")
     data = root / "data"
     captured = {}
@@ -158,16 +197,53 @@ def chaos(tmp_path_factory):
         proc2.stdout.close()
 
     # -- phase 3: the sequential baseline, in a fresh process --------------
-    baseline = subprocess.run(
-        [sys.executable, "-m", "repro.cli", *BASELINE_CLI],
-        capture_output=True,
-        text=True,
-        env=_env(),
-        cwd=REPO,
-        timeout=280,
-        check=True,
+    captured["baseline_stdout"] = baseline_stdout
+    return captured
+
+
+@pytest.fixture(scope="module")
+def procs_chaos(tmp_path_factory, baseline_stdout):
+    """The kill/restart/drain cycle with two lease workers per sweep."""
+    data = tmp_path_factory.mktemp("procs-chaos") / "data"
+    captured = {"baseline_stdout": baseline_stdout}
+
+    # The coordinator reports pairs as its journal polls see them, so
+    # the server still dies right after its second reported pair; its
+    # orphaned workers finish their group and exit on their own.
+    proc, port = _start_server(
+        data, "--procs", "2", "--chaos-kill-after", "2"
     )
-    captured["baseline_stdout"] = baseline.stdout
+    status, raw = _request(port, "POST", "/v1/experiments", body=PAYLOAD)
+    assert status == 201, raw
+    exp_id = json.loads(raw)["id"]
+    captured["kill_rc"] = proc.wait(timeout=280)
+    proc.stdout.close()
+
+    proc2, port2 = _start_server(data, "--procs", "2")
+    try:
+        captured["final"] = _wait_terminal(port2, exp_id)
+        status, report = _request(
+            port2, "GET", f"/v1/experiments/{exp_id}/report"
+        )
+        assert status == 200, report
+        captured["report"] = report
+    finally:
+        proc2.send_signal(signal.SIGTERM)
+        captured["drain_rc"] = proc2.wait(timeout=120)
+        captured["drain_log"] = proc2.stdout.read()
+        proc2.stdout.close()
+
+    from repro.exec import CheckpointJournal, record_kind
+
+    journal = CheckpointJournal(data / "experiments" / exp_id / "journal.jsonl")
+    captured["journal_kinds"] = [record_kind(r) for r in journal.read()]
+
+    deadline = time.monotonic() + 60.0
+    left = _processes_naming(data)
+    while left and time.monotonic() < deadline:
+        time.sleep(0.5)
+        left = _processes_naming(data)
+    captured["left_behind"] = left
     return captured
 
 
@@ -207,3 +283,34 @@ class TestChaosCycle:
     def test_graceful_drain_exits_zero(self, chaos):
         assert chaos["drain_rc"] == 0
         assert "drain complete" in chaos["drain_log"]
+
+
+class TestLeaseWorkerCycle:
+    def test_server_sigkilled_itself_mid_sweep(self, procs_chaos):
+        assert procs_chaos["kill_rc"] == -signal.SIGKILL
+
+    def test_sweep_ran_on_lease_workers(self, procs_chaos):
+        # Workers claim the clip's group with lease records in the
+        # experiment's journal; an inline sweep writes none.
+        assert "lease" in procs_chaos["journal_kinds"]
+        assert procs_chaos["journal_kinds"].count("result") >= 6
+
+    def test_recovery_resumes_to_done(self, procs_chaos):
+        final = procs_chaos["final"]
+        assert final["state"] == "DONE"
+        assert final["completed_pairs"] == final["n_pairs"] == 6
+
+    def test_report_byte_identical_to_sequential_run(self, procs_chaos):
+        assert (
+            procs_chaos["report"].decode("utf-8")
+            == procs_chaos["baseline_stdout"]
+        )
+
+    def test_graceful_drain_exits_zero(self, procs_chaos):
+        assert procs_chaos["drain_rc"] == 0
+        assert "drain complete" in procs_chaos["drain_log"]
+
+    def test_no_process_outlives_the_cycle(self, procs_chaos):
+        if procs_chaos["left_behind"] is None:
+            pytest.skip("no /proc to list processes")
+        assert procs_chaos["left_behind"] == []
