@@ -5,9 +5,14 @@ provides the equivalent capability without external solvers:
 
 - :mod:`repro.ilp.csr` -- the one model representation: a MILP as
   contiguous CSR arrays (:class:`CsrModel`), emitted row by row
-  through :class:`CooBuilder`;
-- :mod:`repro.ilp.model` -- the linear-expression algebra
-  (:class:`Var`, :class:`LinExpr`) rows are written with;
+  through one emitter, :meth:`CooBuilder.row`, which takes a row as
+  a column-index list and its coefficients (the routing formulation
+  writes every row this way);
+- :mod:`repro.ilp.model` -- the variable handles (:class:`Var`) and
+  the linear-expression algebra (:class:`LinExpr`) that
+  ``CooBuilder.le/ge/eq`` accept and hand to the same emitter, for
+  rows written by hand, such as the equivalence checker's no-good
+  cuts;
 - :mod:`repro.ilp.highs_backend` -- exact MILP solving through
   ``scipy.optimize.milp`` (the HiGHS branch-and-cut solver);
 - :mod:`repro.ilp.bnb` -- a pure-Python best-first branch-and-bound

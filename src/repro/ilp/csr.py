@@ -16,15 +16,16 @@ Rows are normalized as ``sum(data . x) + row_const (sense) 0``, i.e.
 the usual right-hand side is ``-row_const``.
 
 :class:`CooBuilder` is the emission side: the routing formulation
-appends variables and rows (COO triplets) directly, optionally on top
-of a frozen base section (the ``BaseFormulation`` clone-delta path),
-and one :meth:`CooBuilder.freeze` call produces the final CSR arrays
-with zero per-row object churn.
+appends variables, and rows as column-index lists through
+:meth:`CooBuilder.row`, optionally on top of a frozen base section
+(the ``BaseFormulation`` clone-delta path), and one
+:meth:`CooBuilder.freeze` call produces the final CSR arrays with zero
+per-row object churn.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -259,12 +260,20 @@ class CsrModel:
         return np.flatnonzero(violated)
 
 
+def _nonzero_terms(expr: LinExpr) -> tuple[list[int], list[float]]:
+    """``expr``'s columns and coefficients in insertion order, zero
+    coefficients dropped."""
+    cols = [j for j, coef in expr.coefs.items() if coef != 0.0]
+    return cols, [expr.coefs[j] for j in cols]
+
+
 class CooBuilder:
     """Append-only COO accumulator the formulation emits into.
 
-    ``var``/``binary``/``integer_var`` return :class:`Var` handles,
-    ``le``/``ge``/``eq`` append ``expr (sense) rhs`` rows as flat
-    index/coefficient arrays, and :meth:`freeze` makes one CSR
+    ``var``/``binary``/``integer_var`` return :class:`Var` handles and
+    :meth:`row` appends one row from a column-index list and its
+    coefficients; ``le``/``ge``/``eq`` are the :class:`LinExpr` front
+    end to the same emitter.  :meth:`freeze` makes one CSR
     construction at the end.  With ``base`` set, new variables
     and rows extend the frozen base section without copying it -- the
     ``BaseFormulation`` clone-delta path.
@@ -333,18 +342,36 @@ class CooBuilder:
 
     # -- rows -----------------------------------------------------------------
 
+    def row(
+        self,
+        cols: Sequence[int],
+        vals: Sequence[float],
+        sense: int,
+        rhs: float = 0.0,
+        name: str = "",
+        *,
+        const: float = 0.0,
+    ) -> None:
+        """Append ``sum(vals[i] * x[cols[i]]) + const (sense) rhs``.
+
+        The one row emitter.  ``cols`` must be distinct and ``vals``
+        nonzero, in the order the row's entries are to be stored.  The
+        row is normalized to ``... (sense) 0`` with constant
+        ``const - rhs``: at the default ``const`` a zero right-hand
+        side stores ``+0.0`` (``-rhs`` would store ``-0.0``, a
+        different canonical text and so a different cache key).
+        """
+        self.cols.extend(cols)
+        self.vals.extend(vals)
+        self.rowptr.append(len(self.cols))
+        self.senses.append(sense)
+        self.row_const.append(const - rhs)
+        self.row_names.append(name)
+
     def _emit(
         self, expr: LinExpr, sense: int, rhs: float, name: str
     ) -> None:
-        for j, coef in expr.coefs.items():
-            if coef != 0.0:
-                self.cols.append(j)
-                self.vals.append(coef)
-        self.rowptr.append(len(self.cols))
-        self.senses.append(sense)
-        # Normalized to ``expr - rhs (sense) 0``.
-        self.row_const.append(expr.const - rhs)
-        self.row_names.append(name)
+        self.row(*_nonzero_terms(expr), sense, rhs, name, const=expr.const)
 
     def le(self, expr: "LinExpr | Var", rhs: float = 0.0, name: str = "") -> None:
         self._emit(LinExpr._as_expr(expr), SENSE_LE, rhs, name)
@@ -355,11 +382,18 @@ class CooBuilder:
     def eq(self, expr: "LinExpr | Var", rhs: float = 0.0, name: str = "") -> None:
         self._emit(LinExpr._as_expr(expr), SENSE_EQ, rhs, name)
 
+    def objective(
+        self, cols: Sequence[int], vals: Sequence[float], const: float = 0.0
+    ) -> None:
+        """Set the objective ``min sum(vals[i] * x[cols[i]]) + const``
+        (``cols`` distinct, ``vals`` nonzero)."""
+        self.obj_cols = list(cols)
+        self.obj_vals = list(vals)
+        self.obj_const = const
+
     def minimize(self, expr: "LinExpr | Var") -> None:
         as_expr = LinExpr._as_expr(expr)
-        self.obj_cols = [j for j, c in as_expr.coefs.items() if c != 0.0]
-        self.obj_vals = [c for c in as_expr.coefs.values() if c != 0.0]
-        self.obj_const = as_expr.const
+        self.objective(*_nonzero_terms(as_expr), as_expr.const)
 
     # -- freeze ---------------------------------------------------------------
 

@@ -1,10 +1,12 @@
 """Linear expressions over decision variables.
 
-The routing formulation writes its rows with this small algebra:
 :class:`Var` handles combine with scalars into :class:`LinExpr`
 sums, and :class:`repro.ilp.csr.CooBuilder` (which hands out the
 handles) appends them with ``le``/``ge``/``eq`` as rows of one
-:class:`repro.ilp.csr.CsrModel`.
+:class:`repro.ilp.csr.CsrModel`.  Hand-written rows use this algebra
+(the equivalence checker's no-good cuts, tests); the routing
+formulation skips it and writes column-index lists straight into
+:meth:`repro.ilp.csr.CooBuilder.row`.
 
 Example:
     >>> from repro.ilp.csr import CooBuilder

@@ -36,8 +36,8 @@ import threading
 from dataclasses import dataclass, field, replace
 
 from repro.clips.clip import Clip, ClipNet
-from repro.ilp.csr import CooBuilder, CsrModel
-from repro.ilp.model import LinExpr, Var
+from repro.ilp.csr import SENSE_EQ, SENSE_GE, SENSE_LE, CooBuilder, CsrModel
+from repro.ilp.model import Var
 from repro.router.graph import ArcKind, ShapeViaInstance, SwitchboxGraph, build_graph
 from repro.router.rules import RuleConfig, eol_grid_offset
 
@@ -219,9 +219,9 @@ class FormulationCache:
             self._entries.clear()
 
 
-#: Module-level cache shared by every OptRouter in the process: the
-#: supervised runner builds a fresh router per attempt, so a
-#: router-owned cache would never see two rules of the same clip.
+#: Module-level, not router-owned: the solve path, the restriction
+#: prover and the equivalence matrix each build a clip's models, and
+#: through this one cache they share one base per clip.
 _BASE_CACHE = FormulationCache()
 
 
@@ -401,68 +401,77 @@ class _Builder:
         return nv
 
     # ---- constraints ------------------------------------------------------
+    #
+    # Every row is written as a column-index list straight into
+    # ``CooBuilder.row``.  Row order, and column order within a row,
+    # are part of the model: HiGHS breaks ties by them (see
+    # docs/formulation.md, "How rows are written").
 
     def _arc_exclusivity(self) -> None:
         """Constraint (1): each undirected physical arc serves one net,
         one direction."""
-        m = self.coo
+        row = self.coo.row
         for arc in self.graph.arcs[: self.n_physical_arcs]:
             if arc.reverse < arc.index:
                 continue  # handle each undirected pair once
-            expr = LinExpr()
-            present = False
+            cols = []
             for nv in self.nets:
                 fwd, rev = nv.e.get(arc.index), nv.e.get(arc.reverse)
                 if fwd is not None:
-                    expr += fwd
-                    present = True
+                    cols.append(fwd.index)
                 if rev is not None:
-                    expr += rev
-                    present = True
-            if present:
-                m.le(expr, 1.0)
+                    cols.append(rev.index)
+            if cols:
+                row(cols, [1.0] * len(cols), SENSE_LE, 1.0)
 
     def _e_f_coupling(self) -> None:
         """Constraints (2)-(3): e = 1 exactly when flow passes the arc.
 
         Skipped for 2-pin nets, whose f variables are aliased to e.
         """
-        m = self.coo
+        row = self.coo.row
         for nv in self.nets:
             if nv.n_sinks == 1:
                 continue
             cap = float(nv.n_sinks)
             for arc_index, e in nv.e.items():
-                f = nv.f[arc_index]
-                m.ge(cap * e - f)  # (2)  e >= f / |T_k|
-                m.le(e - f)        # (3)  e <= f
+                cols = (e.index, nv.f[arc_index].index)
+                row(cols, (cap, -1.0), SENSE_GE)  # (2)  e >= f / |T_k|
+                row(cols, (1.0, -1.0), SENSE_LE)  # (3)  e <= f
 
     def _flow_conservation(self) -> None:
         """Constraint (4) at every vertex each net can touch."""
-        g, m = self.graph, self.coo
+        g, row = self.graph, self.coo.row
         for nv in self.nets:
             # Collect incident arcs per vertex from this net's variables.
-            outflow: dict[int, LinExpr] = {}
-            inflow: dict[int, LinExpr] = {}
+            outflow: dict[int, list[int]] = {}
+            inflow: dict[int, list[int]] = {}
             for arc_index, f in nv.f.items():
                 arc = g.arcs[arc_index]
-                outflow.setdefault(arc.tail, LinExpr())._iadd(f, 1.0)
-                inflow.setdefault(arc.head, LinExpr())._iadd(f, 1.0)
+                outflow.setdefault(arc.tail, []).append(f.index)
+                inflow.setdefault(arc.head, []).append(f.index)
             vertices = set(outflow) | set(inflow)
             sink_set = set(nv.supersinks)
             for vertex in vertices:
-                balance = outflow.get(vertex, LinExpr()) - inflow.get(vertex, LinExpr())
+                out_cols = outflow.get(vertex, [])
+                in_cols = inflow.get(vertex, [])
                 if vertex == nv.supersource:
-                    m.eq(balance, float(nv.n_sinks))
+                    rhs = float(nv.n_sinks)
                 elif vertex in sink_set:
-                    m.eq(balance, -1.0)
+                    rhs = -1.0
                 else:
-                    m.eq(balance)
+                    rhs = 0.0
+                row(
+                    out_cols + in_cols,
+                    [1.0] * len(out_cols) + [-1.0] * len(in_cols),
+                    SENSE_EQ,
+                    rhs,
+                )
 
     def _vertex_capacity(self) -> None:
         """At most one net's flow enters any physical vertex."""
-        g, m = self.graph, self.coo
-        entering: dict[int, LinExpr] = {}
+        g, row = self.graph, self.coo.row
+        entering: dict[int, list[int]] = {}
         for nv in self.nets:
             for arc_index, e in nv.e.items():
                 arc = g.arcs[arc_index]
@@ -470,52 +479,62 @@ class _Builder:
                     continue  # virtual arcs (pin chains) are same-net metal
                 if not self._is_physical_vertex(arc.head):
                     continue
-                entering.setdefault(arc.head, LinExpr())._iadd(e, 1.0)
-        for vertex, expr in entering.items():
-            if len(expr.coefs) > 1:
-                m.le(expr, 1.0)
+                entering.setdefault(arc.head, []).append(e.index)
+        for cols in entering.values():
+            if len(cols) > 1:
+                row(cols, [1.0] * len(cols), SENSE_LE, 1.0)
 
     def _is_physical_vertex(self, vid: int) -> bool:
         return self.graph.is_grid_vertex(vid) or vid in self._rep_vertices
 
-    def _site_usage(self, x: int, y: int, z: int) -> "LinExpr | None":
-        """Total via usage at cut-layer site (x, y, z) across nets,
-        including any via shapes whose footprint covers the site."""
+    def _at_most_one(self, cols: list[int]) -> None:
+        """Append ``sum(x[j] for j in cols) <= 1`` for sums that can
+        share a column: a repeated column merges into its first
+        position, its count the coefficient (as ``LinExpr`` addition
+        merged it)."""
+        terms: dict[int, float] = {}
+        for j in cols:
+            terms[j] = terms.get(j, 0.0) + 1.0
+        self.coo.row(list(terms), list(terms.values()), SENSE_LE, 1.0)
+
+    def _site_usage(self, x: int, y: int, z: int) -> list[int]:
+        """The e columns of via usage at cut-layer site (x, y, z)
+        across nets, including any via shapes whose footprint covers
+        the site."""
         arcs = self.graph.via_site_arcs.get((x, y, z))
         if arcs is None:
-            return None
-        expr = LinExpr()
+            return []
+        cols = []
         up, down = arcs
         for nv in self.nets:
             for arc_index in (up, down):
                 e = nv.e.get(arc_index)
                 if e is not None:
-                    expr += e
+                    cols.append(e.index)
         if self.rules.allow_via_shapes:
             vid_low = self.graph.vid(x, y, z)
             for inst in self.graph.shape_instances:
                 if inst.lower_slot == z and vid_low in inst.lower_members:
-                    expr += self._shape_usage(inst)
-        return expr
+                    cols.extend(self._shape_usage(inst))
+        return cols
 
-    def _shape_usage(self, inst: ShapeViaInstance) -> LinExpr:
-        """Number of nets whose flow enters the shape's rep vertex."""
-        expr = LinExpr()
+    def _shape_usage(self, inst: ShapeViaInstance) -> list[int]:
+        """The e columns of nets' flow entering the shape's rep vertex."""
+        cols = []
         for nv in self.nets:
             for arc_index in self.graph.in_arcs[inst.rep]:
                 e = nv.e.get(arc_index)
                 if e is not None:
-                    expr += e
-        return expr
+                    cols.append(e.index)
+        return cols
 
     def _via_adjacency(self) -> None:
         """Via restriction: a via blocks its neighbor via sites."""
-        m = self.coo
         clip = self.clip
         offsets = self.rules.via_restriction.blocked_offsets()
-        usage_cache: dict[tuple[int, int, int], "LinExpr | None"] = {}
+        usage_cache: dict[tuple[int, int, int], list[int]] = {}
 
-        def usage(x: int, y: int, z: int) -> "LinExpr | None":
+        def usage(x: int, y: int, z: int) -> list[int]:
             key = (x, y, z)
             if key not in usage_cache:
                 usage_cache[key] = self._site_usage(x, y, z)
@@ -525,7 +544,7 @@ class _Builder:
             for y in range(clip.ny):
                 for x in range(clip.nx):
                     u_here = usage(x, y, z)
-                    if u_here is None or not u_here.coefs:
+                    if not u_here:
                         continue
                     for dx, dy in offsets:
                         x2, y2 = x + dx, y + dy
@@ -534,47 +553,49 @@ class _Builder:
                         if not (0 <= x2 < clip.nx and 0 <= y2 < clip.ny):
                             continue
                         u_there = usage(x2, y2, z)
-                        if u_there is None or not u_there.coefs:
+                        if not u_there:
                             continue
-                        m.le(u_here + u_there, 1.0)
+                        # A via shape covering both sites counts in both
+                        # usages: its columns merge into coefficient 2.
+                        self._at_most_one(u_here + u_there)
 
     def _shape_blocking(self) -> None:
         """Constraint (5): a used via shape reserves its whole footprint."""
-        m = self.coo
-        for inst in self.graph.shape_instances:
-            rep_in = self.graph.in_arcs[inst.rep]
-            entered_total: dict[int, LinExpr] = {}
-            entered_by_net: list[dict[int, LinExpr]] = []
+        g = self.graph
+        for inst in g.shape_instances:
+            # entered[k][member]: net k's e columns entering the
+            # member, the shape's own exit arcs excluded.
+            entered: list[dict[int, list[int]]] = []
             for nv in self.nets:
-                per_net: dict[int, LinExpr] = {}
+                per_net: dict[int, list[int]] = {}
                 for member in inst.members:
-                    expr = LinExpr()
-                    for arc_index in self.graph.in_arcs[member]:
-                        arc = self.graph.arcs[arc_index]
-                        if arc.tail == inst.rep:
+                    cols = []
+                    for arc_index in g.in_arcs[member]:
+                        if g.arcs[arc_index].tail == inst.rep:
                             continue  # the shape's own exit arc
                         e = nv.e.get(arc_index)
                         if e is not None:
-                            expr += e
-                    per_net[member] = expr
-                    entered_total.setdefault(member, LinExpr())
-                    entered_total[member] += expr
-                entered_by_net.append(per_net)
+                            cols.append(e.index)
+                    per_net[member] = cols
+                entered.append(per_net)
 
             for k, nv in enumerate(self.nets):
-                w = LinExpr()
-                for arc_index in rep_in:
-                    e = nv.e.get(arc_index)
-                    if e is not None:
-                        w += e
-                if not w.coefs:
+                w = [
+                    e.index
+                    for arc_index in g.in_arcs[inst.rep]
+                    if (e := nv.e.get(arc_index)) is not None
+                ]
+                if not w:
                     continue
                 for member in inst.members:
-                    total = entered_total[member]
-                    own = entered_by_net[k][member]
-                    others = total - own
-                    if others.coefs:
-                        m.le(others + w, 1.0)
+                    others = [
+                        j
+                        for n, per_net in enumerate(entered)
+                        if n != k
+                        for j in per_net[member]
+                    ]
+                    if others:
+                        self._at_most_one(others + w)
 
     # ---- SADP --------------------------------------------------------------
 
@@ -594,6 +615,7 @@ class _Builder:
         """Create p variables and forbidden-pattern constraints on one
         SADP layer (constraints (6)-(12))."""
         clip, g, m = self.clip, self.graph, self.coo
+        row = m.row
         horizontal = clip.horizontal[z]
 
         def along_neighbor(x: int, y: int, direction: int) -> "tuple[int, int] | None":
@@ -605,7 +627,11 @@ class _Builder:
                 return x2, y2
             return None
 
-        # Per-net p variables with the linearized EOL lower bounds.
+        # Per-net p variables with the linearized EOL lower bounds, and
+        # the global p sums (10) of this layer as per-vertex column
+        # lists in net order.
+        pos_sum: dict[int, list[int]] = {}
+        neg_sum: dict[int, list[int]] = {}
         for k, nv in enumerate(self.nets):
             for y in range(clip.ny):
                 for x in range(clip.nx):
@@ -615,7 +641,10 @@ class _Builder:
                     ]
                     if not cross:
                         continue
-                    for direction, store in ((-1, nv.p_neg), (1, nv.p_pos)):
+                    for direction, store, sums in (
+                        (-1, nv.p_neg, neg_sum),
+                        (1, nv.p_pos, pos_sum),
+                    ):
                         nbr = along_neighbor(x, y, direction)
                         if nbr is None:
                             continue
@@ -627,25 +656,28 @@ class _Builder:
                             continue
                         p = m.binary(f"p{'rn'[direction > 0]}_{k}_{vid}")
                         store[vid] = p
+                        sums.setdefault(vid, []).append(p.index)
                         for arc_index in cross:
                             arc = g.arcs[arc_index]
-                            e_cross = nv.e[arc_index]
+                            e_cross = nv.e[arc_index].index
                             # Consistent-flow EOL pairs: wire-in + cross-out,
                             # wire-out + cross-in (paper (6)-(7) as lower
-                            # bounds of the product linearization (8)).
-                            if arc.tail == vid and e_in is not None:
-                                m.ge(p - e_in - e_cross, -1.0)
-                            if arc.head == vid and e_out is not None:
-                                m.ge(p - e_out - e_cross, -1.0)
+                            # bounds of the product linearization (8)):
+                            # p - e_wire - e_cross >= -1.
+                            for e_wire, end in ((e_in, arc.tail), (e_out, arc.head)):
+                                if end == vid and e_wire is not None:
+                                    row(
+                                        (p.index, e_wire.index, e_cross),
+                                        (1.0, -1.0, -1.0),
+                                        SENSE_GE,
+                                        -1.0,
+                                    )
 
-        # Global p sums (10) and forbidden patterns (11)-(12).
-        def global_p(store_name: str, vid: int) -> LinExpr:
-            expr = LinExpr()
-            for nv in self.nets:
-                p = getattr(nv, store_name).get(vid)
-                if p is not None:
-                    expr += p
-            return expr
+        # Forbidden patterns (11)-(12): two p sums at most 1.
+        def pair(here: list[int], there: "list[int] | None") -> None:
+            if there:
+                cols = here + there
+                row(cols, [1.0] * len(cols), SENSE_LE, 1.0)
 
         def offset_vid(x: int, y: int, along: int, cross_off: int) -> "int | None":
             x2, y2 = eol_grid_offset(horizontal, x, y, along, cross_off)
@@ -653,40 +685,40 @@ class _Builder:
                 return g.vid(x2, y2, z)
             return None
 
+        opposite = self.rules.sadp.opposite_pairs()
+        same_pos = self.rules.sadp.same_pairs(1)
+        same_neg = self.rules.sadp.same_pairs(-1)
         for y in range(clip.ny):
             for x in range(clip.nx):
                 vid = g.vid(x, y, z)
                 # p_pos at vid vs p_neg at mirrored offsets, and polarity
                 # swap handled by iterating every vertex.
-                pos_here = global_p("p_pos", vid)
-                neg_here = global_p("p_neg", vid)
-                for da, dc in self.rules.sadp.opposite_pairs():
-                    if pos_here.coefs:
+                pos_here = pos_sum.get(vid)
+                neg_here = neg_sum.get(vid)
+                if pos_here:
+                    for da, dc in opposite:
                         j = offset_vid(x, y, da, dc)
                         if j is not None:
-                            neg_there = global_p("p_neg", j)
-                            if neg_there.coefs:
-                                m.le(pos_here + neg_there, 1.0)
-                for da, dc in self.rules.sadp.same_pairs(1):
-                    j_pos = offset_vid(x, y, da, dc)
-                    if j_pos is not None and j_pos > vid and pos_here.coefs:
-                        pos_there = global_p("p_pos", j_pos)
-                        if pos_there.coefs:
-                            m.le(pos_here + pos_there, 1.0)
-                for da, dc in self.rules.sadp.same_pairs(-1):
-                    j_neg = offset_vid(x, y, da, dc)
-                    if j_neg is not None and j_neg > vid and neg_here.coefs:
-                        neg_there = global_p("p_neg", j_neg)
-                        if neg_there.coefs:
-                            m.le(neg_here + neg_there, 1.0)
+                            pair(pos_here, neg_sum.get(j))
+                    for da, dc in same_pos:
+                        j = offset_vid(x, y, da, dc)
+                        if j is not None and j > vid:
+                            pair(pos_here, pos_sum.get(j))
+                if neg_here:
+                    for da, dc in same_neg:
+                        j = offset_vid(x, y, da, dc)
+                        if j is not None and j > vid:
+                            pair(neg_here, neg_sum.get(j))
 
     # ---- objective ----------------------------------------------------------
 
     def _objective(self) -> None:
-        objective = LinExpr()
+        cols: list[int] = []
+        costs: list[float] = []
         for nv in self.nets:
             for arc_index, e in nv.e.items():
                 cost = self.graph.arcs[arc_index].cost
                 if cost:
-                    objective._iadd(e * cost, 1.0)
-        self.coo.minimize(objective)
+                    cols.append(e.index)
+                    costs.append(cost)
+        self.coo.objective(cols, costs)

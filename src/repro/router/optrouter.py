@@ -35,19 +35,21 @@ class WarmStart:
     :func:`repro.router.rules.is_restriction` and
     :mod:`repro.analysis.semantics.restriction`):
 
-    - ``infeasible``: a rule the follower restricts was *proven*
-      infeasible; the follower inherits the proof, so it is INFEASIBLE
-      without building or solving anything.
     - ``routing``/``cost``: a settled routing of another rule on the
       same routing graph.  If it passes the follower rule's DRC oracle
       and ``cost`` meets ``lower_bound``, it is returned as the
-      follower's optimum -- again solver-free.  A routing that fails
-      DRC is discarded (it can never be returned), and the solve
-      proceeds cold.
+      follower's optimum -- solver-free, and before the static
+      certifier runs (a DRC-clean routing proves the rule feasible,
+      so the certifier could not prove otherwise).  A routing that
+      fails DRC is discarded (it can never be returned).
     - ``lower_bound``: the optimum of a rule the follower restricts,
       valid for the follower because restrictions only shrink the
       feasible set over the same objective.  It only gates the
       routing shortcut; a cold solve never receives it.
+    - ``infeasible``: a rule the follower restricts was *proven*
+      infeasible; the follower inherits the proof, so it is INFEASIBLE
+      without building or solving anything.  The certifier runs
+      first, so a pair it can certify still carries its certificate.
     """
 
     routing: "ClipRouting | None" = None
@@ -143,8 +145,9 @@ class OptRouter:
         backend: ``"highs"`` (default) or ``"bnb"`` (the pure-Python
             cross-validation solver).
         time_limit: per-clip solver budget in seconds (None = none).
-        certify: run the static infeasibility certifier before the
-            solve and short-circuit certified (clip, rule) pairs to
+        certify: run the static infeasibility certifier on every pair
+            the reused-optimal shortcut does not settle, and
+            short-circuit certified (clip, rule) pairs to
             ``INFEASIBLE`` without building the ILP.  The certifier is
             sound, so this never changes a feasible outcome.
     """
@@ -184,20 +187,12 @@ class OptRouter:
             "time_limit": self.time_limit,
         }
 
-    def _check_warm(
+    def _reused_optimal(
         self, clip: Clip, rules: RuleConfig, warm: WarmStart
     ) -> "OptRouteResult | None":
-        """Try the solver-free warm shortcuts; None = solve cold."""
-        if warm.infeasible:
-            return OptRouteResult(
-                clip_name=clip.name,
-                rule_name=rules.name,
-                status=RouteStatus.INFEASIBLE,
-                backend=self.backend,
-                warm_used="inherited-infeasible",
-                diagnostics="a rule this one restricts was proven "
-                "infeasible; the restriction inherits the proof",
-            )
+        """The warm routing as this rule's optimum, when it passes the
+        rule's DRC and its cost meets the proven lower bound; None
+        otherwise."""
         if (
             warm.routing is None
             or warm.cost is None
@@ -233,12 +228,18 @@ class OptRouter:
 
         ``warm`` carries other rules' settled outcomes (see
         :class:`WarmStart`); it is only ever used through sound
-        shortcuts -- an inherited infeasibility proof, or a routing
-        re-verified by the DRC oracle whose cost meets the inherited
-        lower bound -- so results are identical to a cold solve.
+        shortcuts -- a routing re-verified by the DRC oracle whose cost
+        meets the inherited lower bound, or an inherited infeasibility
+        proof -- so results are identical to a cold solve.  The order
+        is: reused routing, static certifier, inherited proof, then
+        build and solve (through the solve cache when one is set).
         """
         if rules is None:
             rules = RuleConfig()
+        if warm is not None:
+            reused = self._reused_optimal(clip, rules, warm)
+            if reused is not None:
+                return reused
         if self.certify:
             certificate = certify_infeasible(clip, rules)
             if certificate is not None:
@@ -249,10 +250,16 @@ class OptRouter:
                     certificate=certificate,
                     backend=self.backend,
                 )
-        if warm is not None:
-            shortcut = self._check_warm(clip, rules, warm)
-            if shortcut is not None:
-                return shortcut
+        if warm is not None and warm.infeasible:
+            return OptRouteResult(
+                clip_name=clip.name,
+                rule_name=rules.name,
+                status=RouteStatus.INFEASIBLE,
+                backend=self.backend,
+                warm_used="inherited-infeasible",
+                diagnostics="a rule this one restricts was proven "
+                "infeasible; the restriction inherits the proof",
+            )
         t0 = time.perf_counter()
         ilp = self.build(clip, rules)
         build_seconds = time.perf_counter() - t0

@@ -1,9 +1,20 @@
 """Unit tests of the ILP formulation internals."""
 
+import hashlib
+import json
+
+import numpy as np
 import pytest
 
-from repro.clips import Clip, ClipNet, ClipPin
+from repro.clips import (
+    Clip,
+    ClipNet,
+    ClipPin,
+    SyntheticClipSpec,
+    make_synthetic_clip,
+)
 from repro.clips.clip import paper_directions
+from repro.eval import rules_for_technology
 from repro.ilp import SolveStatus, solve_with_highs
 from repro.router import RuleConfig, ViaRestriction, build_routing_ilp
 
@@ -143,3 +154,118 @@ class TestFlowSemantics:
         }
         for index in virtual_indices:
             assert ilp.csr.obj[index] == 0.0
+
+
+#: SHA-256 over every array and name list of a cold-built routing ILP,
+#: recorded while the formulation still wrote its rows as ``LinExpr``
+#: sums.  The canonical text (and with it the solve-cache key) is
+#: order-invariant, but HiGHS breaks ties by row and column order, so
+#: the arrays themselves are pinned: same rows, same order, same
+#: column order within each row, same signed-zero constants.
+GOLDEN_ARRAYS = {
+    "pool-7003-RULE1": "03ebcf6efb52fed860db0bcac7aaf6ccbb9ca91d6b81ea776e84b4de133def95",
+    "pool-7003-RULE2": "1785b46a2d38cd9b8a7ad004efe47124e444007c153716d5cef45c19975df05c",
+    "pool-7003-RULE3": "d3dfb76590d8217d49c2d31688a01522ed34242307fcac15565636dc55f3a59e",
+    "pool-7003-RULE4": "a879ffffc3f3ca45694cfd979c2d28fe5a3212ce0f2f4ec156590805cf7bac1a",
+    "pool-7003-RULE5": "03ebcf6efb52fed860db0bcac7aaf6ccbb9ca91d6b81ea776e84b4de133def95",
+    "pool-7003-RULE6": "3fa1bf2339b39c6c67c2a104475d53d9407517e5c556529759e17d95c1491964",
+    "pool-7003-RULE7": "f19135ed8e2882935b9902586526005be7d9c615dc67e61500e090ee59d93ccd",
+    "pool-7003-RULE8": "a9f1189ff40d58c67637ae482b095ba97202f23197b57fdfd3f1211e604e25be",
+    "pool-7003-RULE9": "c2b0ab483f517e32f99f8fa786b152ebb3705ddc4be7f4a434177df42dc3ae30",
+    "pool-7003-RULE10": "9a7370a0d263a8d972bfbd2686d9222768a379695896290b86cff5b471957ad5",
+    "pool-7003-RULE11": "c72982f27f6828e05be79cf77ee295993549319ea66f27dbc0c2e15ee053acf9",
+    "pool-7030-RULE1": "b2e7c07c003d6b22fab6365dedd5faed748b07c2dd361fb6693d7f9d35e9d8b0",
+    "pool-7030-RULE2": "b87634a992fa22737f2571aab0d26c2dc26ab1be36c4ccb92f0d9743488466ae",
+    "pool-7030-RULE3": "9a2cc733fff0ed605940b49b789e28a9d5e98372f3859cc9dc78fb5dd0c15cee",
+    "pool-7030-RULE4": "ba28597971872110c922d233eeaed98333cd43c254a2eb916a7622ab1b79afcb",
+    "pool-7030-RULE5": "b2e7c07c003d6b22fab6365dedd5faed748b07c2dd361fb6693d7f9d35e9d8b0",
+    "pool-7030-RULE6": "20ff346584d840d39525272892037546b34e6245840e8491f3536b98cebdb281",
+    "pool-7030-RULE7": "f358e8a0cd46f001605a522ce8e795dde9ec0c313fd21c16c47b4bfcc6e82b46",
+    "pool-7030-RULE8": "0b201409280b90cddc21eeea8cc14e9f55d61dd3503a7336ba02fd3949bcb08b",
+    "pool-7030-RULE9": "1089556ac44179ebba0769d7d40d8b5c7cfa16bbaef941fb40f0fde050ced0a2",
+    "pool-7030-RULE10": "797489a39cc3c53bdb2e6bb19f1825cece77aa1646c3d9f34b9c3416ff788224",
+    "pool-7030-RULE11": "a99fdad2235a462bf382715d44116db14bb046131508ccbe2b5087733d8cc9b9",
+    "multi-0-RULE1": "0f1174bcb33a216b4ee3e19c8ecd13727d43ac51a6e993705a7ef727006b566d",
+    "multi-0-RULE3": "2d0cd6dfa0a1b9a315c4433bc34eebed3e4e6efef81607e7b7a705161bf285c8",
+    "multi-0-RULE4": "99c12b0b2e8a8e6770251fc7cc1671a8c42a9c02a302532b708641b4c18d487f",
+    "multi-0-RULE5": "0f1174bcb33a216b4ee3e19c8ecd13727d43ac51a6e993705a7ef727006b566d",
+    "multi-0-RULE6": "45dd57deafa524d9d1383a0f84e1444e6af5eadd999968820536c284f02c8191",
+    "multi-0-RULE8": "826fde3d02b654f0aabc9d5cd1d106a77c2dd3011cacb6864816080ff37e83ce",
+    "multi-2-RULE1": "8626dc962533d35af4d97a01457c0941e8b0738a0955cfa72938c6489a396ac2",
+    "multi-2-RULE3": "239c23fa5ffa7f20150dfab19aa6f6fe07bb17763d2ef0692e887bc4a1268e90",
+    "multi-2-RULE4": "188ff1c8d29cbafab343fa19625bd07db1ff47871e5ffcea1827eeb3982adc62",
+    "multi-2-RULE5": "8626dc962533d35af4d97a01457c0941e8b0738a0955cfa72938c6489a396ac2",
+    "multi-2-RULE6": "6a55ecedba652233f3c794df0476490efd28fca5db2db7e5a004fe26d82f08ab",
+    "multi-2-RULE8": "5f2551751ba68df7535de2e1195cd4522bbf290b7f5b180e682e20368a077be3",
+    "shapes-NONE-2": "70c9372d805dc869921dc7832d7e1d30b05758bb835fac9296bfe60aade13fe1",
+    "shapes-NONE-None": "85f5052cff9bff6e77eba8b5c37a6e1cd1feac21723c1ba2a8741d40c77217d2",
+    "shapes-ORTHOGONAL-2": "eb36973b30db15adc304f4bea954e914c86f6560d6f9279e10d0273c30d85c6f",
+    "shapes-ORTHOGONAL-None": "8c1d9256541af7a7500fde7fc44f14108b397efa787ad24efe76544856d49a2a",
+    "shapes-FULL-2": "677475c78055f5f7965d957611f8187f17f2c41e10d9039ea7441d1179086aeb",
+    "shapes-FULL-None": "07dc52ee42b0248a009b4094458fc11acb6a261a8b1129ae26bf86d3bfd4fa81",
+}
+
+#: (a) the sweep benchmark's pool shape (2-pin nets), (b) multi-pin
+#: nets, (c) multi-pin nets with via shapes -- the case where a
+#: shape covering two adjacent via sites merges two usages into one
+#: coefficient of 2.0.
+POOL_SPEC = SyntheticClipSpec(
+    nx=6, ny=6, nz=3, n_nets=3, sinks_per_net=1, access_points_per_pin=3
+)
+MULTI_SPEC = SyntheticClipSpec(
+    nx=5, ny=6, nz=3, n_nets=3, sinks_per_net=2, access_points_per_pin=2
+)
+SHAPES_SPEC = SyntheticClipSpec(
+    nx=5, ny=5, nz=3, n_nets=2, sinks_per_net=2, access_points_per_pin=2
+)
+
+
+def array_digest(csr):
+    h = hashlib.sha256()
+    for arr in (
+        csr.indptr, csr.indices, csr.data, csr.senses, csr.row_const,
+        csr.lb, csr.ub, csr.integer, csr.obj,
+    ):
+        h.update(f"{arr.dtype.str}{arr.shape}".encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    h.update(float(csr.obj_const).hex().encode())
+    h.update(json.dumps([csr.var_names, csr.row_names]).encode())
+    return h.hexdigest()
+
+
+def golden_cases():
+    for seed in (7003, 7030):
+        for rule in rules_for_technology("N28-12T"):
+            yield f"pool-{seed}-{rule.name}", POOL_SPEC, seed, rule
+    for seed in (0, 2):
+        for rule in rules_for_technology("N7-9T"):
+            yield f"multi-{seed}-{rule.name}", MULTI_SPEC, seed, rule
+    for restriction in ViaRestriction:
+        for sadp_min_metal in (None, 2):
+            rule = RuleConfig(
+                name="SHAPES",
+                via_restriction=restriction,
+                sadp_min_metal=sadp_min_metal,
+                allow_via_shapes=True,
+            )
+            yield (
+                f"shapes-{restriction.name}-{sadp_min_metal}",
+                SHAPES_SPEC, 0, rule,
+            )
+
+
+class TestGoldenArrays:
+    def test_case_list_matches_the_pins(self):
+        assert sorted(case for case, *_ in golden_cases()) == sorted(
+            GOLDEN_ARRAYS
+        )
+
+    @pytest.mark.parametrize(
+        "case, spec, seed, rule",
+        list(golden_cases()),
+        ids=[case for case, *_ in golden_cases()],
+    )
+    def test_arrays_are_pinned(self, case, spec, seed, rule):
+        clip = make_synthetic_clip(spec, seed=seed)
+        csr = build_routing_ilp(clip, rule, reuse=False).csr
+        assert array_digest(csr) == GOLDEN_ARRAYS[case]

@@ -6,11 +6,13 @@ lower bound) must produce bit-identical statuses and equal optimal
 objectives to a cold solve.  These tests attack each shortcut.
 """
 
+import collections
 import random
 
 import pytest
 
-from repro.clips import SyntheticClipSpec, make_synthetic_clip
+from repro.clips import Clip, ClipNet, ClipPin, SyntheticClipSpec, make_synthetic_clip
+from repro.clips.clip import paper_directions
 from repro.router import (
     OptRouter,
     RouteStatus,
@@ -185,3 +187,115 @@ class TestOptRouterWarm:
                     assert w_cost is None
                 else:
                     assert w_cost == pytest.approx(c_cost), (rule_name, name)
+
+
+def _count_certify(monkeypatch):
+    """Route every ``OptRouter`` certify call through a counter of
+    (clip name, rule name) pairs; returns (counter, real certifier)."""
+    import repro.router.optrouter as mod
+
+    real = mod.certify_infeasible
+    calls = collections.Counter()
+
+    def counting(clip, rules=None, graph=None):
+        calls[(clip.name, rules.name)] += 1
+        return real(clip, rules, graph)
+
+    monkeypatch.setattr(mod, "certify_infeasible", counting)
+    return calls, real
+
+
+def _single_layer_clip():
+    """One vertical layer, pins in different columns: the certifier
+    proves it unroutable (no way to change columns)."""
+    pins = (
+        ClipPin(access=frozenset({(2, 0, 0)})),
+        ClipPin(access=frozenset({(3, 4, 0)})),
+    )
+    return Clip(
+        name="single_layer", nx=5, ny=5, nz=1,
+        horizontal=paper_directions(1), nets=(ClipNet("a", pins),),
+        obstacles=frozenset(),
+    )
+
+
+class TestCertifyOrder:
+    """``OptRouter.route`` tries the reused routing before the
+    certifier, and the certifier before an inherited proof."""
+
+    def test_reused_routing_skips_certify(self, monkeypatch):
+        from repro.drc import check_clip_routing
+
+        follower = RuleConfig(
+            name="RULE6", via_restriction=ViaRestriction.ORTHOGONAL
+        )
+        for seed in range(6):
+            clip = _clip(seed)
+            baseline = OptRouter().route(clip, RuleConfig(name="RULE1"))
+            assert baseline.status is RouteStatus.OPTIMAL
+            if not check_clip_routing(clip, follower, baseline.routing):
+                break
+        else:
+            pytest.fail("no seed gave a baseline routing clean under RULE6")
+        calls, _ = _count_certify(monkeypatch)
+        result = OptRouter().route(
+            clip, follower,
+            warm=WarmStart(
+                routing=baseline.routing,
+                cost=baseline.cost,
+                lower_bound=baseline.cost,
+            ),
+        )
+        assert result.warm_used == "reused-optimal"
+        assert result.status is RouteStatus.OPTIMAL
+        assert result.cost == baseline.cost
+        assert not calls
+
+    def test_certificate_wins_over_inherited_proof(self, monkeypatch):
+        calls, _ = _count_certify(monkeypatch)
+        clip = _single_layer_clip()
+        result = OptRouter().route(
+            clip, RuleConfig(name="R"), warm=WarmStart(infeasible=True)
+        )
+        assert result.status is RouteStatus.INFEASIBLE
+        assert result.certified
+        assert result.warm_used == ""
+        assert calls == {("single_layer", "R"): 1}
+
+    def test_lattice_sweep_certifies_each_unreused_pair_once(
+        self, monkeypatch
+    ):
+        from repro.eval import EvalConfig, evaluate_clips, paper_rule
+
+        clips = [_clip(seed) for seed in (0, 2, 3)] + [_single_layer_clip()]
+        rules = [
+            paper_rule(name)
+            for name in ("RULE1", "RULE3", "RULE6", "RULE9", "RULE11")
+        ]
+        calls, real = _count_certify(monkeypatch)
+        study = evaluate_clips(clips, rules, EvalConfig(time_limit_per_clip=30.0))
+
+        by_name = {clip.name: clip for clip in clips}
+        rule_by_name = {rule.name: rule for rule in rules}
+        warm_used = collections.Counter()
+        expected = collections.Counter()
+        for rule_name, outcomes in study.outcomes.items():
+            for outcome in outcomes:
+                warm_used[outcome.warm_used] += 1
+                key = (outcome.clip_name, rule_name)
+                if outcome.warm_used == "reused-optimal":
+                    # The premise of the order: a DRC-clean routing
+                    # proves the rule feasible, so certify had nothing
+                    # to find.
+                    assert real(by_name[key[0]], rule_by_name[key[1]]) is None
+                else:
+                    expected[key] = 1
+        assert calls == expected
+        # The corpus exercises reuse, cold solves and certificates.
+        assert warm_used["reused-optimal"] > 0
+        assert warm_used[""] > 0
+        assert any(
+            outcome.certified
+            for outcomes in study.outcomes.values()
+            for outcome in outcomes
+        )
