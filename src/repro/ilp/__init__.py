@@ -13,8 +13,11 @@ provides the equivalent capability without external solvers:
   ``CooBuilder.le/ge/eq`` accept and hand to the same emitter, for
   rows written by hand, such as the equivalence checker's no-good
   cuts;
-- :mod:`repro.ilp.highs_backend` -- exact MILP solving through
-  ``scipy.optimize.milp`` (the HiGHS branch-and-cut solver);
+- :mod:`repro.ilp.relaxation` -- the one LP form of a model, and the
+  lower bound recomputed from its duals;
+- :mod:`repro.ilp.highs_backend` -- exact MILP solving: the LP
+  relaxation first, then ``scipy.optimize.milp`` (the HiGHS
+  branch-and-cut solver) unless the LP settled the model;
 - :mod:`repro.ilp.bnb` -- a pure-Python best-first branch-and-bound
   over HiGHS LP relaxations, used to cross-validate the primary
   backend on small instances.

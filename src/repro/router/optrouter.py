@@ -101,6 +101,10 @@ class OptRouteResult:
     #: best proven dual/lower bound on the optimum (true objective
     #: space), exported by the backend.  OPTIMAL claims must have
     #: ``bound == cost`` -- the :mod:`repro.verify` audit asserts it.
+    #: On the HiGHS backend it is the root LP's bound recomputed from
+    #: the LP duals when the LP settled the pair, and on LIMIT the
+    #: larger of HiGHS' dual bound and that LP bound, so a pair
+    #: stopped with no incumbent still carries one.
     bound: float | None = None
     #: ``cost - bound`` for LIMIT results carrying an incumbent, so a
     #: budget-exhausted row is interpretable (how far from proven

@@ -28,13 +28,10 @@ from dataclasses import dataclass, field
 
 from repro.analysis.certify import certify_infeasible
 from repro.clips.clip import Clip, Vertex
+from repro.ilp.status import COST_TOL
 from repro.router.optrouter import OptRouteResult, RouteStatus
 from repro.router.rules import RuleConfig
 from repro.router.solution import ClipRouting, NetSolution
-
-#: Objective comparison tolerance: routing costs are sums of the
-#: configured weights, far coarser than this.
-COST_TOL = 1e-6
 
 
 @dataclass(frozen=True)
