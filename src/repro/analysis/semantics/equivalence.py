@@ -273,7 +273,7 @@ def _solver_soundness_sweep(
     the pattern enumerator's one-cycle bound skips -- so soundness does
     not rest on the enumerator's decomposition argument.
     """
-    from repro.ilp.highs_backend import solve_with_highs
+    from repro.ilp.highs_backend import solve_milp
     from repro.ilp.status import SolveStatus
     from repro.router.solution import decode_solution
 
@@ -287,7 +287,8 @@ def _solver_soundness_sweep(
     cuts = CooBuilder(base=ilp.csr)
     model = ilp.csr
     for iteration in range(cap):
-        solution = solve_with_highs(model)
+        # No root LP first: the cuts leave most LP points fractional.
+        solution = solve_milp(model)
         if solution.status is not SolveStatus.OPTIMAL:
             if solution.status is not SolveStatus.INFEASIBLE:
                 findings.append(

@@ -460,7 +460,7 @@ def evaluate_clips(
     (results are deterministic per pair).  Without ``resume`` an
     existing journal is truncated.  ``supervisor`` selects isolation /
     retry / fallback policy (default: inline, the in-process flow;
-    ``config.race`` lifts inline isolation to per-attempt processes,
+    ``config.race`` lifts inline isolation to process isolation,
     since racers are processes); ``fault_plan`` is for the robustness
     tests.
 

@@ -198,7 +198,9 @@ def run_distributed(
                 config.heartbeat_interval,
             ),
             name=worker_name(slot),
-            daemon=False,  # workers spawn per-attempt child processes
+            # Not daemonic: a daemonic process may not start children,
+            # and a worker's runner starts attempt processes.
+            daemon=False,
         )
         proc.start()
         if monkey is not None and proc.pid is not None:

@@ -71,11 +71,13 @@ class SupervisorConfig:
     """Knobs of the supervised runner.
 
     Attributes:
-        isolation: ``"process"`` runs each attempt in its own child
-            process (crash isolation + preemptive deadlines);
-            ``"inline"`` runs attempts in the calling process (for
-            debuggers and platforms without cheap fork — crashes are
-            simulated and deadlines enforced post-hoc).
+        isolation: ``"process"`` runs attempts in an attempt
+            process, a child reused while its attempts succeed and
+            replaced after any failed one, so a retry starts afresh
+            (crash isolation + preemptive deadlines); ``"inline"`` runs
+            attempts in the calling process (for debuggers and
+            platforms without cheap fork — crashes are simulated and
+            deadlines enforced post-hoc).
         retry: per-backend retry/backoff policy.
         backends: the fallback chain, tried left to right (e.g.
             :data:`DEFAULT_FALLBACK_CHAIN`).  ``None`` disables

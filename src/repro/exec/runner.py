@@ -14,22 +14,28 @@ runs under a supervisor that
   ``highs -> bnb -> baseline``), tagging every result with the
   backend/attempt that produced it.
 
-Architecture: the runner works through its jobs one at a time; every
-*attempt* is a fresh child process connected by a pipe.  The
-supervisor waits on the pipe with a timeout, so a crash (EOF), a
-wedge (poll timeout), and a success (payload) are all first-class
-outcomes.  A sweep runs in parallel only on lease workers
-(:mod:`repro.exec.distributed`), each with its own runner.  See
-``docs/robustness.md``.
+Architecture: the runner works through its jobs one at a time.  Under
+process isolation its attempts run in an *attempt process*, a child
+started on the first attempt of a ``run_groups``/``run_one`` call and
+connected by a duplex pipe: the supervisor sends each attempt pickled,
+then waits on the pipe with a timeout, so a crash (EOF), a wedge (poll
+timeout), and a success (payload) are all first-class outcomes.  The
+process serves the call's next attempt after a success; any failed
+attempt reaps it, so the attempt after a failure (a retry included)
+starts in a fresh process, and none outlives the call.  A sweep runs
+in parallel only on lease workers (:mod:`repro.exec.distributed`),
+each with its own runner.  See ``docs/robustness.md``.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
 import pickle
 import signal
 import time
 from collections.abc import Callable, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 from repro.clips.clip import Clip
@@ -161,15 +167,9 @@ def _attempt_payload(
     return mutate_result(fault, backend, _route_with_backend(job, backend))
 
 
-def _worker_main(job, backend, fault, attempt, conn) -> None:
-    """Child-process entry: route one attempt, ship the payload back."""
-    # Cooperative interrupt handling: a supervisor terminate() must not
-    # leave the solver wedged in native code longer than necessary.
-    try:
-        _detach_wakeup_fd()
-        signal.signal(signal.SIGTERM, lambda *_: _fast_exit())
-    except ValueError:  # non-main thread (never expected; be safe)
-        pass
+def _reply(conn, job, backend, fault, attempt) -> None:
+    """Run one attempt in this child process and send the supervisor
+    ``("ok", payload)`` or ``("error", detail)``."""
     try:
         payload = _attempt_payload(job, backend, fault, attempt, inline=False)
         conn.send(("ok", payload))
@@ -178,11 +178,120 @@ def _worker_main(job, backend, fault, attempt, conn) -> None:
             conn.send(("error", f"{type(exc).__name__}: {exc}"))
         except Exception:
             pass
+
+
+def _become_worker() -> None:
+    """Signal setup of a child that runs attempts."""
+    # Cooperative interrupt handling: a supervisor terminate() must not
+    # leave the solver wedged in native code longer than necessary.
+    try:
+        _detach_wakeup_fd()
+        signal.signal(signal.SIGTERM, lambda *_: _fast_exit())
+    except ValueError:  # non-main thread (never expected; be safe)
+        pass
+
+
+def _worker_main(job, backend, fault, attempt, conn) -> None:
+    """Racer entry (:func:`repro.exec.portfolio.race_solve`): route one
+    attempt, ship the payload back."""
+    _become_worker()
+    try:
+        _reply(conn, job, backend, fault, attempt)
     finally:
         try:
             conn.close()
         except Exception:
             pass
+
+
+#: The supervisor ends of the live attempt processes' pipes.  Every
+#: forked child closes its copies first thing (``_close_supervisor_ends``
+#: runs after each fork): an attempt process learns that its supervisor
+#: is done with it, or dead, only from EOF on its pipe, and EOF never
+#: comes while another process -- the attempt process itself, or one a
+#: runner in another thread forked -- holds a copy of that end.
+_SUPERVISOR_ENDS: set = set()
+
+
+def _close_supervisor_ends() -> None:
+    for conn in _SUPERVISOR_ENDS:
+        conn.close()
+    _SUPERVISOR_ENDS.clear()
+
+
+if hasattr(os, "register_at_fork"):  # POSIX; spawn children inherit nothing
+    os.register_at_fork(after_in_child=_close_supervisor_ends)
+
+
+def _attempt_loop(conn) -> None:
+    """Attempt-process entry: run each attempt received on ``conn``
+    until the supervisor closes its end."""
+    _become_worker()
+    while True:
+        try:
+            job, backend, fault, attempt = conn.recv()
+        except (EOFError, OSError, KeyboardInterrupt):
+            # The supervisor is done with this process or dead, or a
+            # Ctrl-C reached the idle process: exit without a traceback.
+            return
+        _reply(conn, job, backend, fault, attempt)
+
+
+class _AttemptProcess:
+    """A child process that runs the attempts it is sent, one at a time.
+
+    :meth:`run` sends one pickled attempt and waits for its reply up to
+    the hard deadline; :meth:`close` ends the process -- by EOF when it
+    is idle, by :meth:`SupervisedRunner._reap` when an attempt is still
+    running (a wedged solve) or the EOF is not heeded.
+    """
+
+    def __init__(self) -> None:
+        ctx = _mp_context()
+        self.conn, child_conn = ctx.Pipe(duplex=True)
+        _SUPERVISOR_ENDS.add(self.conn)
+        self.proc = ctx.Process(
+            target=_attempt_loop, args=(child_conn,), daemon=True
+        )
+        try:
+            self.proc.start()
+        except BaseException:
+            _SUPERVISOR_ENDS.discard(self.conn)
+            self.conn.close()
+            raise
+        finally:
+            child_conn.close()
+        self.busy = False
+
+    def run(
+        self, message: bytes, deadline: float | None
+    ) -> "tuple[str, object] | _Failure":
+        """The attempt's ``(tag, payload)`` reply, or how it failed."""
+        self.busy = True
+        try:
+            self.conn.send_bytes(message)
+            if not self.conn.poll(deadline):
+                return _Failure(
+                    "timeout", f"hard deadline {deadline:.2f}s exceeded; "
+                    "worker terminated"
+                )
+            reply = self.conn.recv()
+        except (EOFError, OSError):
+            self.proc.join(5.0)
+            return _Failure(
+                "crash", f"worker died without a result "
+                f"(exit code {self.proc.exitcode})"
+            )
+        self.busy = False
+        return reply
+
+    def close(self) -> None:
+        _SUPERVISOR_ENDS.discard(self.conn)
+        self.conn.close()
+        if not self.busy:
+            self.proc.join(2.0)
+        if self.proc.is_alive():
+            SupervisedRunner._reap(self.proc)
 
 
 def _detach_wakeup_fd() -> None:
@@ -209,9 +318,10 @@ def _mp_context():
     Never the platform *default* context (the old behaviour): the
     default can drift between Python versions and platforms, and a
     sweep's crash semantics must not depend on which interpreter ran
-    it.  Spawn requires jobs to be picklable; attempts whose payload
-    cannot be pickled fall back to an inline run that still honors the
-    fault-injection plan (see ``_attempt_process``).
+    it.  Attempts reach their process pickled under either method; an
+    attempt whose job cannot be pickled falls back to an inline run
+    that still honors the fault-injection plan (see
+    ``_attempt_process``).
     """
     methods = mp.get_all_start_methods()
     return mp.get_context("fork" if "fork" in methods else "spawn")
@@ -225,6 +335,10 @@ class SupervisedRunner:
     jobs are degraded in bounded steps -- racing is dropped first, then
     the backend falls to the always-terminating heuristic baseline --
     and per-job time limits are clamped to what is actually left.
+
+    A runner serves one call at a time (it holds the call's attempt
+    process); concurrent sweeps each build their own, as
+    :func:`repro.eval.flow.evaluate_clips` does.
     """
 
     def __init__(
@@ -234,6 +348,9 @@ class SupervisedRunner:
     ):
         self.config = config if config is not None else SupervisorConfig()
         self.budget = budget
+        #: the current call's attempt process (process isolation only).
+        self._worker: _AttemptProcess | None = None
+        self._in_call = False
 
     # -- public API ---------------------------------------------------------
 
@@ -256,22 +373,25 @@ class SupervisedRunner:
         positions in the concatenated job order, so journals and fault
         plans are agnostic of the grouping.  Results are complete even
         when individual jobs crash or time out; only an injected ABORT
-        fault raises :class:`SweepAborted`.
+        fault raises :class:`SweepAborted`.  Under process isolation the
+        call's attempts share one attempt process, ended before the
+        call returns or raises.
         """
         results: list[OptRouteResult] = []
-        for job in (job for group in groups for job in group):
-            index = len(results)
-            fault = (
-                fault_plan.fault_for(index, job.clip.name, job.rules.name)
-                if fault_plan is not None
-                else None
-            )
-            if derive is not None:
-                job = derive(job)
-            result = self.run_one(job, fault, index=index)
-            results.append(result)
-            if on_result is not None:
-                on_result(index, result)
+        with self._attempt_scope():
+            for job in (job for group in groups for job in group):
+                index = len(results)
+                fault = (
+                    fault_plan.fault_for(index, job.clip.name, job.rules.name)
+                    if fault_plan is not None
+                    else None
+                )
+                if derive is not None:
+                    job = derive(job)
+                result = self.run_one(job, fault, index=index)
+                results.append(result)
+                if on_result is not None:
+                    on_result(index, result)
         return results
 
     def run_one(
@@ -282,6 +402,26 @@ class SupervisedRunner:
     ) -> OptRouteResult:
         """Run one job through retry + fallback; never raises for
         worker failures (ABORT faults excepted)."""
+        with self._attempt_scope():
+            return self._run_job(job, fault, index)
+
+    @contextmanager
+    def _attempt_scope(self):
+        """The outermost ``run_groups``/``run_one`` call ends the
+        attempt process before it returns or raises."""
+        if self._in_call:
+            yield
+            return
+        self._in_call = True
+        try:
+            yield
+        finally:
+            self._in_call = False
+            self._retire()
+
+    def _run_job(
+        self, job: RouteJob, fault: FaultSpec | None, index: int
+    ) -> OptRouteResult:
         if fault is not None and fault.kind is FaultKind.ABORT:
             raise SweepAborted(
                 f"injected abort at job {index} "
@@ -482,49 +622,33 @@ class SupervisedRunner:
     def _attempt_process(
         self, job: RouteJob, backend: str, fault: FaultSpec | None, attempt: int
     ) -> "tuple[OptRouteResult | None, _Failure | None]":
-        ctx = _mp_context()
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        proc = ctx.Process(
-            target=_worker_main,
-            args=(job, backend, fault, attempt, child_conn),
-            daemon=True,
-        )
         try:
-            proc.start()
+            message = pickle.dumps((job, backend, fault, attempt))
         except (pickle.PicklingError, TypeError, AttributeError):
-            # Spawn-only platforms must pickle the job to the child.
             # An unpicklable job (e.g. a router subclass holding a live
             # handle) degrades to an inline attempt that still applies
             # the SAME fault spec -- losing isolation must never
             # silently lose the fault-injection plan.
-            parent_conn.close()
-            child_conn.close()
             return self._attempt_inline(job, backend, fault, attempt)
-        child_conn.close()
-        deadline = deadline_for(job.router.time_limit)
-        try:
-            if not parent_conn.poll(deadline):
-                self._reap(proc)
-                return None, _Failure(
-                    "timeout", f"hard deadline {deadline:.2f}s exceeded; "
-                    "worker terminated"
-                )
-            try:
-                tag, payload = parent_conn.recv()
-            except (EOFError, OSError):
-                proc.join(5.0)
-                return None, _Failure(
-                    "crash", f"worker died without a result "
-                    f"(exit code {proc.exitcode})"
-                )
-        finally:
-            parent_conn.close()
-        proc.join(5.0)
-        if proc.is_alive():
-            self._reap(proc)
-        if tag == "error":
-            return None, _Failure("error", str(payload))
-        return self._validate(payload)
+        if self._worker is None:
+            self._worker = _AttemptProcess()
+        reply = self._worker.run(message, deadline_for(job.router.time_limit))
+        if isinstance(reply, _Failure):
+            result, failure = None, reply
+        elif reply[0] == "error":
+            result, failure = None, _Failure("error", str(reply[1]))
+        else:
+            result, failure = self._validate(reply[1])
+        if failure is not None:
+            # The next attempt, a retry included, starts afresh.
+            self._retire()
+        return result, failure
+
+    def _retire(self) -> None:
+        """End the attempt process, if one is running."""
+        worker, self._worker = self._worker, None
+        if worker is not None:
+            worker.close()
 
     @staticmethod
     def _reap(proc) -> None:

@@ -50,7 +50,7 @@ def solve_with_highs(
     model: CsrModel, time_limit: float | None = None
 ) -> Solution:
     """Solve a model exactly: its LP relaxation first, then, unless
-    the LP settled it, HiGHS branch-and-cut.
+    the LP settled it, HiGHS branch-and-cut (:func:`solve_milp`).
 
     The root LP (:func:`repro.ilp.relaxation.solve_root`) settles the
     model OPTIMAL when its point is integral, meets every row and
@@ -60,46 +60,80 @@ def solve_with_highs(
     and ``solve_seconds`` the LP's time; ``scipy.optimize.milp`` never
     runs.  Otherwise the MILP runs with the time the LP left.  An LP
     that fails to solve only falls through: no INFEASIBLE is ever
-    claimed from it.
+    claimed from it.  A LIMIT result's ``best_bound`` is the larger of
+    HiGHS' dual bound and the certified LP bound, so a pair stopped
+    with no incumbent still reports one.  An LP that uses up the limit
+    ends ``LIMIT``; the MILP, a non-positive ``time_limit`` and solver
+    exceptions behave as in :func:`solve_milp`.
+    """
+    trivial = _trivial_solution(model, time_limit)
+    if trivial is not None:
+        return trivial
+    root = solve_root(model, time_limit)
+    if root.settled is not None:
+        return root.settled
+    return _milp(model, time_limit, root.bound, root.seconds)
+
+
+def solve_milp(model: CsrModel, time_limit: float | None = None) -> Solution:
+    """HiGHS branch-and-cut on the model, without the root LP step.
+
+    For callers whose models rarely have an integral LP optimum, such
+    as the equivalence checker's no-good-cut sweep, where the LP of
+    :func:`solve_with_highs` would mostly be spent for nothing.
 
     The MILP gets the model's own contiguous buffers zero-copy (see
     :func:`_milp_inputs`), with the relative MIP gap fixed at 0:
     OptRouter requires proven-optimal solutions for the paper's
-    methodology to be meaningful.  A LIMIT result's ``best_bound`` is
-    the larger of HiGHS' dual bound and the certified LP bound, so a
-    pair stopped with no incumbent still reports one.
+    methodology to be meaningful.
 
     A non-positive ``time_limit`` returns ``LIMIT`` immediately: a
     fallback chain that has already spent its wall-clock budget must
     not start another solve (HiGHS treats its own limit as advisory
-    and can overshoot).  An LP that uses up the limit ends ``LIMIT``
-    the same way.  Unexpected solver exceptions are contained as
+    and can overshoot).  Unexpected solver exceptions are contained as
     ``ERROR`` solutions so one pathological model cannot take down a
     whole sweep.
     """
+    trivial = _trivial_solution(model, time_limit)
+    if trivial is not None:
+        return trivial
+    return _milp(model, time_limit, None, 0.0)
+
+
+def _trivial_solution(
+    model: CsrModel, time_limit: float | None
+) -> Solution | None:
+    """The solution of a model no solver needs to see, else None."""
     if time_limit is not None and time_limit <= 0:
         return Solution(status=SolveStatus.LIMIT)
+    if model.n_vars:
+        return None
     obj_const = float(model.obj_const)
-    if model.n_vars == 0:
-        if len(model.violated_rows(np.zeros(0))):
-            return Solution(status=SolveStatus.INFEASIBLE)
-        return Solution(
-            status=SolveStatus.OPTIMAL,
-            objective=obj_const,
-            best_bound=obj_const,
-        )
+    if len(model.violated_rows(np.zeros(0))):
+        return Solution(status=SolveStatus.INFEASIBLE)
+    return Solution(
+        status=SolveStatus.OPTIMAL, objective=obj_const, best_bound=obj_const
+    )
 
-    root = solve_root(model, time_limit)
-    if root.settled is not None:
-        return root.settled
+
+def _milp(
+    model: CsrModel,
+    time_limit: float | None,
+    lp_bound: float | None,
+    lp_seconds: float,
+) -> Solution:
+    """Run ``scipy.optimize.milp`` with what an LP step left of the
+    time limit; ``lp_bound`` (None = no LP step) floors a LIMIT
+    result's bound, and ``lp_seconds`` counts in ``solve_seconds``."""
+    obj_const = float(model.obj_const)
     options: dict = {"mip_rel_gap": 0.0}
     if time_limit is not None:
-        options["time_limit"] = time_limit - root.seconds
+        options["time_limit"] = time_limit - lp_seconds
         if options["time_limit"] <= 0:
             return Solution(
                 status=SolveStatus.LIMIT,
-                best_bound=root.bound,
-                solve_seconds=root.seconds,
+                best_bound=lp_bound,
+                solve_seconds=lp_seconds,
             )
 
     cost, integrality, bounds, constraints = _milp_inputs(model)
@@ -115,9 +149,9 @@ def solve_with_highs(
     except (ValueError, TypeError, MemoryError):
         return Solution(
             status=SolveStatus.ERROR,
-            solve_seconds=root.seconds + time.perf_counter() - t0,
+            solve_seconds=lp_seconds + time.perf_counter() - t0,
         )
-    elapsed = root.seconds + time.perf_counter() - t0
+    elapsed = lp_seconds + time.perf_counter() - t0
 
     status = _STATUS_MAP.get(result.status, SolveStatus.ERROR)
     solution = Solution(status=status, solve_seconds=elapsed)
@@ -140,7 +174,7 @@ def solve_with_highs(
     if status is SolveStatus.LIMIT:
         # Price the incumbent/bound gap with the best proven bound,
         # which never passes the incumbent.
-        known = [b for b in (dual, root.bound) if b is not None]
+        known = [b for b in (dual, lp_bound) if b is not None]
         if known:
             solution.best_bound = max(known)
             if solution.objective is not None:

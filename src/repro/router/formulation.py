@@ -152,20 +152,21 @@ class BaseFormulation:
 class FormulationCache:
     """Per-process LRU of :class:`BaseFormulation` instances.
 
-    Keyed on clip *identity* plus the core knobs.  Clips are frozen
-    dataclasses and the cache keeps strong references, so an id key
-    can neither go stale through mutation nor be reused while cached.
-    Thread-safe: the service's scheduler threads (``repro serve
+    Keyed on the clip's *value* (clips are frozen, hashable dataclasses)
+    plus the core knobs, so equal copies of a clip share one base: the
+    clips a ``repro serve`` experiment deserializes, and the jobs an
+    attempt process unpickles.  The default bound holds a six-clip
+    study.  Thread-safe: the service's scheduler threads (``repro serve
     --concurrency``) run sweeps in one process; ``specialize`` itself
     only reads the base.
     """
 
-    def __init__(self, max_entries: int = 4):
+    def __init__(self, max_entries: int = 8):
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         self.max_entries = max_entries
         self._lock = threading.Lock()
-        self._entries: dict[tuple, tuple[Clip, BaseFormulation]] = {}
+        self._entries: dict[tuple, BaseFormulation] = {}
         self.hits = 0
         self.misses = 0
 
@@ -177,13 +178,13 @@ class FormulationCache:
         wire_cost: float = 1.0,
         via_cost: float = 4.0,
     ) -> BaseFormulation:
-        key = (id(clip), allow_via_shapes, wire_cost, via_cost)
+        key = (clip, allow_via_shapes, wire_cost, via_cost)
         with self._lock:
-            entry = self._entries.pop(key, None)
-            if entry is not None:
-                self._entries[key] = entry  # re-insert: LRU order
+            base = self._entries.pop(key, None)
+            if base is not None:
+                self._entries[key] = base  # re-insert: LRU order
                 self.hits += 1
-                return entry[1]
+                return base
             self.misses += 1
         # Build outside the lock; a racing duplicate build is wasted
         # work, never a correctness problem (bases are equivalent).
@@ -194,7 +195,7 @@ class FormulationCache:
             via_cost=via_cost,
         )
         with self._lock:
-            self._entries[key] = (clip, base)
+            self._entries[key] = base
             while len(self._entries) > self.max_entries:
                 self._entries.pop(next(iter(self._entries)))
         return base

@@ -6,8 +6,12 @@ that heal under retry, and fallback chains that degrade to the
 heuristic baseline.
 """
 
+import multiprocessing as mp
+import os
+import signal
 import time
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from pathlib import Path
 
 import pytest
 
@@ -476,6 +480,250 @@ class TestMpContext:
         assert result.status is RouteStatus.OPTIMAL
         assert result.attempts == 2
         assert [e["outcome"] for e in result.attempt_log] == ["crash", "ok"]
+
+
+@dataclass
+class PidLoggingRouter(OptRouter):
+    """Appends the pid of every attempt that reaches routing to the file
+    ``log``, and fails (a backend error) on the clip named ``fail_on``.
+    Module-level, so that a job carrying it pickles."""
+
+    log: str = ""
+    fail_on: str = ""
+
+    def route(self, clip, rules=None, warm=None):
+        with open(self.log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        if clip.name == self.fail_on:
+            raise RuntimeError("injected backend error")
+        return super().route(clip, rules, warm=warm)
+
+
+def logged_pids(path) -> "list[int]":
+    path = Path(path)
+    return [int(x) for x in path.read_text().split()] if path.exists() else []
+
+
+def process_gone(pid: int) -> bool:
+    """True once ``pid`` has exited (a zombie waiting for a reaper
+    counts as gone: an orphan's reaper may be slow to collect it)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+def _doomed_supervisor(log: str, ready: str) -> None:
+    """Run one clean job on a process-isolated runner, then hang in
+    ``on_result`` with the (idle) attempt process still running."""
+    [job] = jobs_for(clips(1))
+    job = replace(job, router=PidLoggingRouter(time_limit=30.0, log=log))
+
+    def hang(_index, _result):
+        Path(ready).touch()
+        time.sleep(600)
+
+    SupervisedRunner(SupervisorConfig(isolation="process")).run_groups(
+        [[job]], on_result=hang
+    )
+
+
+class TestAttemptProcess:
+    """One attempt process per runner call: reused after every success,
+    replaced after every failure, never outliving the call."""
+
+    def runner(self, max_attempts=1):
+        return SupervisedRunner(
+            SupervisorConfig(isolation="process", retry=fast_retry(max_attempts))
+        )
+
+    def logging_jobs(self, tmp_path, population, **router_kwargs):
+        router = PidLoggingRouter(
+            time_limit=30.0, log=str(tmp_path / "pids"), **router_kwargs
+        )
+        return [RouteJob(clip, RuleConfig(), router) for clip in population]
+
+    def test_clean_run_uses_one_process(self, tmp_path):
+        population = clips(4)
+        results = run_jobs(self.runner(), self.logging_jobs(tmp_path, population))
+        assert all(r.status is RouteStatus.OPTIMAL for r in results)
+        pids = logged_pids(tmp_path / "pids")
+        assert len(pids) == len(population)
+        assert len(set(pids)) == 1
+        assert pids[0] != os.getpid()
+
+    @pytest.mark.parametrize("case", ["crash", "flaky", "sleep", "corrupt", "error"])
+    def test_failed_attempt_replaces_the_process(self, tmp_path, case):
+        population = clips(3)
+        jobs = self.logging_jobs(
+            tmp_path, population,
+            fail_on=population[1].name if case == "error" else "",
+        )
+        faults = {
+            "crash": FaultSpec(FaultKind.CRASH),
+            "flaky": FaultSpec(FaultKind.FLAKY, fail_attempts=1),
+            "sleep": FaultSpec(FaultKind.SLEEP, sleep_seconds=30.0),
+            "corrupt": FaultSpec(FaultKind.CORRUPT),
+        }
+        plan = FaultPlan(by_index={1: faults[case]} if case in faults else {})
+        if case == "sleep":
+            jobs[1] = replace(jobs[1], router=replace(jobs[1].router, time_limit=0.5))
+        results = run_jobs(
+            self.runner(max_attempts=2 if case == "flaky" else 1),
+            jobs,
+            fault_plan=plan,
+        )
+        assert results[0].status is RouteStatus.OPTIMAL
+        assert results[2].status is RouteStatus.OPTIMAL
+        first, *middle, last = logged_pids(tmp_path / "pids")
+        assert first != last
+        # Which attempts reached routing, and where: a faulted attempt
+        # dies or answers before routing, a backend error after it.
+        expected = {
+            "crash": [], "sleep": [], "corrupt": [],
+            "flaky": [last],  # the retry, in the replacement process
+            "error": [first],  # raised in the reused process
+        }[case]
+        assert middle == expected
+        assert mp.active_children() == []
+
+    def test_no_process_outlives_run_groups(self, tmp_path):
+        run_jobs(self.runner(), self.logging_jobs(tmp_path, clips(2)))
+        assert mp.active_children() == []
+
+    def test_no_process_outlives_sweep_aborted(self, tmp_path):
+        plan = FaultPlan(by_index={1: FaultSpec(FaultKind.ABORT)})
+        with pytest.raises(SweepAborted):
+            run_jobs(
+                self.runner(), self.logging_jobs(tmp_path, clips(2)),
+                fault_plan=plan,
+            )
+        assert len(logged_pids(tmp_path / "pids")) == 1
+        assert mp.active_children() == []
+
+    def test_no_process_outlives_a_raising_on_result(self, tmp_path):
+        def boom(_index, _result):
+            raise RuntimeError("observer failed")
+
+        with pytest.raises(RuntimeError, match="observer failed"):
+            run_jobs(
+                self.runner(), self.logging_jobs(tmp_path, clips(2)),
+                on_result=boom,
+            )
+        assert mp.active_children() == []
+
+    def test_unpicklable_job_on_fork_runs_inline_with_its_faults(self):
+        pids = []
+
+        class LocalRouter(OptRouter):  # local: pickle cannot name it
+            def route(self, clip, rules=None, warm=None):
+                pids.append(os.getpid())
+                return super().route(clip, rules, warm=warm)
+
+        job = RouteJob(clips(1)[0], RuleConfig(), LocalRouter(time_limit=30.0))
+        result = self.runner(max_attempts=2).run_one(
+            job, FaultSpec(FaultKind.FLAKY, fail_attempts=1)
+        )
+        assert result.status is RouteStatus.OPTIMAL
+        assert [e["outcome"] for e in result.attempt_log] == ["crash", "ok"]
+        assert pids == [os.getpid()]
+        assert mp.active_children() == []
+
+    def test_runner_in_another_thread_leaves_the_pipe_alone(
+        self, tmp_path, monkeypatch
+    ):
+        """The service runs experiments on scheduler threads, so one
+        runner's attempt process can be forked while another runner's
+        pipe is open.  It must not hold that pipe: the other attempt
+        process still exits on EOF when its call ends, unsignalled."""
+        import threading
+
+        reaped = []
+        reap = SupervisedRunner._reap
+
+        def recording_reap(proc):
+            reaped.append(proc.pid)
+            reap(proc)
+
+        monkeypatch.setattr(
+            SupervisedRunner, "_reap", staticmethod(recording_reap)
+        )
+        first_running, second_running, first_done = (
+            threading.Event() for _ in range(3)
+        )
+        first_job, second_job = self.logging_jobs(tmp_path, clips(2))
+        results = []
+
+        def first():
+            # Its attempt process is idle before the second one forks,
+            # and its call ends while the second one still runs.
+            def hold(_index, _result):
+                first_running.set()
+                second_running.wait(60)
+
+            results.extend(
+                self.runner().run_groups([[first_job]], on_result=hold)
+            )
+            first_done.set()
+
+        def second():
+            def hold(_index, _result):
+                second_running.set()
+                first_done.wait(60)
+
+            first_running.wait(60)
+            results.extend(
+                self.runner().run_groups([[second_job]], on_result=hold)
+            )
+
+        threads = [threading.Thread(target=f) for f in (first, second)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [r.status for r in results] == [RouteStatus.OPTIMAL] * 2
+        assert len(set(logged_pids(tmp_path / "pids"))) == 2
+        assert reaped == []
+        assert mp.active_children() == []
+
+    @pytest.mark.skipif(
+        "fork" not in mp.get_all_start_methods()
+        or not os.path.isdir("/proc"),
+        reason="needs fork and procfs",
+    )
+    def test_attempt_process_exits_when_its_supervisor_is_killed(
+        self, tmp_path
+    ):
+        log, ready = tmp_path / "pids", tmp_path / "ready"
+        supervisor = mp.get_context("fork").Process(
+            target=_doomed_supervisor, args=(str(log), str(ready))
+        )
+        supervisor.start()
+        attempt_pid = None
+        try:
+            deadline = time.monotonic() + 60.0
+            while not ready.exists():
+                assert time.monotonic() < deadline, "supervisor never ran"
+                assert supervisor.is_alive(), "supervisor died early"
+                time.sleep(0.05)
+            [attempt_pid] = logged_pids(log)
+            assert not process_gone(attempt_pid)  # idle, waiting for work
+            os.kill(supervisor.pid, signal.SIGKILL)
+            supervisor.join(10.0)
+            deadline = time.monotonic() + 5.0
+            while not process_gone(attempt_pid) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert process_gone(attempt_pid), (
+                "attempt process outlived its supervisor"
+            )
+        finally:
+            if supervisor.is_alive():
+                supervisor.kill()
+                supervisor.join(10.0)
+            if attempt_pid is not None and not process_gone(attempt_pid):
+                os.kill(attempt_pid, signal.SIGKILL)
 
 
 class TestRacingIntegration:

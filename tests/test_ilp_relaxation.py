@@ -314,3 +314,27 @@ class TestCorpusParity:
             bound = solve_root(model).bound
             assert bound is not None and bound <= solution.objective, case
         assert settled >= 1
+
+
+class TestSolveMilp:
+    """The MILP half alone, for callers whose LPs rarely settle."""
+
+    def test_runs_milp_without_the_root_lp(self, monkeypatch, milp_calls):
+        def no_lp(*args, **kwargs):
+            raise AssertionError("solve_milp solved the root LP")
+
+        monkeypatch.setattr(highs_backend, "solve_root", no_lp)
+        b = CooBuilder()
+        xs = [b.binary(f"x{i}") for i in range(3)]
+        b.ge(xs[0] + xs[1], 1)
+        b.ge(xs[1] + xs[2], 1)
+        b.minimize(2 * xs[0] + 3 * xs[1] + 2 * xs[2])
+        model = b.freeze("m")
+        solution = highs_backend.solve_milp(model)
+        assert solution.status is SolveStatus.OPTIMAL
+        assert solution.objective == 3.0
+        assert solution.values == {0: 0, 1: 1, 2: 0}
+        assert milp_calls == [1]
+        spent = highs_backend.solve_milp(model, time_limit=0.0)
+        assert spent.status is SolveStatus.LIMIT
+        assert milp_calls == [1]

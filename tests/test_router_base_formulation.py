@@ -102,6 +102,19 @@ class TestFormulationCache:
         assert cache.misses == 1
         assert cache.hits == 1
 
+    def test_unpickled_copy_hits(self):
+        # An attempt process receives its clip pickled, and a service
+        # experiment deserializes its own: equal copies share one base.
+        import pickle
+
+        cache = FormulationCache()
+        c = clip()
+        base = cache.base_for(c)
+        copy = pickle.loads(pickle.dumps(c))
+        assert copy is not c
+        assert cache.base_for(copy) is base
+        assert (cache.hits, cache.misses) == (1, 1)
+
     def test_distinct_clips_miss(self):
         cache = FormulationCache()
         cache.specialize(clip(seed=0), RULES[0])
