@@ -162,7 +162,7 @@ class LintConfig:
         "repro/exec/checkpoint.py:CheckpointJournal._append_locked",
         "repro/exec/checkpoint.py:CheckpointJournal._compact",
         "repro/exec/checkpoint.py:CheckpointJournal.clear",
-        "repro/ilp/solve_cache.py:SolveCache.put",
+        "repro/ilp/solve_cache.py:SolveCache._write_atomic",
         "repro/ilp/solve_cache.py:SolveCache._quarantine",
     )
     allow: tuple[str, ...] = ()

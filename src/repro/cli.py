@@ -189,7 +189,8 @@ def _cmd_cache(args) -> int:
     if args.action == "stats":
         stats = cache.stats()
         print(f"solve cache at {stats['root']}: {stats['entries']} "
-              f"entries, {stats['bytes']} bytes")
+              f"entries, {stats['bytes']} bytes, "
+              f"{stats['index_entries']} index entries")
         return 0
     if args.action == "evict":
         if args.max_bytes is None and args.older_than is None:

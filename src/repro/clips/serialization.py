@@ -7,6 +7,8 @@ natural interchange for sharing "difficult clip" suites.
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 from collections.abc import Iterable
 
@@ -46,6 +48,17 @@ def clip_to_dict(clip: Clip) -> dict:
             for net in clip.nets
         ],
     }
+
+
+@functools.lru_cache(maxsize=256)
+def clip_digest(clip: Clip) -> str:
+    """SHA-256 of the clip's canonical serialization without its name:
+    the clip's content address, computed once per clip value (equal
+    copies share one computation)."""
+    data = clip_to_dict(clip)
+    del data["name"]
+    blob = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def clip_from_dict(data: dict) -> Clip:

@@ -35,7 +35,8 @@ from repro.exec.portfolio import (
     predicted_hard,
 )
 from repro.exec.runner import RouteJob, SupervisedRunner
-from repro.ilp.solve_cache import SolveCache
+from repro.ilp.solve_cache import SolveCache, program_digest
+from repro.router.formulation import formulation_cache
 from repro.router.optrouter import OptRouteResult, OptRouter, RouteStatus, WarmStart
 from repro.router.rules import RuleConfig, is_restriction
 from repro.router.solution import ClipRouting
@@ -77,10 +78,11 @@ class ClipRuleOutcome:
     backend: str = ""
     attempts: int = 1
     degraded: bool = False
-    #: formulation build time (zero for warm shortcuts / certified).
+    #: formulation build time (zero for warm shortcuts, certified
+    #: pairs and cache hits read through the solve cache's pair index).
     build_seconds: float = 0.0
     #: canonical-serialization (solve-cache hashing) time; zero when
-    #: no solve cache is configured.
+    #: no solve cache is configured or the pair index replayed the pair.
     serialize_seconds: float = 0.0
     #: warm-shortcut provenance ("" = cold solve); see
     #: :class:`repro.router.optrouter.WarmStart`.
@@ -451,7 +453,8 @@ def evaluate_clips(
     """Run OptRouter on every (clip, rule) pair under the supervisor.
 
     The first rule in ``rules`` is the Δcost baseline (pass RULE1 first
-    to match the paper).
+    to match the paper).  A sweep keys its pairs by (clip name, rule
+    name), so duplicate clip or rule names raise ``ValueError``.
 
     With ``checkpoint_path``, every completed pair is journaled to a
     JSONL file as it finishes; ``resume=True`` reloads the journal and
@@ -478,10 +481,15 @@ def evaluate_clips(
         config = EvalConfig()
     if not rules:
         raise ValueError("need at least one rule configuration")
+    # Pairs are keyed by (clip name, rule name) throughout a sweep.
+    _require_unique_names(clips, rules)
+    if config.solve_cache_dir is not None:
+        # Before any lease worker or attempt process forks, so each
+        # inherits it (the solve cache's pair index keys carry it).
+        program_digest()
     journal: CheckpointJournal | None = None
     done: dict[tuple[str, str], ClipRuleOutcome] = {}
     if checkpoint_path is not None:
-        _require_unique_names(clips, rules)
         journal = CheckpointJournal(checkpoint_path)
         if resume:
             done = _journaled(journal.load())
@@ -537,29 +545,35 @@ def _execute(
         # spawns: a raced plan runs its attempts in processes too.
         supervisor = replace(supervisor, isolation="process")
     restriction_disagreements: list[str] = []
-    proofs: dict[tuple[str, str, str], bool] = {}
+    # The edges this sweep has used (names are unique within a sweep).
+    used: dict[tuple[str, str, str], bool] = {}
 
     def proven(clip: Clip, looser: RuleConfig, follower: RuleConfig) -> bool:
         key = (clip.name, looser.name, follower.name)
-        if key not in proofs:
-            # Looked up on the module at call time, so that a wrapper
-            # installed on the module attribute (sweepbench's span
-            # tracer) sees the call.
-            proof = restriction.prove_restriction(
-                clip,
-                looser,
-                follower,
-                wire_cost=config.wire_cost,
-                via_cost=config.via_cost,
+        if key in used:
+            return used[key]
+        # Memoized per process with the clip's base formulation, so a
+        # later sweep over an equal clip proves nothing again.  The
+        # prover is looked up on the module at call time, so that a
+        # wrapper installed on the module attribute (sweepbench's span
+        # tracer) sees the call.
+        proof = formulation_cache().restriction_proof(
+            clip,
+            looser,
+            follower,
+            wire_cost=config.wire_cost,
+            via_cost=config.via_cost,
+            prove=restriction.prove_restriction,
+        )
+        if not proof.agrees_with_predicate:
+            # Reported by every sweep that uses the edge, memoized or not.
+            restriction_disagreements.append(
+                f"{clip.name}: predicate accepts "
+                f"{looser.name} -> {follower.name} but the model-level "
+                "proof failed: " + "; ".join(proof.failures)
             )
-            if not proof.agrees_with_predicate:
-                restriction_disagreements.append(
-                    f"{clip.name}: predicate accepts "
-                    f"{looser.name} -> {follower.name} but the model-level "
-                    "proof failed: " + "; ".join(proof.failures)
-                )
-            proofs[key] = proof.holds
-        return proofs[key]
+        used[key] = proof.holds
+        return proof.holds
 
     # Each clip's settled outcomes by rule: the journaled ones (no
     # routing), then each result of this run as the audit left it.
@@ -869,8 +883,8 @@ def warm_job(
 
     ``settled`` maps rule names of ``job.clip`` to their settled
     outcomes; ``rules`` are the sweep's rules, baseline first; and
-    ``proven(clip, looser, follower)`` is the sweep's memoized
-    model-level restriction proof.  Only trusted outcomes take part:
+    ``proven(clip, looser, follower)`` is the memoized model-level
+    restriction proof.  Only trusted outcomes take part:
     not degraded (fallback backends prove nothing), not failed, not
     left quarantined.  Only sound transfers are made:
 
@@ -1007,9 +1021,9 @@ def _require_unique_names(
     clip_names = [clip.name for clip in clips]
     rule_names = [rule.name for rule in rules]
     if len(set(clip_names)) != len(clip_names):
-        raise ValueError("checkpointing requires unique clip names")
+        raise ValueError("a sweep requires unique clip names")
     if len(set(rule_names)) != len(rule_names):
-        raise ValueError("checkpointing requires unique rule names")
+        raise ValueError("a sweep requires unique rule names")
 
 
 def _to_outcome(

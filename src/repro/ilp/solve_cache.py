@@ -26,6 +26,16 @@ Statuses cached: OPTIMAL, INFEASIBLE, and LIMIT (the time limit is
 part of the key, so a LIMIT outcome is only replayed for the same
 budget).  ERROR outcomes are never cached -- crashes are environment,
 not model, properties.
+
+In front of the entries sits a *pair index* (``index/``): sealed
+records from a caller's content address of a model's *inputs* (for
+the router: the program digest, the clip, the rule, the cost weights
+and these solver options) to the entry's key and the model's size
+statistics.  A caller whose inputs are indexed reads the entry
+without building or hashing the model.  An index entry only ever
+points at a key, so a missing, dangling or corrupt one is a miss and
+the caller builds and hashes as before; :func:`program_digest` in the
+key retires every index entry when any module changes.
 """
 
 from __future__ import annotations
@@ -35,9 +45,11 @@ import json
 import os
 import tempfile
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import repro
 from repro.ilp.csr import CsrModel
 from repro.ilp.status import Solution, SolveStatus
 from repro.util.integrity import seal_record, verify_seal
@@ -46,11 +58,45 @@ from repro.util.integrity import seal_record, verify_seal
 #: misses (the re-solve rewrites them sealed).
 ENTRY_VERSION = 2
 
+#: Version of the pair index's records (see :meth:`SolveCache.get_indexed`).
+INDEX_VERSION = 1
+
 #: Subdirectory corrupt entries are moved into (never read as hits).
 QUARANTINE_DIR = "quarantine"
 
+#: Subdirectory of the pair index, sharded like the entries.
+INDEX_DIR = "index"
+
 #: Outcomes worth persisting (see module docstring).
 _CACHEABLE = (SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE, SolveStatus.LIMIT)
+
+
+_PROGRAM_DIGEST: "str | None" = None
+
+
+def program_digest() -> str:
+    """SHA-256 over the path and bytes of every module of the ``repro``
+    package, computed once per process.
+
+    Pair-index keys carry it, so an index written by other code is
+    never read.  A sweep computes it before it forks lease workers or
+    attempt processes, so each fork inherits it.
+    """
+    global _PROGRAM_DIGEST
+    if _PROGRAM_DIGEST is None:
+        root = os.path.dirname(repro.__file__)
+        modules = sorted(
+            os.path.relpath(os.path.join(folder, name), root)
+            for folder, _, names in os.walk(root)
+            for name in names
+            if name.endswith(".py")
+        )
+        digest = hashlib.sha256()
+        for module in modules:
+            with open(os.path.join(root, module), "rb") as fh:
+                digest.update(b"%s\0%s\0" % (module.encode("utf-8"), fh.read()))
+        _PROGRAM_DIGEST = digest.hexdigest()
+    return _PROGRAM_DIGEST
 
 
 @dataclass
@@ -118,9 +164,9 @@ class SolveCache:
         self.hits = 0
         self.misses = 0
         self.quarantined = 0
-        #: durable-write failures (ENOSPC and kin) absorbed by put();
-        #: each one degrades the entry to a miss on the next run
-        #: instead of crashing the sweep.
+        #: durable-write failures (ENOSPC and kin) absorbed by put()
+        #: and put_indexed(); each one degrades the entry to a miss on
+        #: the next run instead of crashing the sweep.
         self.write_failures = 0
         self.last_write_error: "str | None" = None
 
@@ -137,19 +183,25 @@ class SolveCache:
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
 
+    def _index_path(self, pair_key: str) -> Path:
+        return self.root / INDEX_DIR / pair_key[:2] / f"{pair_key}.json"
+
     # -- access -------------------------------------------------------------
 
     def get(
         self,
-        model: CsrModel,
+        model: "CsrModel | None",
         options: dict,
         key: "str | None" = None,
     ) -> "CacheEntry | None":
         """Look up a solve outcome.  ``key`` is an optional precomputed
         :meth:`key_for` result, so a caller that also writes the entry
-        serializes the model once, not twice."""
-        path = self._path(key if key is not None else
-                          self.key_for(model, options))
+        serializes the model once, not twice (and one that read the key
+        from the pair index passes no model at all)."""
+        if key is None:
+            assert model is not None
+            key = self.key_for(model, options)
+        path = self._path(key)
         entry, reason = self._read_entry(path)
         if entry is None:
             if reason is not None and reason != "absent":
@@ -160,8 +212,10 @@ class SolveCache:
         return entry
 
     @staticmethod
-    def _read_entry(path: Path) -> "tuple[CacheEntry | None, str | None]":
-        """Parse and validate one entry file; (entry, None) on success,
+    def _read_sealed(
+        path: Path, version: int
+    ) -> "tuple[dict | None, str | None]":
+        """Parse one sealed record file; (payload, None) on success,
         (None, reason) on failure ("absent" = no file, not corruption)."""
         try:
             text = path.read_text(encoding="utf-8")
@@ -173,14 +227,41 @@ class SolveCache:
             return None, "unparseable JSON (truncated or corrupted write)"
         if not isinstance(payload, dict):
             return None, "entry is not an object"
-        if payload.get("v") != ENTRY_VERSION:
+        if payload.get("v") != version:
             return None, f"unsupported entry version {payload.get('v')!r}"
         if not verify_seal(payload):
             return None, "checksum mismatch (content does not match its seal)"
+        return payload, None
+
+    @classmethod
+    def _read_entry(cls, path: Path) -> "tuple[CacheEntry | None, str | None]":
+        """Parse and validate one entry file (see :meth:`_read_sealed`)."""
+        payload, reason = cls._read_sealed(path, ENTRY_VERSION)
+        if payload is None:
+            return None, reason
         try:
             return CacheEntry.from_dict(payload), None
         except (ValueError, KeyError, TypeError) as exc:
             return None, f"malformed entry: {type(exc).__name__}: {exc}"
+
+    @classmethod
+    def _read_index(
+        cls, path: Path
+    ) -> "tuple[tuple[str, dict[str, int]] | None, str | None]":
+        """Parse and validate one pair-index file: ((key, stats), None)
+        on success, else (None, reason) as :meth:`_read_sealed`."""
+        payload, reason = cls._read_sealed(path, INDEX_VERSION)
+        if payload is None:
+            return None, reason
+        key, stats = payload.get("key"), payload.get("stats")
+        if not (
+            isinstance(key, str)
+            and len(key) == 64
+            and isinstance(stats, dict)
+            and all(isinstance(v, int) for v in stats.values())
+        ):
+            return None, "malformed index entry"
+        return (key, stats), None
 
     def _quarantine(self, path: Path, reason: str) -> None:
         """Move a corrupt entry aside so it can never read as a hit;
@@ -224,6 +305,35 @@ class SolveCache:
         )
         path = self._path(key if key is not None else
                           self.key_for(model, options))
+        return self._write_atomic(path, entry.to_dict())
+
+    def get_indexed(
+        self, pair_key: str
+    ) -> "tuple[str, dict[str, int]] | None":
+        """The pair index's (entry key, model stats) for ``pair_key``,
+        or None.  A corrupt index entry is quarantined and reads as a
+        miss, as a corrupt entry does."""
+        path = self._index_path(pair_key)
+        indexed, reason = self._read_index(path)
+        if indexed is None and reason != "absent":
+            assert reason is not None
+            self._quarantine(path, reason)
+        return indexed
+
+    def put_indexed(
+        self, pair_key: str, key: str, stats: "dict[str, int]"
+    ) -> bool:
+        """Point ``pair_key`` at the entry ``key`` (see the module
+        docstring); False when the write failed."""
+        record = seal_record(
+            {"v": INDEX_VERSION, "key": key, "stats": dict(stats)}
+        )
+        return self._write_atomic(self._index_path(pair_key), record)
+
+    def _write_atomic(self, path: Path, record: dict) -> bool:
+        """Write one sealed record through a same-directory temp file
+        and ``os.replace``: the one write path of entries and index
+        entries alike."""
         # Every step of the atomic write -- mkdir, temp-file creation,
         # the write itself, the rename -- can hit a full disk; all of
         # them degrade to "entry not cached" (the next run re-solves)
@@ -238,7 +348,7 @@ class SolveCache:
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(entry.to_dict(), fh, sort_keys=True)
+                json.dump(record, fh, sort_keys=True)
             os.replace(tmp, path)
         except OSError as exc:
             if tmp is not None:
@@ -262,6 +372,9 @@ class SolveCache:
             if f.parent.name != QUARANTINE_DIR
         )
 
+    def _index_files(self) -> list[Path]:
+        return sorted((self.root / INDEX_DIR).glob("*/*.json"))
+
     def _quarantine_files(self) -> list[Path]:
         qdir = self.root / QUARANTINE_DIR
         if not qdir.is_dir():
@@ -269,34 +382,45 @@ class SolveCache:
         return sorted(qdir.glob("*.json"))
 
     def stats(self) -> dict:
+        """Entry counts and sizes; ``entries``/``bytes`` cover solve
+        entries only, ``index_entries`` the pair index."""
         files = self._entry_files()
         return {
             "root": str(self.root),
             "entries": len(files),
             "bytes": sum(f.stat().st_size for f in files),
+            "index_entries": len(self._index_files()),
             "hits": self.hits,
             "misses": self.misses,
             "quarantined": len(self._quarantine_files()),
         }
 
     def scan(self) -> dict:
-        """Validate every entry on disk, quarantining corrupt ones.
+        """Validate every entry and index entry on disk, quarantining
+        corrupt ones.
 
         Returns ``{"checked": n, "valid": n, "quarantined": [(name,
         reason), ...]}`` -- the integrity audit behind ``repro audit
-        --solve-cache``.
+        --solve-cache``.  Index entries are named ``index/<file>``.
         """
         quarantined: list[tuple[str, str]] = []
-        files = self._entry_files()
-        for path in files:
-            entry, reason = self._read_entry(path)
-            if entry is None and reason not in (None, "absent"):
+        checks: "list[tuple[Path, str, Callable[[Path], tuple[object, str | None]]]]"
+        checks = [
+            (path, path.name, self._read_entry) for path in self._entry_files()
+        ]
+        checks += [
+            (path, f"{INDEX_DIR}/{path.name}", self._read_index)
+            for path in self._index_files()
+        ]
+        for path, name, read in checks:
+            record, reason = read(path)
+            if record is None and reason not in (None, "absent"):
                 assert reason is not None
                 self._quarantine(path, reason)
-                quarantined.append((path.name, reason))
+                quarantined.append((name, reason))
         return {
-            "checked": len(files),
-            "valid": len(files) - len(quarantined),
+            "checked": len(checks),
+            "valid": len(checks) - len(quarantined),
             "quarantined": quarantined,
         }
 
@@ -320,8 +444,11 @@ class SolveCache:
 
         Quarantined entries are never touched -- they are evidence for
         the integrity audit, not cache capacity -- and never counted
-        against ``max_bytes``.  Returns ``{"removed", "bytes_freed",
-        "remaining_entries", "remaining_bytes"}``.
+        against ``max_bytes``.  Index entries do not count either; one
+        past the age criterion or pointing at an entry that is gone is
+        dropped (a dangling one would only read as a miss).  Returns
+        ``{"removed", "bytes_freed", "remaining_entries",
+        "remaining_bytes", "index_removed"}``.
         """
         if now is None:
             now = time.time()
@@ -355,17 +482,34 @@ class SolveCache:
                 removed += 1
                 bytes_freed += size
                 total -= size
+        index_removed = 0
+        for f in self._index_files():
+            indexed, _ = self._read_index(f)
+            try:
+                stale = (
+                    older_than_seconds is not None
+                    and now - f.stat().st_mtime > older_than_seconds
+                )
+                if stale or (
+                    indexed is not None and not self._path(indexed[0]).exists()
+                ):
+                    f.unlink()
+                    index_removed += 1
+            except OSError:
+                continue
         return {
             "removed": removed,
             "bytes_freed": bytes_freed,
             "remaining_entries": len(survivors),
             "remaining_bytes": total,
+            "index_removed": index_removed,
         }
 
     def clear(self) -> int:
-        """Delete every entry; returns the number removed."""
+        """Delete every entry and index entry; returns the number of
+        entries removed."""
         files = self._entry_files()
-        for f in files:
+        for f in files + self._index_files():
             try:
                 f.unlink()
             except OSError:

@@ -33,13 +33,17 @@ physically sound and DRC-checkable:
 from __future__ import annotations
 
 import threading
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from typing import TypeVar
 
 from repro.clips.clip import Clip, ClipNet
 from repro.ilp.csr import SENSE_EQ, SENSE_GE, SENSE_LE, CooBuilder, CsrModel
 from repro.ilp.model import Var
 from repro.router.graph import ArcKind, ShapeViaInstance, SwitchboxGraph, build_graph
 from repro.router.rules import RuleConfig, eol_grid_offset
+
+_Proof = TypeVar("_Proof")
 
 
 @dataclass
@@ -105,6 +109,9 @@ class BaseFormulation:
     graph: SwitchboxGraph
     core: CsrModel
     nets: list[NetVars]
+    #: restriction proofs between rules over this base, by (looser,
+    #: follower) rule value; see :meth:`FormulationCache.restriction_proof`.
+    proofs: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def build(
@@ -156,9 +163,13 @@ class FormulationCache:
     plus the core knobs, so equal copies of a clip share one base: the
     clips a ``repro serve`` experiment deserializes, and the jobs an
     attempt process unpickles.  The default bound holds a six-clip
-    study.  Thread-safe: the service's scheduler threads (``repro serve
-    --concurrency``) run sweeps in one process; ``specialize`` itself
-    only reads the base.
+    study.  Each base also holds the restriction proofs made over it
+    (:meth:`restriction_proof`), so the LRU bounds them and
+    :meth:`clear` drops them with their base; every tenant of a
+    ``repro serve`` process after the first reads them.  Thread-safe:
+    the service's scheduler threads (``repro serve --concurrency``)
+    run sweeps in one process; ``specialize`` itself only reads the
+    base.
     """
 
     def __init__(self, max_entries: int = 8):
@@ -215,6 +226,37 @@ class FormulationCache:
         )
         return base.specialize(rules)
 
+    def restriction_proof(
+        self,
+        clip: Clip,
+        looser: RuleConfig,
+        follower: RuleConfig,
+        *,
+        wire_cost: float,
+        via_cost: float,
+        prove: "Callable[..., _Proof]",
+    ) -> _Proof:
+        """The proof that ``follower`` restricts ``looser`` on ``clip``,
+        memoized with the base formulation it is made over.
+
+        ``prove`` (:func:`~repro.analysis.semantics.restriction.prove_restriction`,
+        which brings the base into this cache) makes a missing proof
+        from the same arguments.  A lookup counts no hit or miss, and
+        a proof whose base is not resident is not kept.
+        """
+        key = (clip, looser.allow_via_shapes, wire_cost, via_cost)
+        edge = (looser, follower)
+        with self._lock:
+            base = self._entries.get(key)
+        if base is not None and edge in base.proofs:
+            return base.proofs[edge]
+        proof = prove(clip, looser, follower, wire_cost=wire_cost, via_cost=via_cost)
+        with self._lock:
+            base = self._entries.get(key)
+            if base is not None:
+                base.proofs[edge] = proof
+        return proof
+
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
@@ -253,17 +295,38 @@ def build_routing_ilp(
     the process-wide :class:`FormulationCache` and only the rule delta
     is built; ``reuse=False`` forces a cold build (benchmark control).
     """
-    if reuse:
-        return _BASE_CACHE.specialize(
-            clip, rules, wire_cost=wire_cost, via_cost=via_cost
-        )
-    base = BaseFormulation.build(
+    return base_formulation(
         clip,
         allow_via_shapes=rules.allow_via_shapes,
         wire_cost=wire_cost,
         via_cost=via_cost,
+        reuse=reuse,
+    ).specialize(rules)
+
+
+def base_formulation(
+    clip: Clip,
+    *,
+    allow_via_shapes: bool = False,
+    wire_cost: float = 1.0,
+    via_cost: float = 4.0,
+    reuse: bool = True,
+) -> BaseFormulation:
+    """The clip's base formulation: from the process-wide
+    :class:`FormulationCache` with ``reuse``, else built cold."""
+    if reuse:
+        return _BASE_CACHE.base_for(
+            clip,
+            allow_via_shapes=allow_via_shapes,
+            wire_cost=wire_cost,
+            via_cost=via_cost,
+        )
+    return BaseFormulation.build(
+        clip,
+        allow_via_shapes=allow_via_shapes,
+        wire_cost=wire_cost,
+        via_cost=via_cost,
     )
-    return base.specialize(rules)
 
 
 class _Builder:

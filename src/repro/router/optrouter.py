@@ -9,18 +9,21 @@ configurable.
 from __future__ import annotations
 
 import enum
+import hashlib
+import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.analysis.certify import certify_infeasible
 from repro.analysis.findings import InfeasibilityCertificate
 from repro.clips.clip import Clip
+from repro.clips.serialization import clip_digest
 from repro.ilp.bnb import BnBOptions, solve_with_bnb
 from repro.ilp.csr import CsrModel
 from repro.ilp.highs_backend import solve_with_highs
-from repro.ilp.solve_cache import SolveCache
+from repro.ilp.solve_cache import SolveCache, program_digest
 from repro.ilp.status import Solution, SolveStatus
-from repro.router.formulation import RoutingIlp, build_routing_ilp
+from repro.router.formulation import RoutingIlp, base_formulation, build_routing_ilp
 from repro.router.rules import RuleConfig
 from repro.router.solution import ClipRouting, decode_solution
 
@@ -86,12 +89,16 @@ class OptRouteResult:
     n_vias: int = 0
     routing: ClipRouting | None = None
     #: pure backend time; see also ``build_seconds`` -- the phases
-    #: are disjoint, so their sum is the pair's compute cost.
+    #: are disjoint, so their sum is the pair's compute cost.  A cache
+    #: hit replays the solve time of the run that wrote the entry.
     solve_seconds: float = 0.0
+    #: model build time; 0 for shortcuts, certificates and pairs the
+    #: solve cache's pair index replays without building.
     build_seconds: float = 0.0
     #: canonical-serialization time: hashing the model into its
     #: content address for the solve cache (0 when no cache is
-    #: configured; the other phase clocks never include it).
+    #: configured or the pair index replayed the pair; the other
+    #: phase clocks never include it).
     serialize_seconds: float = 0.0
     #: ``""`` for a cold solve, else the solver-free shortcut taken:
     #: ``"inherited-infeasible"`` or ``"reused-optimal"``.
@@ -191,6 +198,51 @@ class OptRouter:
             "time_limit": self.time_limit,
         }
 
+    def _pair_key(self, clip: Clip, rules: RuleConfig) -> str:
+        """The pair's content address in the solve cache's pair index:
+        everything its model and solve outcome are a function of."""
+        parts = (
+            program_digest(),
+            clip_digest(clip),
+            repr(replace(rules, name="")),
+            repr((self.wire_cost, self.via_cost)),
+            json.dumps(self._cache_options(), sort_keys=True, default=str),
+        )
+        return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
+
+    def _replayed(
+        self, clip: Clip, rules: RuleConfig, pair_key: str
+    ) -> "OptRouteResult | None":
+        """The pair's cached outcome when the pair index holds it, read
+        without building or hashing the model; None on any miss.
+
+        Decoding reads only the ``e`` columns, which every rule's model
+        shares with the clip's base formulation, so the base decodes
+        the entry and the index supplies the model's stats.
+        """
+        assert self.solve_cache is not None
+        indexed = self.solve_cache.get_indexed(pair_key)
+        if indexed is None:
+            return None
+        key, stats = indexed
+        entry = self.solve_cache.get(None, self._cache_options(), key=key)
+        if entry is None:
+            return None
+        base = base_formulation(
+            clip,
+            allow_via_shapes=rules.allow_via_shapes,
+            wire_cost=self.wire_cost,
+            via_cost=self.via_cost,
+            reuse=self.reuse_formulation,
+        )
+        core = RoutingIlp(
+            csr=base.core, graph=base.graph, nets=base.nets, rules=rules
+        )
+        return self._result(
+            clip, rules, core, entry.to_solution(base.core),
+            model_stats=dict(stats), cache_hit=True,
+        )
+
     def _reused_optimal(
         self, clip: Clip, rules: RuleConfig, warm: WarmStart
     ) -> "OptRouteResult | None":
@@ -237,6 +289,10 @@ class OptRouter:
         proof -- so results are identical to a cold solve.  The order
         is: reused routing, static certifier, inherited proof, then
         build and solve (through the solve cache when one is set).
+        With a solve cache, a pair the cache's pair index holds is
+        replayed right after the reused routing, without certify,
+        build or hash: its index entry was written after certify found
+        nothing, and a pair with an inherited proof never looks.
         """
         if rules is None:
             rules = RuleConfig()
@@ -244,6 +300,13 @@ class OptRouter:
             reused = self._reused_optimal(clip, rules, warm)
             if reused is not None:
                 return reused
+        inherited = warm is not None and warm.infeasible
+        pair_key: str | None = None
+        if self.solve_cache is not None and not inherited:
+            pair_key = self._pair_key(clip, rules)
+            replayed = self._replayed(clip, rules, pair_key)
+            if replayed is not None:
+                return replayed
         if self.certify:
             certificate = certify_infeasible(clip, rules)
             if certificate is not None:
@@ -254,7 +317,7 @@ class OptRouter:
                     certificate=certificate,
                     backend=self.backend,
                 )
-        if warm is not None and warm.infeasible:
+        if inherited:
             return OptRouteResult(
                 clip_name=clip.name,
                 rule_name=rules.name,
@@ -267,12 +330,11 @@ class OptRouter:
         t0 = time.perf_counter()
         ilp = self.build(clip, rules)
         build_seconds = time.perf_counter() - t0
+        stats = ilp.csr.stats()
         cache_hit = False
-        cache_options = self._cache_options()
-        solution: Solution | None = None
         serialize_seconds = 0.0
-        cache_key: str | None = None
         if self.solve_cache is not None:
+            cache_options = self._cache_options()
             t_ser = time.perf_counter()
             cache_key = self.solve_cache.key_for(ilp.csr, cache_options)
             serialize_seconds = time.perf_counter() - t_ser
@@ -280,12 +342,39 @@ class OptRouter:
             if entry is not None:
                 solution = entry.to_solution(ilp.csr)
                 cache_hit = True
-        if solution is None:
+            else:
+                solution = self._solve_model(ilp.csr, self.time_limit)
+            stored = cache_hit or self.solve_cache.put(
+                ilp.csr, cache_options, solution, key=cache_key
+            )
+            if stored and self.certify and pair_key is not None:
+                # Only here, where certify found nothing: an index hit
+                # skips the certifier.
+                self.solve_cache.put_indexed(pair_key, cache_key, stats)
+        else:
             solution = self._solve_model(ilp.csr, self.time_limit)
-            if self.solve_cache is not None:
-                self.solve_cache.put(
-                    ilp.csr, cache_options, solution, key=cache_key
-                )
+        return self._result(
+            clip, rules, ilp, solution,
+            model_stats=stats,
+            cache_hit=cache_hit,
+            build_seconds=build_seconds,
+            serialize_seconds=serialize_seconds,
+        )
+
+    def _result(
+        self,
+        clip: Clip,
+        rules: RuleConfig,
+        ilp: RoutingIlp,
+        solution: Solution,
+        *,
+        model_stats: "dict[str, int]",
+        cache_hit: bool,
+        build_seconds: float = 0.0,
+        serialize_seconds: float = 0.0,
+    ) -> OptRouteResult:
+        """The result of a solved or replayed model; the routing is
+        decoded from ``ilp``'s ``e`` columns."""
         result = OptRouteResult(
             clip_name=clip.name,
             rule_name=rules.name,
@@ -296,7 +385,7 @@ class OptRouter:
             cache_hit=cache_hit,
             bound=solution.best_bound,
             n_nodes=solution.n_nodes,
-            model_stats=ilp.csr.stats(),
+            model_stats=model_stats,
             backend=self.backend,
         )
         if result.status is RouteStatus.OPTIMAL:

@@ -139,7 +139,7 @@ class TestChaosSweep:
 
 class TestArtifactChaosResume:
     def test_corrupted_journal_and_cache_resume_to_identical_table(
-        self, tmp_path
+        self, tmp_path, monkeypatch
     ):
         population = clips()
         rule_set = paper_rules()[:3]
@@ -200,6 +200,39 @@ class TestArtifactChaosResume:
         assert len(records) == len(population) * len(rule_set)
         # The damaged cache entry was quarantined, not trusted.
         assert SolveCache(cache_dir).stats()["quarantined"] == 1
+
+        # The re-solve healed the entry and indexed the pair.  Poison
+        # the healed entry -- a wrong objective under a valid seal --
+        # and replay into a fresh journal: the pair is read through the
+        # pair index (no pair builds or hashes a model), and the audit
+        # quarantines the lie and heals it by a cold re-solve.
+        from repro.util.integrity import seal_record
+
+        payload = json.loads(entry.read_text())
+        assert payload["status"] == "optimal"
+        payload["objective"] += 3.0
+        entry.write_text(json.dumps(seal_record(payload), sort_keys=True))
+        hashed = []
+        key_for = SolveCache.key_for
+        monkeypatch.setattr(
+            SolveCache, "key_for",
+            staticmethod(lambda *args: hashed.append(1) or key_for(*args)),
+        )
+        replayed = evaluate_clips(
+            population, rule_set, config,
+            checkpoint_path=tmp_path / "replay.jsonl",
+        )
+        assert hashed == []
+        (poisoned,) = [
+            o for o in replayed.outcomes[rule.name] if o.clip_name == clip.name
+        ]
+        assert poisoned.quarantined and poisoned.healed
+        assert poisoned.audit_ok and not poisoned.cache_hit
+        assert sum(replayed.unhealed_count(r) for r in replayed.rule_names) == 0
+        assert (
+            format_delta_cost_table(replayed, title="artifact-chaos")
+            == clean_table
+        )
 
     def test_audit_cli_flags_and_heals_corruption(self, tmp_path, capsys):
         from repro.cli import main

@@ -749,3 +749,159 @@ class TestLatticeSweep:
             assert source.rule_name != outcome.rule_name
             assert source.status is RouteStatus.OPTIMAL
             assert source.cost == outcome.cost
+
+
+class TestUniqueNames:
+    """A sweep keys its pairs by (clip name, rule name) on every path,
+    journaled or not."""
+
+    def test_two_clips_of_one_name_are_rejected_without_a_journal(self):
+        # Swept together, these two different clips shared their warm
+        # seeds and their outcome slots, and the study reported the
+        # second clip's cost (21) for both (the first alone costs 18).
+        import dataclasses
+
+        spec = SyntheticClipSpec(nx=5, ny=5, nz=3, n_nets=2, sinks_per_net=1)
+        first, second = (
+            dataclasses.replace(make_synthetic_clip(spec, seed=s), name="x")
+            for s in (1, 2)
+        )
+        assert first != second
+        with pytest.raises(ValueError, match="unique clip names"):
+            evaluate_clips(
+                [first, second],
+                [paper_rule("RULE1"), paper_rule("RULE6")],
+                EvalConfig(time_limit_per_clip=30.0),
+            )
+
+    def test_duplicate_rule_names_are_rejected_without_a_journal(self):
+        spec = SyntheticClipSpec(nx=5, ny=5, nz=3, n_nets=2, sinks_per_net=1)
+        with pytest.raises(ValueError, match="unique rule names"):
+            evaluate_clips(
+                [make_synthetic_clip(spec, seed=1)],
+                [paper_rule("RULE1"), paper_rule("RULE1")],
+                EvalConfig(time_limit_per_clip=30.0),
+            )
+
+
+@pytest.fixture
+def fresh_proofs():
+    """An empty process-wide formulation cache (and with it, an empty
+    restriction-proof memo) before and after the test."""
+    from repro.router.formulation import formulation_cache
+
+    formulation_cache().clear()
+    yield
+    formulation_cache().clear()
+
+
+class TestProofMemo:
+    """Restriction proofs are memoized per process on the clip's value,
+    with its base formulation: a second sweep over equal clips proves
+    nothing again, and still reports what the proofs said."""
+
+    RULES = ("RULE1", "RULE3", "RULE6", "RULE9")
+
+    @staticmethod
+    def _clips():
+        spec = SyntheticClipSpec(nx=5, ny=6, nz=3, n_nets=2, sinks_per_net=1,
+                                 access_points_per_pin=2)
+        return [make_synthetic_clip(spec, seed=s) for s in range(2)]
+
+    @staticmethod
+    def _counting_prover(monkeypatch, fail_edge=None):
+        """Count ``prove_restriction`` calls; with ``fail_edge`` (looser,
+        follower rule names), that edge's proof fails although the
+        predicate accepts it."""
+        import dataclasses
+
+        from repro.analysis.semantics import restriction
+
+        real = restriction.prove_restriction
+        calls: list[tuple[str, str, str]] = []
+
+        def prove(clip, base, other, **kwargs):
+            calls.append((clip.name, base.name, other.name))
+            proof = real(clip, base, other, **kwargs)
+            if (base.name, other.name) == fail_edge:
+                proof = dataclasses.replace(
+                    proof, holds=False, failures=("injected failure",)
+                )
+            return proof
+
+        monkeypatch.setattr(restriction, "prove_restriction", prove)
+        return calls
+
+    def test_second_sweep_over_equal_clips_proves_nothing(
+        self, monkeypatch, fresh_proofs
+    ):
+        import pickle
+
+        calls = self._counting_prover(monkeypatch)
+        rules = [paper_rule(name) for name in self.RULES]
+        config = EvalConfig(time_limit_per_clip=30.0)
+        clips = self._clips()
+        first = evaluate_clips(clips, rules, config)
+        assert calls
+        calls.clear()
+        again = evaluate_clips(pickle.loads(pickle.dumps(clips)), rules, config)
+        assert calls == []
+        assert format_delta_cost_table(again) == format_delta_cost_table(first)
+        assert [
+            again.restriction_certified_count(rule) for rule in again.rule_names
+        ] == [
+            first.restriction_certified_count(rule) for rule in first.rule_names
+        ]
+        assert sum(
+            first.restriction_certified_count(rule) for rule in first.rule_names
+        ) > 0
+
+    def test_a_different_clip_of_the_same_name_proves_again(
+        self, monkeypatch, fresh_proofs
+    ):
+        import dataclasses
+
+        calls = self._counting_prover(monkeypatch)
+        rules = [paper_rule(name) for name in self.RULES]
+        config = EvalConfig(time_limit_per_clip=30.0)
+        first, second = self._clips()
+        evaluate_clips([first], rules, config)
+        calls.clear()
+        evaluate_clips([dataclasses.replace(second, name=first.name)], rules, config)
+        # Every follower's baseline edge is proven again, on this clip.
+        assert {call[1:] for call in calls} >= {
+            ("RULE1", name) for name in self.RULES[1:]
+        }
+
+    def test_every_sweep_reports_a_memoized_disagreement(
+        self, monkeypatch, fresh_proofs
+    ):
+        import pickle
+
+        calls = self._counting_prover(monkeypatch, fail_edge=("RULE1", "RULE6"))
+        rules = [paper_rule(name) for name in self.RULES]
+        config = EvalConfig(time_limit_per_clip=30.0)
+        clips = self._clips()
+        studies = []
+        for sweep in range(2):
+            calls.clear()
+            studies.append(
+                evaluate_clips(pickle.loads(pickle.dumps(clips)), rules, config)
+            )
+            failing = [call for call in calls if call[1:] == ("RULE1", "RULE6")]
+            assert len(failing) == (len(clips) if sweep == 0 else 0)
+        for study in studies:
+            assert len(study.restriction_disagreements) == len(clips)
+            assert all(
+                "RULE1 -> RULE6" in message and "injected failure" in message
+                for message in study.restriction_disagreements
+            )
+        assert (
+            studies[0].restriction_disagreements
+            == studies[1].restriction_disagreements
+        )
+        # The unproven edge warmed nothing, in either sweep.
+        for study in studies:
+            assert not any(
+                o.warm_bound_from == "RULE1" for o in study.outcomes["RULE6"]
+            )

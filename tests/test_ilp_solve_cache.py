@@ -267,6 +267,78 @@ class TestEvict:
         assert result["remaining_entries"] == 2
 
 
+class TestPairIndexStore:
+    """The pair index: sealed (pair key -> entry key, model stats)
+    records next to the entries, seen by every maintenance command."""
+
+    PAIR = "ab" * 32
+
+    def _populate(self, tmp_path):
+        cache = SolveCache(tmp_path)
+        model = knapsack_model()
+        key = cache.key_for(model, {})
+        assert cache.put(model, {}, solve_with_highs(model), key=key)
+        assert cache.put_indexed(self.PAIR, key, model.stats())
+        return cache, model, key
+
+    def test_round_trip_and_separate_counts(self, tmp_path):
+        cache, model, key = self._populate(tmp_path)
+        assert cache.get_indexed(self.PAIR) == (key, model.stats())
+        assert cache.get_indexed("cd" * 32) is None
+        stats = cache.stats()
+        assert (stats["entries"], stats["index_entries"]) == (1, 1)
+        assert cache.hits == cache.misses == 0  # index reads are not gets
+
+    def test_corrupt_index_entry_is_a_quarantined_miss(self, tmp_path):
+        from repro.exec import flip_bit
+
+        cache, _, _ = self._populate(tmp_path)
+        (index_file,) = cache._index_files()
+        flip_bit(index_file, byte_index=20)
+        assert cache.get_indexed(self.PAIR) is None
+        assert cache.quarantined == 1
+        assert not index_file.exists()
+        assert cache.stats()["quarantined"] == 1
+
+    def test_scan_validates_and_quarantines_index_entries(self, tmp_path):
+        cache, _, _ = self._populate(tmp_path)
+        report = cache.scan()
+        assert (report["checked"], report["valid"]) == (2, 2)
+        (index_file,) = cache._index_files()
+        payload = json.loads(index_file.read_text())
+        payload["key"] = "0" * 64  # re-pointed without a fresh seal
+        index_file.write_text(json.dumps(payload))
+        report = cache.scan()
+        assert report["checked"] == 2
+        assert [name for name, _ in report["quarantined"]] == [
+            f"index/{index_file.name}"
+        ]
+        assert "checksum" in report["quarantined"][0][1]
+        assert cache.stats()["index_entries"] == 0
+        assert cache.scan()["quarantined"] == []  # one-shot
+
+    def test_clear_removes_index_entries(self, tmp_path):
+        cache, _, _ = self._populate(tmp_path)
+        assert cache.clear() == 1
+        stats = cache.stats()
+        assert (stats["entries"], stats["index_entries"]) == (0, 0)
+
+    def test_evict_drops_dangling_and_stale_index_entries(self, tmp_path):
+        import os
+
+        cache, model, key = self._populate(tmp_path)
+        assert cache.evict(older_than_seconds=1e9)["index_removed"] == 0
+        # Its entry evicted, the index entry dangles and goes too.
+        assert cache.evict(max_bytes=0)["index_removed"] == 1
+        assert cache.stats()["index_entries"] == 0
+        # A stale index entry goes by age, like an entry.
+        assert cache.put_indexed(self.PAIR, key, model.stats())
+        (index_file,) = cache._index_files()
+        os.utime(index_file, (1_000.0, 1_000.0))
+        result = cache.evict(older_than_seconds=60.0, now=2_000.0)
+        assert result["index_removed"] == 1
+
+
 def _clip(seed=0):
     return make_synthetic_clip(
         SyntheticClipSpec(nx=5, ny=6, nz=3, n_nets=2, sinks_per_net=1),
@@ -309,6 +381,124 @@ class TestRouterIntegration:
         assert not result.cache_hit
 
 
+RULE6 = RuleConfig(name="RULE6", via_restriction=ViaRestriction.ORTHOGONAL)
+
+
+def _count_pair_work(monkeypatch):
+    """Count the work an indexed replay skips: certify, model builds
+    (a base build or rule specialization), model hashing and backend
+    solves.  Returns the counter."""
+    import collections
+
+    import repro.router.formulation as fm
+    import repro.router.optrouter as optrouter_mod
+
+    counts = collections.Counter()
+
+    def counting(owner, name, wrap=None):
+        real = owner.__dict__[name]
+        fn = real.__func__ if wrap is not None else real
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrap(counted) if wrap else counted)
+
+    counting(optrouter_mod, "certify_infeasible")
+    counting(optrouter_mod, "solve_with_highs")
+    counting(SolveCache, "key_for", wrap=staticmethod)
+    counting(fm.BaseFormulation, "specialize")
+    counting(fm.BaseFormulation, "build", wrap=classmethod)
+    return counts
+
+
+class TestPairIndexReplay:
+    """``OptRouter.route`` replays an indexed pair right after the
+    reused-routing check: no certify, build or hash, the same result.
+    Any index miss takes the build path and heals the index."""
+
+    FIELDS = (
+        "status", "cost", "wirelength", "n_vias", "bound", "gap", "n_nodes",
+        "solve_seconds", "model_stats", "backend", "warm_used", "certificate",
+    )
+
+    def _first(self, tmp_path, clip):
+        first = OptRouter(solve_cache=SolveCache(tmp_path)).route(clip, RULE6)
+        assert first.status is RouteStatus.OPTIMAL and not first.cache_hit
+        stats = SolveCache(tmp_path).stats()
+        assert (stats["entries"], stats["index_entries"]) == (1, 1)
+        return first
+
+    def test_indexed_pair_skips_certify_build_and_hash(
+        self, tmp_path, monkeypatch
+    ):
+        import pickle
+
+        clip = _clip()
+        first = self._first(tmp_path, clip)
+        counts = _count_pair_work(monkeypatch)
+        replay = OptRouter(solve_cache=SolveCache(tmp_path)).route(
+            pickle.loads(pickle.dumps(clip)), RULE6
+        )
+        assert not counts
+        assert replay.cache_hit
+        assert replay.build_seconds == replay.serialize_seconds == 0.0
+        for name in self.FIELDS:
+            assert getattr(replay, name) == getattr(first, name), name
+        assert replay.routing.nets == first.routing.nets
+
+    def test_other_program_digest_misses(self, tmp_path, monkeypatch):
+        import repro.router.optrouter as optrouter_mod
+
+        clip = _clip()
+        with monkeypatch.context() as patch:
+            patch.setattr(optrouter_mod, "program_digest", lambda: "0" * 64)
+            self._first(tmp_path, clip)
+        counts = _count_pair_work(monkeypatch)
+        replay = OptRouter(solve_cache=SolveCache(tmp_path)).route(clip, RULE6)
+        assert replay.cache_hit  # through the build path: certify, build, hash
+        assert counts["certify_infeasible"] == counts["key_for"] == 1
+        assert counts["specialize"] == 1
+        assert counts["solve_with_highs"] == 0
+        assert replay.build_seconds > 0 and replay.serialize_seconds > 0
+        # The build path indexed the pair under this program's digest.
+        assert SolveCache(tmp_path).stats()["index_entries"] == 2
+
+    @pytest.mark.parametrize(
+        "damage", ["index-corrupt", "entry-missing", "entry-corrupt"]
+    )
+    def test_damage_falls_back_and_heals(self, tmp_path, monkeypatch, damage):
+        from repro.exec import flip_bit
+
+        clip = _clip()
+        first = self._first(tmp_path, clip)
+        cache = SolveCache(tmp_path)
+        (index_file,) = cache._index_files()
+        (entry_file,) = cache._entry_files()
+        if damage == "index-corrupt":
+            flip_bit(index_file, byte_index=20)
+        elif damage == "entry-missing":
+            entry_file.unlink()
+        else:
+            flip_bit(entry_file, byte_index=30)
+        counts = _count_pair_work(monkeypatch)
+        healed = OptRouter(solve_cache=cache).route(clip, RULE6)
+        assert cache.quarantined == (0 if damage == "entry-missing" else 1)
+        # Today's path: certify, build, hash; a re-solve unless the
+        # entry itself survived.
+        assert counts["certify_infeasible"] == counts["key_for"] == 1
+        assert counts["solve_with_highs"] == (damage != "index-corrupt")
+        assert healed.cache_hit == (damage == "index-corrupt")
+        for name in ("status", "cost", "wirelength", "n_vias"):
+            assert getattr(healed, name) == getattr(first, name), name
+        # Healed: the next route replays through the index again.
+        counts.clear()
+        again = OptRouter(solve_cache=SolveCache(tmp_path)).route(clip, RULE6)
+        assert not counts
+        assert again.cache_hit and again.cost == first.cost
+
+
 class TestSweepReplay:
     def test_repeated_evaluate_does_zero_backend_solves(
         self, tmp_path, monkeypatch
@@ -348,3 +538,60 @@ class TestSweepReplay:
                 (o.clip_name, o.status, o.cost)
                 for o in again.outcomes[rule_name]
             ]
+
+    def test_indexed_replay_of_equal_clips_builds_and_hashes_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        import pickle
+
+        from repro.eval import EvalConfig, evaluate_clips, format_delta_cost_table
+        from repro.eval.flow import _journaled, outcome_to_record
+        from repro.exec import CheckpointJournal
+
+        population = [_clip(s) for s in range(2)]
+        rule_set = [
+            RuleConfig(name="RULE1"),
+            RuleConfig(name="RULE3", sadp_min_metal=3),
+            RULE6,
+        ]
+        config = EvalConfig(
+            time_limit_per_clip=30.0, solve_cache_dir=str(tmp_path / "cache")
+        )
+        first = evaluate_clips(
+            population, rule_set, config, checkpoint_path=tmp_path / "1.jsonl"
+        )
+        counts = _count_pair_work(monkeypatch)
+        again = evaluate_clips(
+            pickle.loads(pickle.dumps(population)), rule_set, config,
+            checkpoint_path=tmp_path / "2.jsonl",
+        )
+        assert not counts
+        assert format_delta_cost_table(again) == format_delta_cost_table(first)
+
+        def records(name):
+            journal = CheckpointJournal(tmp_path / name)
+            return {
+                key: outcome_to_record(outcome)
+                for key, outcome in _journaled(journal.load()).items()
+            }
+
+        def untimed(record):
+            record = dict(record, build_seconds=0.0, serialize_seconds=0.0)
+            record["attempt_log"] = [
+                dict(attempt, seconds=0.0) for attempt in record["attempt_log"]
+            ]
+            return record
+
+        cold, replayed = records("1.jsonl"), records("2.jsonl")
+        assert cold.keys() == replayed.keys()
+        n_hits = 0
+        for key, record in cold.items():
+            replay = replayed[key]
+            assert not record["certified"]
+            # The first run's cold solves are the replay's cache hits.
+            assert replay["cache_hit"] == (not record["warm_used"])
+            n_hits += replay["cache_hit"]
+            if replay["cache_hit"]:
+                assert replay["build_seconds"] == replay["serialize_seconds"] == 0
+            assert untimed(dict(replay, cache_hit=False)) == untimed(record)
+        assert n_hits > 0

@@ -299,3 +299,79 @@ class TestCertifyOrder:
             for outcomes in study.outcomes.values()
             for outcome in outcomes
         )
+
+
+class TestPairIndexOrder:
+    """The solve cache's pair index is read right after the reused
+    routing, and only where it cannot change the outcome: it holds no
+    certified pair, and an inherited proof still wins over it."""
+
+    def test_certified_pair_is_never_indexed(self, tmp_path, monkeypatch):
+        from repro.ilp.solve_cache import SolveCache
+
+        calls, _ = _count_certify(monkeypatch)
+        clip = _single_layer_clip()
+        for _ in range(2):
+            result = OptRouter(solve_cache=SolveCache(tmp_path)).route(
+                clip, RuleConfig(name="R")
+            )
+            assert result.status is RouteStatus.INFEASIBLE
+            assert result.certified
+            assert not result.cache_hit
+        assert calls == {("single_layer", "R"): 2}
+        stats = SolveCache(tmp_path).stats()
+        assert (stats["entries"], stats["index_entries"]) == (0, 0)
+
+    def test_a_route_without_certify_writes_no_index_entry(self, tmp_path):
+        """The index records that certify found nothing, so a route
+        that skipped certify must not write it: a later certified
+        route would replay the solver's verdict without the
+        certificate."""
+        from repro.ilp.solve_cache import SolveCache
+
+        clip, rule = _single_layer_clip(), RuleConfig(name="R")
+        unchecked = OptRouter(certify=False, solve_cache=SolveCache(tmp_path))
+        solved = unchecked.route(clip, rule)
+        assert solved.status is RouteStatus.INFEASIBLE
+        assert not solved.certified
+        stats = SolveCache(tmp_path).stats()
+        assert (stats["entries"], stats["index_entries"]) == (1, 0)
+        checked = OptRouter(solve_cache=SolveCache(tmp_path)).route(clip, rule)
+        assert checked.certified and not checked.cache_hit
+
+    def test_inherited_proof_wins_over_an_indexed_pair(self, tmp_path):
+        from repro.eval import EvalConfig, evaluate_clips, paper_rule
+        from repro.ilp.solve_cache import SolveCache
+
+        # RULE6 is proven infeasible by the solver and RULE7 inherits
+        # it: with RULE10 as the lattice top, RULE7 runs after RULE6
+        # (without it, RULE7 would be the top and run first).
+        clip = make_synthetic_clip(
+            SyntheticClipSpec(nx=4, ny=4, nz=2, n_nets=3, sinks_per_net=1,
+                              access_points_per_pin=2),
+            seed=0,
+        )
+        rules = [
+            paper_rule(name) for name in ("RULE1", "RULE6", "RULE7", "RULE10")
+        ]
+        config = EvalConfig(time_limit_per_clip=10.0, solve_cache_dir=str(tmp_path))
+        first = evaluate_clips([clip], rules, config)
+        (rule7,) = first.outcomes["RULE7"]
+        assert rule7.warm_used == "inherited-infeasible"
+        assert rule7.warm_bound_from == "RULE6"
+        # Index the inherited pair: a cold route of it alone.
+        cache = SolveCache(tmp_path)
+        before = cache.stats()["index_entries"]
+        alone = OptRouter(time_limit=10.0, solve_cache=cache).route(clip, rules[2])
+        assert alone.status is RouteStatus.INFEASIBLE and not alone.certified
+        assert cache.stats()["index_entries"] == before + 1
+
+        again = evaluate_clips([clip], rules, config)
+        (replayed,) = again.outcomes["RULE7"]
+        assert replayed.warm_used == "inherited-infeasible"
+        assert replayed.warm_bound_from == "RULE6"
+        assert not replayed.cache_hit
+        for rule in again.rule_names:
+            assert [(o.status, o.cost, o.certified) for o in again.outcomes[rule]] == [
+                (o.status, o.cost, o.certified) for o in first.outcomes[rule]
+            ]
