@@ -662,6 +662,12 @@ def _execute(
             audit_ok = certificate.ok
             if not certificate.ok:
                 was_quarantined = True
+                if result.cache_key and router.solve_cache is not None:
+                    # A wrong entry under a valid seal: no later sweep
+                    # may replay it.
+                    router.solve_cache.quarantine(
+                        result.cache_key, "failed its result audit"
+                    )
                 replacement = heal(clip, rule)
                 recertificate = auditor.audit(clip, rule, replacement)
                 if not replacement.failed and recertificate.ok:
@@ -896,7 +902,10 @@ def warm_job(
       whose optimum reaches the candidate's cost lifts it;
     - *routing*: that cheapest DRC-clean settled routing of any rule
       on the same routing graph (an optimum or a LIMIT incumbent),
-      when its cost meets the bound.  The router re-verifies it.
+      when its cost meets the bound.  The router re-verifies it;
+    - *incumbents*: the points of all those settled routings, cheapest
+      first, for a cold HiGHS solve to meet its certified LP bound
+      with (rows, bounds and integrality re-checked on its model).
 
     The baseline's edge is proven for every follower (its optimum is
     the starting bound); any other edge only where
@@ -945,9 +954,15 @@ def warm_job(
     )
     if base_optimum is not None and edge(baseline):
         bound, bound_from = base_optimum, baseline.name
+    routings = _settled_routings(trusted, follower)
+    incumbents = tuple(routing.point for _, _, routing in routings if routing.point)
     with_bound = (
-        replace(job, warm=WarmStart(lower_bound=bound), warm_bound_from=bound_from)
-        if bound_from
+        replace(
+            job,
+            warm=WarmStart(lower_bound=bound, incumbents=incumbents),
+            warm_bound_from=bound_from,
+        )
+        if bound_from or incumbents
         else job
     )
     lifts = [
@@ -963,25 +978,12 @@ def warm_job(
     )
     if ceiling is None:
         return with_bound
-    candidates: dict[str, tuple[float, ClipRouting]] = {}
-    for rule, outcome, routing in trusted:
-        source = outcome.warm_routing_from or rule.name
-        if (
-            routing is not None
-            and outcome.cost is not None
-            and outcome.status in (RouteStatus.OPTIMAL, RouteStatus.LIMIT)
-            and rule.allow_via_shapes == follower.allow_via_shapes
-            and outcome.cost <= ceiling + _COST_TOL
-            and source not in candidates
-        ):
-            candidates[source] = (outcome.cost, routing)
     chosen = next(
         (
             (source, cost, routing)
-            for source, (cost, routing) in sorted(
-                candidates.items(), key=lambda item: item[1][0]
-            )
-            if not check_clip_routing(clip, follower, routing)
+            for source, cost, routing in routings
+            if cost <= ceiling + _COST_TOL
+            and not check_clip_routing(clip, follower, routing)
         ),
         None,
     )
@@ -1002,10 +1004,34 @@ def warm_job(
         bound, bound_from = lift[1], lift[0].name
     return replace(
         job,
-        warm=WarmStart(routing=routing, cost=cost, lower_bound=bound),
+        warm=WarmStart(
+            routing=routing, cost=cost, lower_bound=bound, incumbents=incumbents
+        ),
         warm_bound_from=bound_from,
         warm_routing_from=source,
     )
+
+
+def _settled_routings(
+    trusted: "list[tuple[RuleConfig, ClipRuleOutcome, ClipRouting | None]]",
+    follower: RuleConfig,
+) -> "list[tuple[str, float, ClipRouting]]":
+    """The settled routings (optima and LIMIT incumbents) of ``trusted``
+    on the follower's routing graph, as (source rule, cost, routing):
+    one per source routing (a reused routing is its source's),
+    cheapest first, ties in rule order."""
+    found: dict[str, tuple[str, float, ClipRouting]] = {}
+    for rule, outcome, routing in trusted:
+        source = outcome.warm_routing_from or rule.name
+        if (
+            routing is not None
+            and outcome.cost is not None
+            and outcome.status in (RouteStatus.OPTIMAL, RouteStatus.LIMIT)
+            and rule.allow_via_shapes == follower.allow_via_shapes
+            and source not in found
+        ):
+            found[source] = (source, outcome.cost, routing)
+    return sorted(found.values(), key=lambda item: item[1])
 
 
 def _trusted(outcome: ClipRuleOutcome) -> bool:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from multiprocessing import connection as mp_connection
 
 from repro.clips.clip import Clip
@@ -227,7 +227,10 @@ def race_solve(
     identically); the first payload that validates and -- when
     ``certify_winner`` -- passes the result audit wins, and every
     still-running child is terminated.  Returns a TIMEOUT/ERROR result
-    when no backend certifies within the deadline.
+    when no backend certifies within the deadline.  The racers get the
+    job without its warm start's incumbents: only the HiGHS lane could
+    read them, and the race pits the backends against the same model
+    from the same start.
     """
     from repro.exec.runner import (  # circular at module load time
         SupervisedRunner,
@@ -235,6 +238,8 @@ def race_solve(
         _worker_main,
     )
 
+    if job.warm is not None and job.warm.incumbents:
+        job = replace(job, warm=replace(job.warm, incumbents=()))
     started = time.monotonic()
     ctx = _mp_context()
     lanes: dict = {}  # conn -> (backend, process)

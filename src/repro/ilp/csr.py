@@ -143,10 +143,7 @@ class CsrModel:
         # unique value, not once per nonzero.
         if self.n_rows:
             live = np.flatnonzero(self.data)
-            entry_rows = np.repeat(
-                np.arange(self.n_rows, dtype=np.int64),
-                np.diff(self.indptr),
-            )[live]
+            entry_rows = self.entry_rows()[live]
             # Sort by (row, name) with an integer key: rank[j] is the
             # lexicographic rank of variable j's name.
             name_order = sorted(range(len(names)), key=names.__getitem__)
@@ -237,17 +234,25 @@ class CsrModel:
             )
         }
 
-    def violated_rows(self, x: np.ndarray, tol: float = 1e-6) -> np.ndarray:
-        """Indices (ascending) of the rows the dense point ``x`` misses
-        by more than ``tol``."""
-        entry_rows = np.repeat(
+    def entry_rows(self) -> np.ndarray:
+        """The row of each stored entry (parallel to ``indices``)."""
+        return np.repeat(
             np.arange(self.n_rows, dtype=np.int64), np.diff(self.indptr)
         )
-        activity = self.row_const + np.bincount(
-            entry_rows,
+
+    def row_activity(self, x: np.ndarray) -> np.ndarray:
+        """Each row's ``A x + const`` at the dense point ``x`` (a row
+        holds when its activity is <= 0, >= 0 or == 0 by its sense)."""
+        return self.row_const + np.bincount(
+            self.entry_rows(),
             weights=self.data * x[self.indices],
             minlength=self.n_rows,
         )
+
+    def violated_rows(self, x: np.ndarray, tol: float = 1e-6) -> np.ndarray:
+        """Indices (ascending) of the rows the dense point ``x`` misses
+        by more than ``tol``."""
+        activity = self.row_activity(x)
         violated = np.where(
             self.senses == SENSE_LE,
             activity > tol,

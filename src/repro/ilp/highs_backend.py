@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Callable, Sequence
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.ilp.csr import CsrModel
-from repro.ilp.relaxation import solve_root
+from repro.ilp.relaxation import settle_incumbents, solve_root
 from repro.ilp.status import Solution, SolveStatus
 
 _STATUS_MAP = {
@@ -47,10 +48,14 @@ def _milp_inputs(model: CsrModel):
 
 
 def solve_with_highs(
-    model: CsrModel, time_limit: float | None = None
+    model: CsrModel,
+    time_limit: float | None = None,
+    incumbents: "Sequence[np.ndarray]" = (),
+    milp_model: "Callable[[], CsrModel] | None" = None,
 ) -> Solution:
     """Solve a model exactly: its LP relaxation first, then, unless
-    the LP settled it, HiGHS branch-and-cut (:func:`solve_milp`).
+    the LP or an incumbent settled it, HiGHS branch-and-cut
+    (:func:`solve_milp`).
 
     The root LP (:func:`repro.ilp.relaxation.solve_root`) settles the
     model OPTIMAL when its point is integral, meets every row and
@@ -58,12 +63,29 @@ def solve_with_highs(
     from the LP's duals (never the LP's reported objective).  Such a
     solution has ``n_nodes == 0``, ``best_bound`` the certified bound,
     and ``solve_seconds`` the LP's time; ``scipy.optimize.milp`` never
-    runs.  Otherwise the MILP runs with the time the LP left.  An LP
-    that fails to solve only falls through: no INFEASIBLE is ever
-    claimed from it.  A LIMIT result's ``best_bound`` is the larger of
-    HiGHS' dual bound and the certified LP bound, so a pair stopped
-    with no incumbent still reports one.  An LP that uses up the limit
-    ends ``LIMIT``; the MILP, a non-positive ``time_limit`` and solver
+    runs.
+
+    ``incumbents`` are known points, each the values of the model's
+    leading columns (a settled routing of another rule on the same
+    base, whose model shares them).  When the LP point is fractional
+    but the bound is certified, the first incumbent that completes to
+    a feasible integer point
+    (:func:`repro.ilp.relaxation.settle_incumbents`) decides: at an
+    objective within ``COST_TOL`` of the bound it is OPTIMAL, as an
+    integral LP point would be; otherwise the MILP runs.
+
+    ``milp_model``, when given, makes the model the MILP runs on, and
+    is called only when the MILP runs: one with ``model``'s columns,
+    objective, column bounds and integer points, whose rows suit
+    branch-and-cut better than the LP's (a routing model's weak rule
+    rows, :meth:`repro.router.formulation.RoutingIlp.milp_model`).
+
+    The MILP runs with the time the LP left.  An LP that fails to
+    solve only falls through: no INFEASIBLE is ever claimed from it.
+    A LIMIT result's ``best_bound`` is the larger of HiGHS' dual
+    bound and the certified LP bound, so a pair stopped with no
+    incumbent still reports one.  An LP that uses up the limit ends
+    ``LIMIT``; the MILP, a non-positive ``time_limit`` and solver
     exceptions behave as in :func:`solve_milp`.
     """
     trivial = _trivial_solution(model, time_limit)
@@ -72,7 +94,19 @@ def solve_with_highs(
     root = solve_root(model, time_limit)
     if root.settled is not None:
         return root.settled
-    return _milp(model, time_limit, root.bound, root.seconds)
+    seconds = root.seconds
+    if root.bound is not None and len(incumbents):
+        t0 = time.perf_counter()
+        settled = settle_incumbents(model, root.bound, incumbents)
+        seconds += time.perf_counter() - t0
+        if settled is not None:
+            settled.solve_seconds = seconds
+            return settled
+    if milp_model is not None:
+        t0 = time.perf_counter()
+        model = milp_model()
+        seconds += time.perf_counter() - t0
+    return _milp(model, time_limit, root.bound, seconds)
 
 
 def solve_milp(model: CsrModel, time_limit: float | None = None) -> Solution:
@@ -162,8 +196,11 @@ def _milp(
         else None
     )
     if result.x is not None:
+        # The objective of the snapped point, not HiGHS' float sum.
         solution.values = model.solution_values(result.x)
-        solution.objective = float(result.fun) + obj_const
+        solution.objective = (
+            float(model.obj @ model.point(solution.values)) + obj_const
+        )
         if status is SolveStatus.OPTIMAL:
             # Export HiGHS' proven dual bound (true objective space):
             # it must meet the objective -- the audit layer

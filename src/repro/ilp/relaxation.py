@@ -4,7 +4,10 @@ One LP form serves both backends.  Branch-and-bound solves it at
 every node with tightened column bounds; the HiGHS backend solves it
 once, at the root, before it hands the model to
 ``scipy.optimize.milp`` (see
-:func:`repro.ilp.highs_backend.solve_with_highs`).
+:func:`repro.ilp.highs_backend.solve_with_highs`).  When the root
+point is fractional, the HiGHS backend may still settle the model at
+a known integer point that meets the root's bound
+(:func:`settle_incumbents`).
 
 The root's lower bound is never read from the LP's reported
 objective.  It is recomputed from the LP's duals, as the Lagrangian
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -220,6 +224,16 @@ def _settle(
     fractional, misses a row or column bound once snapped (by more than
     the rows' 1e-6 tolerance), or its objective is not within
     ``COST_TOL`` of ``bound``."""
+    values = _feasible_values(model, x, int_indices)
+    return None if values is None else _optimal_at(model, values, bound)
+
+
+def _feasible_values(
+    model: CsrModel, x: np.ndarray, int_indices: list[int]
+) -> dict[int, float] | None:
+    """The snapped values of the point ``x`` when its integer columns
+    are integral (``INT_TOL``) and, snapped, it meets every row and
+    column bound; None otherwise."""
     if int_indices and np.max(
         np.abs(x[int_indices] - np.round(x[int_indices]))
     ) > INT_TOL:
@@ -232,7 +246,15 @@ def _settle(
         or len(model.violated_rows(point))
     ):
         return None
-    objective = float(model.obj @ point) + float(model.obj_const)
+    return values
+
+
+def _optimal_at(
+    model: CsrModel, values: dict[int, float], bound: float
+) -> Solution | None:
+    """The OPTIMAL solution at the feasible ``values`` when their
+    objective is within ``COST_TOL`` of ``bound``; None otherwise."""
+    objective = float(model.obj @ model.point(values)) + float(model.obj_const)
     if abs(objective - bound) > COST_TOL:
         return None
     return Solution(
@@ -242,3 +264,47 @@ def _settle(
         best_bound=bound,
         n_nodes=0,
     )
+
+
+def complete(model: CsrModel, head: np.ndarray) -> np.ndarray:
+    """The point with the model's leading columns at ``head`` and
+    every later column raised from its lower bound to the least value
+    that the violated ``>=`` rows need, rounded up on integer columns.
+
+    A violated ``>=`` row is repaired only when exactly one of its
+    columns lies past ``head`` and that column's coefficient is
+    positive, as in each SADP row of a rule delta; any other row is
+    left as it is.  The point is not checked here.
+    """
+    n = len(head)
+    x = model.lb.copy()
+    x[:n] = head
+    entry_rows = model.entry_rows()
+    activity = model.row_activity(x)
+    later = model.indices >= n
+    n_later = np.bincount(entry_rows[later], minlength=model.n_rows)
+    short = (model.senses == SENSE_GE) & (activity < 0) & (n_later == 1)
+    pick = later & (model.data > 0) & short[entry_rows]
+    cols = model.indices[pick]
+    np.maximum.at(x, cols, x[cols] - activity[entry_rows[pick]] / model.data[pick])
+    rounded = model.integer.copy()
+    rounded[:n] = False
+    x[rounded] = np.ceil(x[rounded] - INT_TOL)
+    return x
+
+
+def settle_incumbents(
+    model: CsrModel, bound: float, incumbents: "Iterable[np.ndarray]"
+) -> Solution | None:
+    """The OPTIMAL solution at the first incumbent that, completed
+    (:func:`complete`), is integral and meets every row and column
+    bound, when its objective is within ``COST_TOL`` of the certified
+    ``bound``; None when no incumbent is feasible or the first feasible
+    one costs more.  Each incumbent gives the values of the model's
+    leading columns."""
+    int_indices = np.flatnonzero(model.integer).tolist()
+    for head in incumbents:
+        values = _feasible_values(model, complete(model, head), int_indices)
+        if values is not None:
+            return _optimal_at(model, values, bound)
+    return None

@@ -263,6 +263,15 @@ class SolveCache:
             return None, "malformed index entry"
         return (key, stats), None
 
+    def quarantine(self, key: str, reason: str) -> None:
+        """Move entry ``key`` aside: a caller found it wrong under a
+        valid seal.  Pair-index entries pointing at it dangle, which
+        reads as a miss, and the next solve of the model heals the
+        slot and the index."""
+        path = self._path(key)
+        if path.exists():
+            self._quarantine(path, reason)
+
     def _quarantine(self, path: Path, reason: str) -> None:
         """Move a corrupt entry aside so it can never read as a hit;
         the next put() of the same key heals the slot with a fresh

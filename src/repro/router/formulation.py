@@ -12,11 +12,18 @@ Implements, on top of :mod:`repro.router.graph`:
 - via shapes with footprint blocking, constraint (5);
 - SADP end-of-line rules via p indicator variables, constraints
   (6)-(12).  The product terms of (6)-(7) are enforced through their
-  linearized lower bounds (the right-hand side of (8)); the upper
-  bounds of (8)-(9) are omitted because the p variables appear only in
-  ``<=``-type forbidden-pattern constraints (11)-(12), where a solver
-  never benefits from spuriously raising p -- the projection is exact
-  for the optimization.
+  linearized lower bounds (the right-hand side of (8)), with two
+  flow-aware lower bounds per indicator that every integer point
+  already meets; the upper bounds of (8)-(9) are omitted because the
+  p variables appear only in ``<=``-type forbidden-pattern constraints
+  (11)-(12), where a solver never benefits from spuriously raising
+  p -- the projection is exact for the optimization.
+
+Both rule deltas are written in their strong form, which keeps the
+integer points and tightens the LP relaxation (docs/formulation.md).
+The weak form (one row per conflicting pair of via sites, product
+rows only) is the model HiGHS' branch-and-cut gets
+(:meth:`RoutingIlp.milp_model`).
 
 Two additions beyond the paper's printed constraints make solutions
 physically sound and DRC-checkable:
@@ -41,7 +48,7 @@ from repro.clips.clip import Clip, ClipNet
 from repro.ilp.csr import SENSE_EQ, SENSE_GE, SENSE_LE, CooBuilder, CsrModel
 from repro.ilp.model import Var
 from repro.router.graph import ArcKind, ShapeViaInstance, SwitchboxGraph, build_graph
-from repro.router.rules import RuleConfig, eol_grid_offset
+from repro.router.rules import RuleConfig, ViaRestriction, eol_grid_offset
 
 _Proof = TypeVar("_Proof")
 
@@ -83,6 +90,29 @@ class RoutingIlp:
     graph: SwitchboxGraph
     nets: list[NetVars]
     rules: RuleConfig
+    base: "BaseFormulation"
+
+    @property
+    def n_core(self) -> int:
+        """The number of core columns (the e/f columns of ``nets``),
+        which lead every rule's model on one base: rule deltas only
+        append."""
+        return self.base.core.n_vars
+
+    def milp_model(self) -> CsrModel:
+        """This model with its rule deltas in their weak form: one row
+        per conflicting pair of via sites, and each EOL indicator with
+        its product rows only.
+
+        It has the columns, objective, column bounds and integer
+        points of :attr:`csr`, so a solution of one solves the other.
+        The strong rows serve the LP relaxation, which settles most
+        pairs at the root; branch-and-cut gets this model, on which
+        HiGHS derives its own cliques, and closed an N28-12T pair in
+        about a minute that it left open for 150 s on the strong one
+        (docs/performance.md, "Strong rule rows").
+        """
+        return self.base.specialize(self.rules, strong=False).csr
 
 
 @dataclass
@@ -139,9 +169,13 @@ class BaseFormulation:
             nets=builder.nets,
         )
 
-    def specialize(self, rules: RuleConfig) -> RoutingIlp:
+    def specialize(
+        self, rules: RuleConfig, *, strong: bool = True
+    ) -> RoutingIlp:
         """Apply one rule configuration as a delta section appended to
-        the frozen core arrays (no object-model clone)."""
+        the frozen core arrays (no object-model clone); ``strong=False``
+        writes the rule rows in their weak form
+        (:meth:`RoutingIlp.milp_model`)."""
         if rules.allow_via_shapes != self.allow_via_shapes:
             raise ValueError(
                 "rule wants allow_via_shapes="
@@ -150,10 +184,14 @@ class BaseFormulation:
             )
         delta = CooBuilder(base=self.core)
         nets = [nv.for_rule() for nv in self.nets]
-        builder = _Builder(self.clip, rules, self.graph, delta, nets=nets)
+        builder = _Builder(
+            self.clip, rules, self.graph, delta, nets=nets, strong=strong
+        )
         builder.build_delta()
         csr = delta.freeze(f"optroute_{self.clip.name}_{rules.name}")
-        return RoutingIlp(csr=csr, graph=self.graph, nets=nets, rules=rules)
+        return RoutingIlp(
+            csr=csr, graph=self.graph, nets=nets, rules=rules, base=self
+        )
 
 
 class FormulationCache:
@@ -337,11 +375,13 @@ class _Builder:
         graph: SwitchboxGraph,
         coo: CooBuilder,
         nets: "list[NetVars] | None" = None,
+        strong: bool = True,
     ):
         self.clip = clip
         self.rules = rules
         self.graph = graph
         self.coo = coo
+        self.strong = strong
         self.nets: list[NetVars] = nets if nets is not None else []
         # Arcs shared by all nets.  Net vars append per-net virtual
         # arcs to the graph, so count physical arcs from the grid
@@ -593,7 +633,18 @@ class _Builder:
         return cols
 
     def _via_adjacency(self) -> None:
-        """Via restriction: a via blocks its neighbor via sites."""
+        """Via restriction: a via blocks its neighbor via sites.
+
+        Under FULL, every 2x2 block of sites is a clique of the
+        8-neighbour conflict graph and every conflicting pair lies in
+        a block, so one at-most-one row per block with two or more
+        usable sites has the pair rows' integer points and a tighter
+        LP (no 1/2 on each of two diagonal vias).  A via shape covering
+        several sites of a block merges into one column with that
+        many as coefficient.  ORTHOGONAL's conflict graph is
+        bipartite, and a grid one site wide has no blocks: both keep
+        one row per conflicting pair, as does the weak form.
+        """
         clip = self.clip
         offsets = self.rules.via_restriction.blocked_offsets()
         usage_cache: dict[tuple[int, int, int], list[int]] = {}
@@ -603,6 +654,24 @@ class _Builder:
             if key not in usage_cache:
                 usage_cache[key] = self._site_usage(x, y, z)
             return usage_cache[key]
+
+        if (
+            self.strong
+            and self.rules.via_restriction is ViaRestriction.FULL
+            and clip.nx > 1
+            and clip.ny > 1
+        ):
+            for z in range(clip.nz - 1):
+                for y in range(clip.ny - 1):
+                    for x in range(clip.nx - 1):
+                        used = [
+                            u
+                            for dx, dy in ((0, 0), (1, 0), (0, 1), (1, 1))
+                            if (u := usage(x + dx, y + dy, z))
+                        ]
+                        if len(used) >= 2:
+                            self._at_most_one([j for u in used for j in u])
+            return
 
         for z in range(clip.nz - 1):
             for y in range(clip.ny):
@@ -736,6 +805,28 @@ class _Builder:
                                         SENSE_GE,
                                         -1.0,
                                     )
+                        # Flow-aware EOL rows: a wire that enters (leaves)
+                        # v on this side and does not continue along the
+                        # track leaves (enters) through a cross arc, so
+                        # p - e_in + e_cont_out >= 0 and
+                        # p - e_out + e_cont_in >= 0 (docs/formulation.md).
+                        if not self.strong:
+                            continue
+                        far = along_neighbor(x, y, -direction)
+                        cont_arcs = (
+                            self._wire_arc_pair(vid, g.vid(*far, z))
+                            if far is not None
+                            else (None, None)
+                        )
+                        for e_wire, arc_cont in zip((e_in, e_out), cont_arcs):
+                            if e_wire is None:
+                                continue
+                            cols, vals = [p.index, e_wire.index], [1.0, -1.0]
+                            e_cont = nv.e.get(arc_cont) if arc_cont is not None else None
+                            if e_cont is not None:
+                                cols.append(e_cont.index)
+                                vals.append(1.0)
+                            row(cols, vals, SENSE_GE)
 
         # Forbidden patterns (11)-(12): two p sums at most 1.
         def pair(here: list[int], there: "list[int] | None") -> None:

@@ -14,12 +14,13 @@ import json
 import time
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from repro.analysis.certify import certify_infeasible
 from repro.analysis.findings import InfeasibilityCertificate
 from repro.clips.clip import Clip
 from repro.clips.serialization import clip_digest
 from repro.ilp.bnb import BnBOptions, solve_with_bnb
-from repro.ilp.csr import CsrModel
 from repro.ilp.highs_backend import solve_with_highs
 from repro.ilp.solve_cache import SolveCache, program_digest
 from repro.ilp.status import Solution, SolveStatus
@@ -53,12 +54,19 @@ class WarmStart:
       infeasible; the follower inherits the proof, so it is INFEASIBLE
       without building or solving anything.  The certifier runs
       first, so a pair it can certify still carries its certificate.
+    - ``incumbents``: the clip's settled routings on the same base
+      formulation, as their :attr:`ClipRouting.point`, cheapest first.
+      Only a HiGHS solve reads them, after certify, build and a solve
+      cache miss: one that meets the model's certified LP bound
+      settles the pair without the MILP
+      (:func:`~repro.ilp.highs_backend.solve_with_highs`).
     """
 
     routing: "ClipRouting | None" = None
     cost: float | None = None
     lower_bound: float | None = None
     infeasible: bool = False
+    incumbents: "tuple[dict[int, float], ...]" = ()
 
 
 class RouteStatus(enum.Enum):
@@ -103,8 +111,10 @@ class OptRouteResult:
     #: ``""`` for a cold solve, else the solver-free shortcut taken:
     #: ``"inherited-infeasible"`` or ``"reused-optimal"``.
     warm_used: str = ""
-    #: the solve came from the persistent solve cache, not a backend.
-    cache_hit: bool = False
+    #: the solve-cache key of the entry the solve was read from ("" =
+    #: a backend solved it, or no solve ran); the sweep quarantines
+    #: that entry when the result fails its audit.
+    cache_key: str = ""
     #: best proven dual/lower bound on the optimum (true objective
     #: space), exported by the backend.  OPTIMAL claims must have
     #: ``bound == cost`` -- the :mod:`repro.verify` audit asserts it.
@@ -134,6 +144,11 @@ class OptRouteResult:
     @property
     def feasible(self) -> bool:
         return self.status is RouteStatus.OPTIMAL
+
+    @property
+    def cache_hit(self) -> bool:
+        """The solve came from the persistent solve cache, not a backend."""
+        return bool(self.cache_key)
 
     @property
     def failed(self) -> bool:
@@ -182,12 +197,25 @@ class OptRouter:
         )
 
     def _solve_model(
-        self, model: CsrModel, time_limit: float | None
+        self, ilp: RoutingIlp, time_limit: float | None, warm: WarmStart | None
     ) -> Solution:
+        """Solve ``ilp``'s model on the router's backend; a HiGHS solve
+        gets the warm start's incumbents over ``ilp``'s core columns,
+        and runs its MILP on :meth:`RoutingIlp.milp_model`."""
         if self.backend == "highs":
-            return solve_with_highs(model, time_limit=time_limit)
+            incumbents = []
+            for point in warm.incumbents if warm is not None else ():
+                head = np.zeros(ilp.n_core)
+                head[list(point)] = list(point.values())
+                incumbents.append(head)
+            return solve_with_highs(
+                ilp.csr,
+                time_limit=time_limit,
+                incumbents=incumbents,
+                milp_model=ilp.milp_model,
+            )
         if self.backend == "bnb":
-            return solve_with_bnb(model, BnBOptions(time_limit=time_limit))
+            return solve_with_bnb(ilp.csr, BnBOptions(time_limit=time_limit))
         raise ValueError(f"unknown backend {self.backend!r}")
 
     def _cache_options(self) -> dict:
@@ -236,11 +264,12 @@ class OptRouter:
             reuse=self.reuse_formulation,
         )
         core = RoutingIlp(
-            csr=base.core, graph=base.graph, nets=base.nets, rules=rules
+            csr=base.core, graph=base.graph, nets=base.nets, rules=rules,
+            base=base,
         )
         return self._result(
             clip, rules, core, entry.to_solution(base.core),
-            model_stats=dict(stats), cache_hit=True,
+            model_stats=dict(stats), cache_key=key,
         )
 
     def _reused_optimal(
@@ -288,7 +317,8 @@ class OptRouter:
         meets the inherited lower bound, or an inherited infeasibility
         proof -- so results are identical to a cold solve.  The order
         is: reused routing, static certifier, inherited proof, then
-        build and solve (through the solve cache when one is set).
+        build and solve (through the solve cache when one is set; a
+        HiGHS solve starts from the warm start's incumbents).
         With a solve cache, a pair the cache's pair index holds is
         replayed right after the reused routing, without certify,
         build or hash: its index entry was written after certify found
@@ -331,7 +361,7 @@ class OptRouter:
         ilp = self.build(clip, rules)
         build_seconds = time.perf_counter() - t0
         stats = ilp.csr.stats()
-        cache_hit = False
+        hit_key = ""
         serialize_seconds = 0.0
         if self.solve_cache is not None:
             cache_options = self._cache_options()
@@ -341,10 +371,10 @@ class OptRouter:
             entry = self.solve_cache.get(ilp.csr, cache_options, key=cache_key)
             if entry is not None:
                 solution = entry.to_solution(ilp.csr)
-                cache_hit = True
+                hit_key = cache_key
             else:
-                solution = self._solve_model(ilp.csr, self.time_limit)
-            stored = cache_hit or self.solve_cache.put(
+                solution = self._solve_model(ilp, self.time_limit, warm)
+            stored = bool(hit_key) or self.solve_cache.put(
                 ilp.csr, cache_options, solution, key=cache_key
             )
             if stored and self.certify and pair_key is not None:
@@ -352,11 +382,11 @@ class OptRouter:
                 # skips the certifier.
                 self.solve_cache.put_indexed(pair_key, cache_key, stats)
         else:
-            solution = self._solve_model(ilp.csr, self.time_limit)
+            solution = self._solve_model(ilp, self.time_limit, warm)
         return self._result(
             clip, rules, ilp, solution,
             model_stats=stats,
-            cache_hit=cache_hit,
+            cache_key=hit_key,
             build_seconds=build_seconds,
             serialize_seconds=serialize_seconds,
         )
@@ -369,12 +399,13 @@ class OptRouter:
         solution: Solution,
         *,
         model_stats: "dict[str, int]",
-        cache_hit: bool,
+        cache_key: str = "",
         build_seconds: float = 0.0,
         serialize_seconds: float = 0.0,
     ) -> OptRouteResult:
-        """The result of a solved or replayed model; the routing is
-        decoded from ``ilp``'s ``e`` columns."""
+        """The result of a solved or replayed model (``cache_key``: the
+        entry it was read from, "" for a solve); the routing is decoded
+        from ``ilp``'s ``e`` columns."""
         result = OptRouteResult(
             clip_name=clip.name,
             rule_name=rules.name,
@@ -382,7 +413,7 @@ class OptRouter:
             solve_seconds=solution.solve_seconds,
             build_seconds=build_seconds,
             serialize_seconds=serialize_seconds,
-            cache_hit=cache_hit,
+            cache_key=cache_key,
             bound=solution.best_bound,
             n_nodes=solution.n_nodes,
             model_stats=model_stats,

@@ -57,10 +57,18 @@ class NetSolution:
 
 @dataclass
 class ClipRouting:
-    """Decoded solution for a whole clip."""
+    """Decoded solution for a whole clip.
+
+    ``point`` is the solution it was decoded from, as the nonzero
+    values of the core columns (the e/f columns every rule's model on
+    one base formulation shares, by column index); empty for a routing
+    that was not decoded from a model.  A solve of another rule on the
+    same base starts from it (:class:`~repro.router.optrouter.WarmStart`).
+    """
 
     nets: list[NetSolution]
     cost: float
+    point: dict[int, float] = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def total_wirelength(self) -> int:
@@ -115,4 +123,9 @@ def decode_solution(ilp: RoutingIlp, solution: Solution) -> ClipRouting:
                     )
                 )
         nets.append(decoded)
-    return ClipRouting(nets=nets, cost=solution.objective or 0.0)
+    point = {
+        j: value
+        for j, value in solution.values.items()
+        if j < ilp.n_core and value
+    }
+    return ClipRouting(nets=nets, cost=solution.objective or 0.0, point=point)

@@ -233,6 +233,28 @@ class TestArtifactChaosResume:
             format_delta_cost_table(replayed, title="artifact-chaos")
             == clean_table
         )
+        # The audit quarantined the poisoned entry too: of three
+        # consecutive replays only the first quarantines.  The second
+        # re-solves the pair once and re-caches it, the third reads it.
+        assert not entry.exists()
+        reason = cache_dir / "quarantine" / (entry.name + ".reason")
+        assert reason.read_text() == "failed its result audit\n"
+        for n, expect_hit in ((2, False), (3, True)):
+            again = evaluate_clips(
+                population, rule_set, config,
+                checkpoint_path=tmp_path / f"replay-{n}.jsonl",
+            )
+            assert sum(again.quarantined_count(r) for r in again.rule_names) == 0
+            (pair,) = [
+                o for o in again.outcomes[rule.name] if o.clip_name == clip.name
+            ]
+            assert pair.cache_hit is expect_hit
+            assert pair.cost == record["cost"]
+            assert (
+                format_delta_cost_table(again, title="artifact-chaos")
+                == clean_table
+            )
+        assert entry.exists()
 
     def test_audit_cli_flags_and_heals_corruption(self, tmp_path, capsys):
         from repro.cli import main

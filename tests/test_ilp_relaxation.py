@@ -68,8 +68,8 @@ def _half_cover(costs=(1.0, 1.0)):
     return b.freeze("half_cover")
 
 
-def _sweep_rule(name):
-    clip = make_synthetic_clip(POOL_SPEC, seed=7003)
+def _sweep_rule(name, seed=7003):
+    clip = make_synthetic_clip(POOL_SPEC, seed=seed)
     rule = {r.name: r for r in rules_for_technology("N28-12T")}[name]
     return clip, rule, build_routing_ilp(clip, rule, reuse=False).csr
 
@@ -234,14 +234,22 @@ class TestBoundFromDuals:
         assert root.settled.values == honest.settled.values
 
 
+def _fractional_rule():
+    """RULE3 on the sweep study's ``synth_s7034``: the LP point stays
+    fractional, under a certified bound of 24, the optimum."""
+    return _sweep_rule("RULE3", seed=7034)
+
+
 class TestLimitBound:
     """A LIMIT carries the certified LP bound, also with no incumbent."""
 
     @pytest.mark.parametrize("dual", [None, 5.0])
     def test_limit_without_incumbent(self, monkeypatch, dual):
-        clip, rule, model = _sweep_rule("RULE2")
-        lp_bound = solve_root(model).bound
-        assert lp_bound == 23.0
+        clip, rule, model = _fractional_rule()
+        root = solve_root(model)
+        assert root.settled is None
+        lp_bound = root.bound
+        assert lp_bound == 24.0
 
         def stopped(*args, **kwargs):
             return OptimizeResult(
@@ -259,7 +267,7 @@ class TestLimitBound:
         assert result.gap is None or result.gap >= 0
 
     def test_limit_with_incumbent_keeps_gap_nonnegative(self, monkeypatch):
-        clip, rule, model = _sweep_rule("RULE2")
+        clip, rule, model = _fractional_rule()
         incumbent = _plain_milp(model)
 
         def stopped(*args, **kwargs):
@@ -271,12 +279,12 @@ class TestLimitBound:
         monkeypatch.setattr(highs_backend, "milp", stopped)
         result = OptRouter(time_limit=60.0).route(clip, rule)
         assert result.status is RouteStatus.LIMIT
-        assert result.bound == 23.0
-        assert result.cost == 23.0
+        assert result.bound == 24.0
+        assert result.cost == 24.0
         assert result.gap == 0.0
 
     def test_lp_that_uses_up_the_limit_ends_limit(self, monkeypatch, no_milp):
-        _clip, _rule, model = _sweep_rule("RULE2")
+        _clip, _rule, model = _fractional_rule()
         real = highs_backend.solve_root
 
         def slow(model, time_limit=None):
@@ -285,7 +293,7 @@ class TestLimitBound:
         monkeypatch.setattr(highs_backend, "solve_root", slow)
         solution = solve_with_highs(model, time_limit=10.0)
         assert solution.status is SolveStatus.LIMIT
-        assert solution.best_bound == 23.0
+        assert solution.best_bound == 24.0
         assert solution.solve_seconds == 11.0
 
 
@@ -314,6 +322,154 @@ class TestCorpusParity:
             bound = solve_root(model).bound
             assert bound is not None and bound <= solution.objective, case
         assert settled >= 1
+
+
+def _incumbent_model():
+    """``min x + y + z`` over binaries, with ``2x + 2y >= 1`` (the LP
+    sits at ``x + y = 1/2``, under a bound of 1), and a later column
+    ``p`` that completion sets: ``p - x >= 0`` and ``p + z <= 1``."""
+    b = CooBuilder()
+    x, y, z = b.binary("x"), b.binary("y"), b.binary("z")
+    p = b.binary("p")
+    b.ge(2 * x + 2 * y, 1)
+    b.ge(p - x, 0)
+    b.le(p + z, 1)
+    b.minimize(x + y + z)
+    return b.freeze("incumbents")
+
+
+def _heads(*points):
+    return [np.array(point, dtype=np.float64) for point in points]
+
+
+class TestIncumbents:
+    """A fractional root settles at the first incumbent that completes
+    to a feasible point, when that point meets the certified bound."""
+
+    def test_completion_takes_least_values(self):
+        model = _incumbent_model()
+        assert relaxation.complete(model, np.array([1.0, 0.0, 0.0])).tolist() == [
+            1.0, 0.0, 0.0, 1.0,
+        ]
+        assert relaxation.complete(model, np.array([0.0, 1.0, 1.0])).tolist() == [
+            0.0, 1.0, 1.0, 0.0,
+        ]
+
+    def test_feasible_point_at_the_bound_settles(self, no_milp):
+        model = _incumbent_model()
+        root = solve_root(model)
+        assert root.settled is None and root.bound == 1.0
+        solution = solve_with_highs(
+            model,
+            incumbents=_heads(
+                (1, 0, 1),      # p = 1 then misses p + z <= 1
+                (0, 0, 0),      # misses 2x + 2y >= 1
+                (2, 0, 0),      # x above its bound
+                (0.5, 0.5, 0),  # fractional
+                (1, 0, 0),
+            ),
+        )
+        assert solution.status is SolveStatus.OPTIMAL
+        assert solution.objective == solution.best_bound == 1.0
+        assert solution.values == {0: 1, 1: 0, 2: 0, 3: 1}
+        assert solution.n_nodes == 0
+        assert solution.solve_seconds > 0
+
+    def test_infeasible_points_are_never_returned(self, milp_calls):
+        model = _incumbent_model()
+        # (0, 0, 1) and (0.5, 0.5, 0) cost exactly the bound.
+        solution = solve_with_highs(
+            model,
+            incumbents=_heads(
+                (0, 0, 1), (1, 0, 1), (0, 0, 0), (2, 0, 0), (0.5, 0.5, 0)
+            ),
+        )
+        assert milp_calls == [1]
+        assert solution.status is SolveStatus.OPTIMAL
+        assert solution.objective == 1.0
+        assert solution.values[2] == 0  # not the last incumbent's z
+
+    def test_first_feasible_point_above_the_bound_leaves_milp(self, milp_calls):
+        model = _incumbent_model()
+        solution = solve_with_highs(model, incumbents=_heads((0, 1, 1), (1, 0, 0)))
+        assert milp_calls == [1]
+        assert solution.status is SolveStatus.OPTIMAL
+        assert solution.objective == 1.0
+
+    def test_settled_routing_closes_a_fractional_pair(self, no_milp):
+        # synth_s7034: RULE10's optimum settles RULE3 (both cost 24).
+        clip, rule3, model = _fractional_rule()
+        rule10 = {r.name: r for r in rules_for_technology("N28-12T")}["RULE10"]
+        settled = OptRouter().route(clip, rule10)
+        assert settled.status is RouteStatus.OPTIMAL and settled.n_nodes == 0
+        point = settled.routing.point
+        head = np.zeros(build_routing_ilp(clip, rule3).n_core)
+        head[list(point)] = list(point.values())
+        solution = solve_with_highs(model, incumbents=[head])
+        assert solution.status is SolveStatus.OPTIMAL
+        assert solution.objective == solution.best_bound == 24.0
+        assert solution.n_nodes == 0
+
+
+class TestExactObjective:
+    def test_milp_objective_is_recomputed_from_the_point(self, monkeypatch):
+        clip, rule, model = _fractional_rule()
+        exact = _plain_milp(model)
+
+        def noisy(*args, **kwargs):
+            return OptimizeResult(
+                status=0, x=exact.x, fun=exact.fun + 4e-15,
+                mip_node_count=3, mip_dual_bound=exact.fun,
+            )
+
+        monkeypatch.setattr(highs_backend, "milp", noisy)
+        solution = solve_with_highs(model)
+        assert solution.status is SolveStatus.OPTIMAL
+        assert solution.objective == 24.0
+        result = OptRouter().route(clip, rule)
+        assert result.cost == 24.0
+        from repro.verify.audit import ResultAuditor
+
+        certificate = ResultAuditor().audit(clip, rule, result)
+        assert certificate.ok, certificate.failures()
+
+
+class TestMilpModel:
+    """The root LP and the incumbents read a routing model's strong
+    rule rows; branch-and-cut runs on its weak ones."""
+
+    def test_milp_runs_on_the_weak_rows(self, monkeypatch):
+        clip, rule, _model = _fractional_rule()
+        ilp = build_routing_ilp(clip, rule, reuse=False)
+        weak = ilp.milp_model()
+        assert weak.n_rows != ilp.csr.n_rows
+        shapes = []
+        real = highs_backend.milp
+
+        def recording(*args, **kwargs):
+            shapes.append(kwargs["constraints"][0].A.shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(highs_backend, "milp", recording)
+        solution = solve_with_highs(ilp.csr, milp_model=ilp.milp_model)
+        assert shapes == [(weak.n_rows, weak.n_vars)]
+        assert solution.status is SolveStatus.OPTIMAL
+        assert solution.objective == solution.best_bound == 24.0
+        # The router hands its HiGHS solves the same model.
+        result = OptRouter().route(clip, rule)
+        assert shapes == [(weak.n_rows, weak.n_vars)] * 2
+        assert result.status is RouteStatus.OPTIMAL and result.cost == 24.0
+
+    def test_not_built_when_the_lp_settles(self, no_milp):
+        # RULE9 on synth_s7034 settles at its root LP.
+        _clip, _rule, model = _sweep_rule("RULE9", seed=7034)
+
+        def unused():
+            raise AssertionError("built the MILP model of a settled LP")
+
+        solution = solve_with_highs(model, milp_model=unused)
+        assert solution.status is SolveStatus.OPTIMAL
+        assert solution.n_nodes == 0
 
 
 class TestSolveMilp:

@@ -8,6 +8,7 @@ objectives to a cold solve.  These tests attack each shortcut.
 
 import collections
 import random
+from dataclasses import dataclass
 
 import pytest
 
@@ -374,4 +375,127 @@ class TestPairIndexOrder:
         for rule in again.rule_names:
             assert [(o.status, o.cost, o.certified) for o in again.outcomes[rule]] == [
                 (o.status, o.cost, o.certified) for o in first.outcomes[rule]
+            ]
+
+
+@dataclass
+class _IncumbentLog(OptRouter):
+    """Appends how many incumbents each ``route`` call was offered to
+    ``log`` (one line per call, from any process)."""
+
+    log: str = ""
+
+    def route(self, clip, rules=None, warm=None):
+        with open(self.log, "a") as handle:
+            handle.write(f"{len(warm.incumbents) if warm else 0}\n")
+        return super().route(clip, rules, warm)
+
+
+def _s7034():
+    """The sweep benchmark's ``synth_s7034`` and the N28 rules: RULE3's
+    LP stays fractional at its optimum, 24, which RULE10's settled
+    routing meets."""
+    from repro.eval import rules_for_technology
+
+    from .test_router_formulation import POOL_SPEC
+
+    clip = make_synthetic_clip(POOL_SPEC, seed=7034)
+    return clip, {r.name: r for r in rules_for_technology("N28-12T")}
+
+
+def _count_milp(monkeypatch):
+    import repro.ilp.highs_backend as highs_backend
+
+    calls = []
+    real = highs_backend.milp
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(highs_backend, "milp", counting)
+    return calls
+
+
+class TestIncumbents:
+    """A cold HiGHS solve starts from the clip's settled routings."""
+
+    def test_settled_routing_closes_the_pair_without_milp(self, monkeypatch):
+        clip, rules = _s7034()
+        source = OptRouter().route(clip, rules["RULE10"])
+        calls = _count_milp(monkeypatch)
+        warm = WarmStart(incumbents=(source.routing.point,))
+        result = OptRouter().route(clip, rules["RULE3"], warm=warm)
+        assert not calls
+        assert result.status is RouteStatus.OPTIMAL
+        assert result.cost == result.bound == 24.0
+        assert result.n_nodes == 0
+        assert result.warm_used == ""
+        # The routing is decoded from the RULE3 model's point.
+        assert result.routing.point == source.routing.point
+        cold = OptRouter().route(clip, rules["RULE3"])
+        assert calls == [1]
+        assert (cold.status, cold.cost) == (result.status, result.cost)
+
+    def test_bnb_ignores_incumbents(self, monkeypatch):
+        import repro.router.optrouter as mod
+
+        clip, rules = _s7034()
+        source = OptRouter().route(clip, rules["RULE10"])
+
+        def no_highs(*args, **kwargs):
+            raise AssertionError("the B&B backend called HiGHS")
+
+        monkeypatch.setattr(mod, "solve_with_highs", no_highs)
+        warm = WarmStart(incumbents=(source.routing.point,))
+        result = OptRouter(backend="bnb").route(clip, rules["RULE3"], warm=warm)
+        assert result.status is RouteStatus.OPTIMAL
+        assert result.cost == 24.0
+        assert result.n_nodes > 0
+
+    def test_racers_get_no_incumbents(self, tmp_path):
+        from repro.exec import RouteJob, race_solve
+
+        clip, rules = _s7034()
+        source = OptRouter().route(clip, rules["RULE10"])
+        log = tmp_path / "offered.txt"
+        job = RouteJob(
+            clip, rules["RULE3"], _IncumbentLog(time_limit=30.0, log=str(log)),
+            warm=WarmStart(incumbents=(source.routing.point,)),
+        )
+        outcome = race_solve(job, ("highs", "bnb"), deadline=60.0)
+        assert outcome.result.status is RouteStatus.OPTIMAL
+        assert outcome.result.cost == 24.0
+        offered = log.read_text().split()
+        assert offered and set(offered) == {"0"}
+
+    def test_settled_pair_is_cached_and_replayed(self, tmp_path, monkeypatch):
+        import repro.router.optrouter as mod
+        from repro.eval import EvalConfig, evaluate_clips, paper_rules
+
+        clip, _ = _s7034()
+        rules = paper_rules()
+        config = EvalConfig(solve_cache_dir=str(tmp_path))
+        calls = _count_milp(monkeypatch)
+        first = evaluate_clips([clip], rules, config)
+        assert not calls
+        (rule3,) = first.outcomes["RULE3"]
+        assert (rule3.status, rule3.cost) == (RouteStatus.OPTIMAL, 24.0)
+        assert rule3.warm_used == "" and not rule3.cache_hit
+
+        solves = []
+        real = mod.solve_with_highs
+
+        def counting(*args, **kwargs):
+            solves.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mod, "solve_with_highs", counting)
+        again = evaluate_clips([clip], rules, config)
+        assert not solves
+        (replayed,) = again.outcomes["RULE3"]
+        assert replayed.cache_hit and replayed.bound == 24.0
+        for rule in rules:
+            assert [(o.status, o.cost) for o in again.outcomes[rule.name]] == [
+                (o.status, o.cost) for o in first.outcomes[rule.name]
             ]
