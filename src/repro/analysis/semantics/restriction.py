@@ -129,6 +129,53 @@ class RestrictionProof:
             "failures": list(self.failures),
         }
 
+    def persisted(self) -> dict[str, Any]:
+        """The proof without its names, as a proof sheet in the solve
+        cache stores it: a proof depends on the clip's and the rules'
+        values only."""
+        return {
+            "holds": self.holds,
+            "predicate": self.predicate,
+            "n_rows": self.n_rows,
+            "n_matched": self.n_matched,
+            "n_dominated": self.n_dominated,
+            "n_lp": self.n_lp,
+            "failures": list(self.failures),
+        }
+
+    @classmethod
+    def from_persisted(cls, fields: dict[str, Any]) -> "RestrictionProof":
+        """A proof from its :meth:`persisted` form, with empty names; a
+        malformed one raises KeyError or TypeError."""
+        flags = [fields[name] for name in ("holds", "predicate")]
+        counts = [
+            fields[name] for name in ("n_rows", "n_matched", "n_dominated", "n_lp")
+        ]
+        failures = fields["failures"]
+        if not (
+            all(isinstance(flag, bool) for flag in flags)
+            and all(
+                isinstance(n, int) and not isinstance(n, bool) for n in counts
+            )
+            and isinstance(failures, list)
+            and all(isinstance(failure, str) for failure in failures)
+        ):
+            raise TypeError(f"malformed restriction proof {fields!r}")
+        holds, predicate = flags
+        n_rows, n_matched, n_dominated, n_lp = counts
+        return cls(
+            clip_name="",
+            base_rule="",
+            other_rule="",
+            holds=holds,
+            n_rows=n_rows,
+            n_matched=n_matched,
+            n_dominated=n_dominated,
+            n_lp=n_lp,
+            failures=tuple(failures),
+            predicate=predicate,
+        )
+
 
 def _delta_rows(csr: CsrModel, start: int) -> list[_Row]:
     """Rows ``start..`` of ``csr``, keyed by variable name."""

@@ -190,7 +190,9 @@ def _cmd_cache(args) -> int:
         stats = cache.stats()
         print(f"solve cache at {stats['root']}: {stats['entries']} "
               f"entries, {stats['bytes']} bytes, "
-              f"{stats['index_entries']} index entries")
+              f"{stats['index_entries']} index entries, "
+              f"{stats['proof_sheets']} proof sheets, "
+              f"{stats['quarantined']} quarantined")
         return 0
     if args.action == "evict":
         if args.max_bytes is None and args.older_than is None:

@@ -13,6 +13,7 @@ re-solving finished pairs.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import threading
 import time
@@ -22,6 +23,7 @@ from functools import partial
 
 from repro.analysis.semantics import restriction
 from repro.clips.clip import Clip
+from repro.clips.serialization import clip_digest
 from repro.eval.rule_configs import INFEASIBLE_DELTA
 from repro.exec.checkpoint import CheckpointJournal, dedupe_results
 from repro.exec.faults import FaultPlan
@@ -36,7 +38,7 @@ from repro.exec.portfolio import (
 )
 from repro.exec.runner import RouteJob, SupervisedRunner
 from repro.ilp.solve_cache import SolveCache, program_digest
-from repro.router.formulation import formulation_cache
+from repro.router.formulation import formulation_cache, proof_edge
 from repro.router.optrouter import OptRouteResult, OptRouter, RouteStatus, WarmStart
 from repro.router.rules import RuleConfig, is_restriction
 from repro.router.solution import ClipRouting
@@ -547,24 +549,37 @@ def _execute(
     restriction_disagreements: list[str] = []
     # The edges this sweep has used (names are unique within a sweep).
     used: dict[tuple[str, str, str], bool] = {}
+    solve_cache = (
+        SolveCache(config.solve_cache_dir)
+        if config.solve_cache_dir is not None
+        else None
+    )
+    sheets = _ProofSheets(solve_cache, config) if solve_cache is not None else None
 
     def proven(clip: Clip, looser: RuleConfig, follower: RuleConfig) -> bool:
         key = (clip.name, looser.name, follower.name)
         if key in used:
             return used[key]
-        # Memoized per process with the clip's base formulation, so a
-        # later sweep over an equal clip proves nothing again.  The
-        # prover is looked up on the module at call time, so that a
-        # wrapper installed on the module attribute (sweepbench's span
-        # tracer) sees the call.
-        proof = formulation_cache().restriction_proof(
+        # Memoized per process, and persisted in the solve cache's
+        # proof sheets when the sweep has one, so a later sweep over an
+        # equal clip proves nothing again.  The prover is looked up on
+        # the module at call time, so that a wrapper installed on the
+        # module attribute (sweepbench's span tracer) sees the call.
+        proof, made = formulation_cache().restriction_proof(
             clip,
             looser,
             follower,
             wire_cost=config.wire_cost,
             via_cost=config.via_cost,
             prove=restriction.prove_restriction,
+            load=(
+                None
+                if sheets is None
+                else partial(sheets.load, clip, looser.allow_via_shapes)
+            ),
         )
+        if made and sheets is not None:
+            sheets.add(clip, looser, follower, proof)
         if not proof.agrees_with_predicate:
             # Reported by every sweep that uses the edge, memoized or not.
             restriction_disagreements.append(
@@ -592,11 +607,7 @@ def _execute(
         backend=config.backend,
         time_limit=config.time_limit_per_clip,
         certify=config.certify,
-        solve_cache=(
-            SolveCache(config.solve_cache_dir)
-            if config.solve_cache_dir is not None
-            else None
-        ),
+        solve_cache=solve_cache,
     )
 
     def make_job(clip: Clip, rule: RuleConfig) -> RouteJob:
@@ -731,12 +742,16 @@ def _execute(
         seeded[(job.clip.name, job.rules.name)] = warmed
         return warmed
 
-    SupervisedRunner(supervisor, budget=plan.budget).run_groups(
-        groups,
-        fault_plan=fault_plan,
-        on_result=on_result,
-        derive=derive,
-    )
+    try:
+        SupervisedRunner(supervisor, budget=plan.budget).run_groups(
+            groups,
+            fault_plan=fault_plan,
+            on_result=on_result,
+            derive=derive,
+        )
+    finally:
+        if sheets is not None:
+            sheets.flush()
 
     study = DeltaCostStudy(
         clip_names=[clip.name for clip in plan.clips],
@@ -753,6 +768,68 @@ def _execute(
             for clip in plan.clips
         ]
     return study
+
+
+class _ProofSheets:
+    """A sweep's restriction proofs in its solve cache: one proof sheet
+    per (clip, ``allow_via_shapes``), read into the process's proof
+    memo the first time the process needs one of the clip's proofs,
+    and written once, when the sweep ends, for each clip on which the
+    sweep proved an edge (merged with what the sheet holds by then).
+
+    A sheet's key carries the program digest, so a sheet written by
+    other code is never read; its proofs are keyed by
+    :func:`~repro.router.formulation.proof_edge`, the rules' values
+    without their names.
+    """
+
+    def __init__(self, cache: SolveCache, config: EvalConfig):
+        self.cache = cache
+        self.weights = repr((config.wire_cost, config.via_cost))
+        #: the proofs this sweep made, by sheet key and edge
+        self.made: dict[str, dict[str, restriction.RestrictionProof]] = {}
+
+    def key(self, clip: Clip, allow_via_shapes: bool) -> str:
+        parts = (
+            program_digest(),
+            clip_digest(clip),
+            self.weights,
+            repr(allow_via_shapes),
+        )
+        return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
+
+    def load(
+        self, clip: Clip, allow_via_shapes: bool
+    ) -> "dict[str, restriction.RestrictionProof]":
+        return self._read(self.key(clip, allow_via_shapes))
+
+    def _read(self, key: str) -> "dict[str, restriction.RestrictionProof]":
+        return self.cache.get_proofs(key, decode=_decode_sheet) or {}
+
+    def add(
+        self,
+        clip: Clip,
+        looser: RuleConfig,
+        follower: RuleConfig,
+        proof: restriction.RestrictionProof,
+    ) -> None:
+        key = self.key(clip, looser.allow_via_shapes)
+        self.made.setdefault(key, {})[proof_edge(looser, follower)] = proof
+
+    def flush(self) -> None:
+        for key, made in self.made.items():
+            proofs = {**self._read(key), **made}
+            self.cache.put_proofs(
+                key, {edge: proof.persisted() for edge, proof in proofs.items()}
+            )
+        self.made.clear()
+
+
+def _decode_sheet(entries: dict) -> "dict[str, restriction.RestrictionProof]":
+    return {
+        edge: restriction.RestrictionProof.from_persisted(fields)
+        for edge, fields in entries.items()
+    }
 
 
 def _journaled(records: "list[dict]") -> "dict[tuple[str, str], ClipRuleOutcome]":
@@ -902,7 +979,9 @@ def warm_job(
       whose optimum reaches the candidate's cost lifts it;
     - *routing*: that cheapest DRC-clean settled routing of any rule
       on the same routing graph (an optimum or a LIMIT incumbent),
-      when its cost meets the bound.  The router re-verifies it;
+      when its cost meets the bound.  The warm start carries the
+      DRC verdict (``drc_clean``), so the router does not check it
+      again; the result audit does, independently;
     - *incumbents*: the points of all those settled routings, cheapest
       first, for a cold HiGHS solve to meet its certified LP bound
       with (rows, bounds and integrality re-checked on its model).
@@ -1005,7 +1084,11 @@ def warm_job(
     return replace(
         job,
         warm=WarmStart(
-            routing=routing, cost=cost, lower_bound=bound, incumbents=incumbents
+            routing=routing,
+            cost=cost,
+            lower_bound=bound,
+            incumbents=incumbents,
+            drc_clean=True,
         ),
         warm_bound_from=bound_from,
         warm_routing_from=source,

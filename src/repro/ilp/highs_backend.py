@@ -11,7 +11,12 @@ from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.ilp.csr import CsrModel
-from repro.ilp.relaxation import settle_incumbents, solve_root
+from repro.ilp.relaxation import (
+    _round_up,
+    objective_granularity,
+    settle_incumbents,
+    solve_root,
+)
 from repro.ilp.status import Solution, SolveStatus
 
 _STATUS_MAP = {
@@ -202,12 +207,18 @@ def _milp(
             float(model.obj @ model.point(solution.values)) + obj_const
         )
         if status is SolveStatus.OPTIMAL:
-            # Export HiGHS' proven dual bound (true objective space):
-            # it must meet the objective -- the audit layer
-            # (repro.verify) asserts exactly that.
-            solution.best_bound = (
-                dual if dual is not None else solution.objective
-            )
+            # The larger of HiGHS' dual bound and the LP bound, raised
+            # to the objective's granularity as the LP path certifies
+            # it and capped at the objective: HiGHS' float bound can sit
+            # a rounding error under the exact optimum, and the audit
+            # (repro.verify) asserts that the bound meets the objective.
+            known = [b for b in (dual, lp_bound) if b is not None]
+            solution.best_bound = solution.objective
+            if known:
+                raised = _round_up(
+                    max(known) - obj_const, objective_granularity(model)
+                )
+                solution.best_bound = min(raised + obj_const, solution.objective)
     if status is SolveStatus.LIMIT:
         # Price the incumbent/bound gap with the best proven bound,
         # which never passes the incumbent.

@@ -9,18 +9,18 @@ skip identical solves entirely -- a second ``repro evaluate
 --solve-cache`` run over an unchanged clip set performs zero backend
 solves.
 
-Entries store the status, objective, and solution values **by
-variable name** (indices are an insertion-order artifact; names are
-what the canonical key is built from), plus the original solve
-accounting so a cache hit reproduces the journaled record of the run
-that populated it.  Writes are atomic (temp file + rename).
+Entries store the status, objective, and the solution's nonzero
+values **by variable name** (indices are an insertion-order artifact;
+names are what the canonical key is built from), plus the original
+solve accounting so a cache hit reproduces the journaled record of the
+run that populated it.  Writes are atomic (temp file + rename).
 
 Every entry is *sealed* with a SHA-256 checksum of its canonical JSON
 form (:mod:`repro.util.integrity`).  A malformed, version-mismatched,
-or checksum-failing entry is moved into a ``quarantine/`` subdirectory
-and reads as a miss, so a corrupted, shared, or interrupted cache
-degrades to extra solves -- never to wrong results -- and the re-solve
-that follows heals the entry in place.
+or checksum-failing entry is moved into a ``quarantine/`` subdirectory,
+under a name of its own, and reads as a miss, so a corrupted, shared,
+or interrupted cache degrades to extra solves -- never to wrong
+results -- and the re-solve that follows heals the entry in place.
 
 Statuses cached: OPTIMAL, INFEASIBLE, and LIMIT (the time limit is
 part of the key, so a LIMIT outcome is only replayed for the same
@@ -30,12 +30,20 @@ not model, properties.
 In front of the entries sits a *pair index* (``index/``): sealed
 records from a caller's content address of a model's *inputs* (for
 the router: the program digest, the clip, the rule, the cost weights
-and these solver options) to the entry's key and the model's size
-statistics.  A caller whose inputs are indexed reads the entry
-without building or hashing the model.  An index entry only ever
-points at a key, so a missing, dangling or corrupt one is a miss and
-the caller builds and hashes as before; :func:`program_digest` in the
-key retires every index entry when any module changes.
+and these solver options) to the entry's key, the model's size
+statistics and the caller's decoded form of the solution (the
+router's routing).  A caller whose inputs are indexed reads the entry
+and the decoded solution without building or hashing the model.  A
+missing, dangling or corrupt index record is a miss and the caller
+builds and hashes as before; :func:`program_digest` in the key
+retires every index record when any module changes.
+
+Beside them sit *proof sheets* (``proofs/``): one sealed record per
+caller key (for the sweep: the program digest, the clip, the cost
+weights and ``allow_via_shapes``) holding a caller's proofs about that
+key's models, by the caller's own keys.  A missing or corrupt sheet
+is a miss, and the caller proves again.  Neither index records nor
+sheets count as entries.
 """
 
 from __future__ import annotations
@@ -48,6 +56,7 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any, NamedTuple
 
 import repro
 from repro.ilp.csr import CsrModel
@@ -55,17 +64,28 @@ from repro.ilp.status import Solution, SolveStatus
 from repro.util.integrity import seal_record, verify_seal
 
 #: v2 added the per-entry integrity seal; unsealed v1 entries read as
-#: misses (the re-solve rewrites them sealed).
+#: misses (the re-solve rewrites them sealed).  v2 entries that store
+#: every value (no ``has_point`` key) read as they always did.
 ENTRY_VERSION = 2
 
-#: Version of the pair index's records (see :meth:`SolveCache.get_indexed`).
-INDEX_VERSION = 1
+#: Version of the pair index's records (see :meth:`SolveCache.get_indexed`);
+#: v2 added the decoded solution.
+INDEX_VERSION = 2
 
-#: Subdirectory corrupt entries are moved into (never read as hits).
+#: Version of the proof sheets (see :meth:`SolveCache.get_proofs`).
+PROOF_VERSION = 1
+
+#: Subdirectory corrupt records are moved into (never read as hits).
 QUARANTINE_DIR = "quarantine"
 
 #: Subdirectory of the pair index, sharded like the entries.
 INDEX_DIR = "index"
+
+#: Subdirectory of the proof sheets, sharded like the entries.
+PROOF_DIR = "proofs"
+
+#: What a caller's decode hook may raise on a record it rejects.
+_MALFORMED = (KeyError, TypeError, ValueError)
 
 #: Outcomes worth persisting (see module docstring).
 _CACHEABLE = (SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE, SolveStatus.LIMIT)
@@ -99,9 +119,25 @@ def program_digest() -> str:
     return _PROGRAM_DIGEST
 
 
+class IndexRecord(NamedTuple):
+    """One pair-index record (see :meth:`SolveCache.get_indexed`)."""
+
+    #: the key of the entry the pair's solve outcome is cached under
+    key: str
+    #: the model's size statistics
+    stats: dict[str, int]
+    #: the caller's decoded form of the solution (None = none stored)
+    decoded: Any
+
+
 @dataclass
 class CacheEntry:
-    """One cached solve outcome, in model-independent (name-keyed) form."""
+    """One cached solve outcome, in model-independent (name-keyed) form.
+
+    ``values_by_name`` holds the solution's nonzero values only;
+    ``has_point`` says whether the solution had a point at all, so
+    that a point whose every value is zero still replays as one.
+    """
 
     status: SolveStatus
     objective: float | None = None
@@ -109,15 +145,27 @@ class CacheEntry:
     best_bound: float | None = None
     n_nodes: int = 0
     solve_seconds: float = 0.0
+    has_point: bool = False
 
     def to_solution(self, model: CsrModel) -> Solution:
-        """Remap name-keyed values onto this model's variable indices."""
-        by_name = model.name_to_index
-        values = {
-            by_name[name]: value
-            for name, value in self.values_by_name.items()
-            if name in by_name
-        }
+        """Remap name-keyed values onto this model's variable indices.
+        A solution with a point gets a value for every column of the
+        model, zeros included, as the solve returned it."""
+        if self.has_point:
+            stored = self.values_by_name
+            values = {
+                j: stored.get(name, 0 if integer else 0.0)
+                for j, (name, integer) in enumerate(
+                    zip(model.var_names, model.integer.tolist())
+                )
+            }
+        else:
+            by_name = model.name_to_index
+            values = {
+                by_name[name]: value
+                for name, value in self.values_by_name.items()
+                if name in by_name
+            }
         return Solution(
             status=self.status,
             objective=self.objective,
@@ -136,25 +184,34 @@ class CacheEntry:
             "best_bound": self.best_bound,
             "n_nodes": self.n_nodes,
             "solve_seconds": self.solve_seconds,
+            "has_point": self.has_point,
         })
 
     @classmethod
     def from_dict(cls, payload: dict) -> "CacheEntry":
+        values = dict(payload["values"])
+        # Entries written before values were stored sparsely hold every
+        # value of a point, so they have one exactly when any is stored.
+        has_point = payload.get("has_point", bool(values))
+        if not isinstance(has_point, bool):
+            raise TypeError(f"has_point is {has_point!r}")
         return cls(
             status=SolveStatus(payload["status"]),
             objective=payload["objective"],
-            values_by_name=dict(payload["values"]),
+            values_by_name=values,
             best_bound=payload.get("best_bound"),
             n_nodes=int(payload.get("n_nodes", 0)),
             solve_seconds=float(payload.get("solve_seconds", 0.0)),
+            has_point=has_point,
         )
 
 
 class SolveCache:
-    """Sharded on-disk store of :class:`CacheEntry` objects.
+    """Sharded on-disk store of :class:`CacheEntry` objects, with the
+    pair index and the proof sheets beside them.
 
     Safe to share between threads and processes: reads of a missing or
-    half-written entry are misses; writes go through a same-directory
+    half-written record are misses; writes go through a same-directory
     temp file and ``os.replace``.  No locks are held (instances are
     pickled into worker processes by the supervised runner).
     """
@@ -164,9 +221,10 @@ class SolveCache:
         self.hits = 0
         self.misses = 0
         self.quarantined = 0
-        #: durable-write failures (ENOSPC and kin) absorbed by put()
-        #: and put_indexed(); each one degrades the entry to a miss on
-        #: the next run instead of crashing the sweep.
+        #: durable-write failures (ENOSPC and kin) absorbed by the
+        #: writes of entries, index records and sheets; each one
+        #: degrades the record to a miss on the next run instead of
+        #: crashing the sweep.
         self.write_failures = 0
         self.last_write_error: "str | None" = None
 
@@ -186,6 +244,9 @@ class SolveCache:
     def _index_path(self, pair_key: str) -> Path:
         return self.root / INDEX_DIR / pair_key[:2] / f"{pair_key}.json"
 
+    def _proof_path(self, sheet_key: str) -> Path:
+        return self.root / PROOF_DIR / sheet_key[:2] / f"{sheet_key}.json"
+
     # -- access -------------------------------------------------------------
 
     def get(
@@ -201,11 +262,8 @@ class SolveCache:
         if key is None:
             assert model is not None
             key = self.key_for(model, options)
-        path = self._path(key)
-        entry, reason = self._read_entry(path)
+        entry = self._load(self._path(key), self._read_entry)
         if entry is None:
-            if reason is not None and reason != "absent":
-                self._quarantine(path, reason)
             self.misses += 1
             return None
         self.hits += 1
@@ -241,15 +299,15 @@ class SolveCache:
             return None, reason
         try:
             return CacheEntry.from_dict(payload), None
-        except (ValueError, KeyError, TypeError) as exc:
+        except _MALFORMED as exc:
             return None, f"malformed entry: {type(exc).__name__}: {exc}"
 
     @classmethod
     def _read_index(
         cls, path: Path
-    ) -> "tuple[tuple[str, dict[str, int]] | None, str | None]":
-        """Parse and validate one pair-index file: ((key, stats), None)
-        on success, else (None, reason) as :meth:`_read_sealed`."""
+    ) -> "tuple[IndexRecord | None, str | None]":
+        """Parse and validate one pair-index file: (record, None) on
+        success, else (None, reason) as :meth:`_read_sealed`."""
         payload, reason = cls._read_sealed(path, INDEX_VERSION)
         if payload is None:
             return None, reason
@@ -261,7 +319,44 @@ class SolveCache:
             and all(isinstance(v, int) for v in stats.values())
         ):
             return None, "malformed index entry"
-        return (key, stats), None
+        return IndexRecord(key, stats, payload.get("decoded")), None
+
+    @classmethod
+    def _read_proofs(cls, path: Path) -> "tuple[dict | None, str | None]":
+        """Parse and validate one proof sheet: (proofs by the caller's
+        keys, None) on success, else (None, reason) as
+        :meth:`_read_sealed`."""
+        payload, reason = cls._read_sealed(path, PROOF_VERSION)
+        if payload is None:
+            return None, reason
+        proofs = payload.get("proofs")
+        if not (
+            isinstance(proofs, dict)
+            and all(isinstance(proof, dict) for proof in proofs.values())
+        ):
+            return None, "malformed proof sheet"
+        return proofs, None
+
+    def _load(
+        self,
+        path: Path,
+        read: "Callable[[Path], tuple[Any, str | None]]",
+        decode: "Callable[[Any], Any] | None" = None,
+    ) -> Any:
+        """Read one record with ``read`` and hand it to ``decode``; a
+        record either rejects is quarantined, and reads as a miss (None)
+        as an absent one does."""
+        record, reason = read(path)
+        if record is not None and decode is not None:
+            try:
+                record = decode(record)
+            except _MALFORMED as exc:
+                record = None
+                reason = f"rejected by its reader: {type(exc).__name__}: {exc}"
+        if record is None and reason != "absent":
+            assert reason is not None
+            self._quarantine(path, reason)
+        return record
 
     def quarantine(self, key: str, reason: str) -> None:
         """Move entry ``key`` aside: a caller found it wrong under a
@@ -273,20 +368,37 @@ class SolveCache:
             self._quarantine(path, reason)
 
     def _quarantine(self, path: Path, reason: str) -> None:
-        """Move a corrupt entry aside so it can never read as a hit;
-        the next put() of the same key heals the slot with a fresh
-        solve.  The sidecar note records why."""
+        """Move a corrupt record aside so it can never read as a hit;
+        the next write of its key heals the slot.  Every move gets a
+        name of its own (the record's kind, its key and a unique
+        suffix), so quarantining one key twice keeps both copies, and
+        each copy's sidecar note records why."""
         qdir = self.root / QUARANTINE_DIR
+        kind = path.parent.parent
+        prefix = path.stem + "."
+        if kind != self.root:
+            prefix = f"{kind.name}-{prefix}"
         try:
             qdir.mkdir(parents=True, exist_ok=True)
-            os.replace(path, qdir / path.name)
-            with open(
-                qdir / (path.name + ".reason"), "w", encoding="utf-8"
-            ) as fh:
+            fd, target = tempfile.mkstemp(dir=qdir, prefix=prefix, suffix=".json")
+            os.close(fd)
+        except OSError:
+            return
+        try:
+            os.replace(path, target)
+        except OSError:
+            # A racing reader already moved it; counting is best-effort.
+            try:
+                os.unlink(target)
+            except OSError:
+                pass
+            return
+        self.quarantined += 1
+        try:
+            with open(target + ".reason", "w", encoding="utf-8") as fh:
                 fh.write(reason + "\n")
         except OSError:
-            return  # racing reader already moved it; counting is best-effort
-        self.quarantined += 1
+            pass
 
     def put(
         self,
@@ -296,7 +408,8 @@ class SolveCache:
         key: "str | None" = None,
     ) -> bool:
         """Persist a solve outcome; returns False for uncacheable ones.
-        ``key`` is an optional precomputed :meth:`key_for` result."""
+        ``key`` is an optional precomputed :meth:`key_for` result.
+        Only the nonzero values are stored (see :class:`CacheEntry`)."""
         if solution.status not in _CACHEABLE:
             return False
         names = model.var_names
@@ -306,43 +419,77 @@ class SolveCache:
             values_by_name={
                 names[index]: value
                 for index, value in solution.values.items()
-                if 0 <= index < len(names)
+                if value and 0 <= index < len(names)
             },
             best_bound=solution.best_bound,
             n_nodes=solution.n_nodes,
             solve_seconds=solution.solve_seconds,
+            has_point=bool(solution.values),
         )
         path = self._path(key if key is not None else
                           self.key_for(model, options))
         return self._write_atomic(path, entry.to_dict())
 
     def get_indexed(
-        self, pair_key: str
-    ) -> "tuple[str, dict[str, int]] | None":
-        """The pair index's (entry key, model stats) for ``pair_key``,
-        or None.  A corrupt index entry is quarantined and reads as a
-        miss, as a corrupt entry does."""
-        path = self._index_path(pair_key)
-        indexed, reason = self._read_index(path)
-        if indexed is None and reason != "absent":
-            assert reason is not None
-            self._quarantine(path, reason)
-        return indexed
+        self,
+        pair_key: str,
+        decode: "Callable[[Any], Any] | None" = None,
+    ) -> "IndexRecord | None":
+        """The pair index's record for ``pair_key``, or None.
+
+        ``decode`` turns the record's stored decoded solution, when it
+        has one, into the caller's form.  A corrupt record, or one
+        whose decoded solution ``decode`` rejects (by raising KeyError,
+        TypeError or ValueError), is quarantined and reads as a miss,
+        as a corrupt entry does.
+        """
+
+        def decoded(record: IndexRecord) -> IndexRecord:
+            if decode is None or record.decoded is None:
+                return record
+            return record._replace(decoded=decode(record.decoded))
+
+        return self._load(self._index_path(pair_key), self._read_index, decoded)
 
     def put_indexed(
-        self, pair_key: str, key: str, stats: "dict[str, int]"
+        self,
+        pair_key: str,
+        key: str,
+        stats: "dict[str, int]",
+        decoded: Any = None,
     ) -> bool:
-        """Point ``pair_key`` at the entry ``key`` (see the module
-        docstring); False when the write failed."""
-        record = seal_record(
-            {"v": INDEX_VERSION, "key": key, "stats": dict(stats)}
-        )
+        """Point ``pair_key`` at the entry ``key``, with the model's
+        stats and the caller's decoded solution (JSON-serializable;
+        None = none); False when the write failed."""
+        record = seal_record({
+            "v": INDEX_VERSION,
+            "key": key,
+            "stats": dict(stats),
+            "decoded": decoded,
+        })
         return self._write_atomic(self._index_path(pair_key), record)
+
+    def get_proofs(
+        self,
+        sheet_key: str,
+        decode: "Callable[[dict], Any] | None" = None,
+    ) -> Any:
+        """The proof sheet ``sheet_key`` (a dict of JSON objects by the
+        caller's keys, or what ``decode`` makes of it), or None.  A
+        corrupt sheet, or one ``decode`` rejects, is quarantined and
+        reads as a miss."""
+        return self._load(self._proof_path(sheet_key), self._read_proofs, decode)
+
+    def put_proofs(self, sheet_key: str, proofs: "dict[str, dict]") -> bool:
+        """Write the proof sheet ``sheet_key`` whole (JSON objects by
+        the caller's keys); False when the write failed."""
+        record = seal_record({"v": PROOF_VERSION, "proofs": proofs})
+        return self._write_atomic(self._proof_path(sheet_key), record)
 
     def _write_atomic(self, path: Path, record: dict) -> bool:
         """Write one sealed record through a same-directory temp file
-        and ``os.replace``: the one write path of entries and index
-        entries alike."""
+        and ``os.replace``: the one write path of entries, index
+        records and sheets alike."""
         # Every step of the atomic write -- mkdir, temp-file creation,
         # the write itself, the rename -- can hit a full disk; all of
         # them degrade to "entry not cached" (the next run re-solves)
@@ -384,6 +531,9 @@ class SolveCache:
     def _index_files(self) -> list[Path]:
         return sorted((self.root / INDEX_DIR).glob("*/*.json"))
 
+    def _proof_files(self) -> list[Path]:
+        return sorted((self.root / PROOF_DIR).glob("*/*.json"))
+
     def _quarantine_files(self) -> list[Path]:
         qdir = self.root / QUARANTINE_DIR
         if not qdir.is_dir():
@@ -391,26 +541,30 @@ class SolveCache:
         return sorted(qdir.glob("*.json"))
 
     def stats(self) -> dict:
-        """Entry counts and sizes; ``entries``/``bytes`` cover solve
-        entries only, ``index_entries`` the pair index."""
+        """Record counts and sizes: ``entries``/``bytes`` cover solve
+        entries only, ``index_entries`` the pair index, ``proof_sheets``
+        the proof sheets, and ``quarantined`` every record ever moved
+        into quarantine."""
         files = self._entry_files()
         return {
             "root": str(self.root),
             "entries": len(files),
             "bytes": sum(f.stat().st_size for f in files),
             "index_entries": len(self._index_files()),
+            "proof_sheets": len(self._proof_files()),
             "hits": self.hits,
             "misses": self.misses,
             "quarantined": len(self._quarantine_files()),
         }
 
     def scan(self) -> dict:
-        """Validate every entry and index entry on disk, quarantining
-        corrupt ones.
+        """Validate every entry, index record and proof sheet on disk,
+        quarantining corrupt ones.
 
         Returns ``{"checked": n, "valid": n, "quarantined": [(name,
         reason), ...]}`` -- the integrity audit behind ``repro audit
-        --solve-cache``.  Index entries are named ``index/<file>``.
+        --solve-cache``.  Index records are named ``index/<file>`` and
+        sheets ``proofs/<file>``.
         """
         quarantined: list[tuple[str, str]] = []
         checks: "list[tuple[Path, str, Callable[[Path], tuple[object, str | None]]]]"
@@ -420,6 +574,10 @@ class SolveCache:
         checks += [
             (path, f"{INDEX_DIR}/{path.name}", self._read_index)
             for path in self._index_files()
+        ]
+        checks += [
+            (path, f"{PROOF_DIR}/{path.name}", self._read_proofs)
+            for path in self._proof_files()
         ]
         for path, name, read in checks:
             record, reason = read(path)
@@ -453,14 +611,21 @@ class SolveCache:
 
         Quarantined entries are never touched -- they are evidence for
         the integrity audit, not cache capacity -- and never counted
-        against ``max_bytes``.  Index entries do not count either; one
-        past the age criterion or pointing at an entry that is gone is
-        dropped (a dangling one would only read as a miss).  Returns
-        ``{"removed", "bytes_freed", "remaining_entries",
-        "remaining_bytes", "index_removed"}``.
+        against ``max_bytes``.  Index records and sheets do not count
+        either: one past the age criterion goes, and so does an index
+        record pointing at an entry that is gone (a dangling one would
+        only read as a miss).  Returns ``{"removed", "bytes_freed",
+        "remaining_entries", "remaining_bytes", "index_removed",
+        "sheets_removed"}``.
         """
-        if now is None:
-            now = time.time()
+        clock: float = time.time() if now is None else now
+
+        def stale(f: Path) -> bool:
+            return (
+                older_than_seconds is not None
+                and clock - f.stat().st_mtime > older_than_seconds
+            )
+
         survivors: list[tuple[float, int, Path]] = []
         removed = 0
         bytes_freed = 0
@@ -469,7 +634,7 @@ class SolveCache:
                 st = f.stat()
             except OSError:
                 continue  # racing eviction/quarantine; nothing to do
-            age = now - st.st_mtime
+            age = clock - st.st_mtime
             if older_than_seconds is not None and age > older_than_seconds:
                 try:
                     f.unlink()
@@ -495,15 +660,19 @@ class SolveCache:
         for f in self._index_files():
             indexed, _ = self._read_index(f)
             try:
-                stale = (
-                    older_than_seconds is not None
-                    and now - f.stat().st_mtime > older_than_seconds
-                )
-                if stale or (
-                    indexed is not None and not self._path(indexed[0]).exists()
+                if stale(f) or (
+                    indexed is not None and not self._path(indexed.key).exists()
                 ):
                     f.unlink()
                     index_removed += 1
+            except OSError:
+                continue
+        sheets_removed = 0
+        for f in self._proof_files():
+            try:
+                if stale(f):
+                    f.unlink()
+                    sheets_removed += 1
             except OSError:
                 continue
         return {
@@ -512,13 +681,14 @@ class SolveCache:
             "remaining_entries": len(survivors),
             "remaining_bytes": total,
             "index_removed": index_removed,
+            "sheets_removed": sheets_removed,
         }
 
     def clear(self) -> int:
-        """Delete every entry and index entry; returns the number of
-        entries removed."""
+        """Delete every entry, index record and proof sheet; returns
+        the number of entries removed."""
         files = self._entry_files()
-        for f in files + self._index_files():
+        for f in files + self._index_files() + self._proof_files():
             try:
                 f.unlink()
             except OSError:

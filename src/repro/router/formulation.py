@@ -39,10 +39,12 @@ physically sound and DRC-checkable:
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import threading
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, replace
-from typing import TypeVar
+from typing import Any, TypeVar
 
 from repro.clips.clip import Clip, ClipNet
 from repro.ilp.csr import SENSE_EQ, SENSE_GE, SENSE_LE, CooBuilder, CsrModel
@@ -139,9 +141,6 @@ class BaseFormulation:
     graph: SwitchboxGraph
     core: CsrModel
     nets: list[NetVars]
-    #: restriction proofs between rules over this base, by (looser,
-    #: follower) rule value; see :meth:`FormulationCache.restriction_proof`.
-    proofs: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def build(
@@ -201,13 +200,14 @@ class FormulationCache:
     plus the core knobs, so equal copies of a clip share one base: the
     clips a ``repro serve`` experiment deserializes, and the jobs an
     attempt process unpickles.  The default bound holds a six-clip
-    study.  Each base also holds the restriction proofs made over it
-    (:meth:`restriction_proof`), so the LRU bounds them and
-    :meth:`clear` drops them with their base; every tenant of a
-    ``repro serve`` process after the first reads them.  Thread-safe:
-    the service's scheduler threads (``repro serve --concurrency``)
-    run sweeps in one process; ``specialize`` itself only reads the
-    base.
+    study.  Beside the bases, under the same keys and bound but
+    independent of them, sits a memo of the restriction proofs made
+    over each clip (:meth:`restriction_proof`): a proof stays while
+    its base is evicted or was never built, and every tenant of a
+    ``repro serve`` process after the first reads them.
+    :meth:`clear` drops both.  Thread-safe: the service's scheduler
+    threads (``repro serve --concurrency``) run sweeps in one
+    process; ``specialize`` itself only reads the base.
     """
 
     def __init__(self, max_entries: int = 8):
@@ -216,6 +216,7 @@ class FormulationCache:
         self.max_entries = max_entries
         self._lock = threading.Lock()
         self._entries: dict[tuple, BaseFormulation] = {}
+        self._proofs: dict[tuple, dict[str, Any]] = {}
         self.hits = 0
         self.misses = 0
 
@@ -273,31 +274,52 @@ class FormulationCache:
         wire_cost: float,
         via_cost: float,
         prove: "Callable[..., _Proof]",
-    ) -> _Proof:
+        load: "Callable[[], Mapping[str, _Proof]] | None" = None,
+    ) -> "tuple[_Proof, bool]":
         """The proof that ``follower`` restricts ``looser`` on ``clip``,
-        memoized with the base formulation it is made over.
+        from the clip's proof memo, and whether this call made it.
 
-        ``prove`` (:func:`~repro.analysis.semantics.restriction.prove_restriction`,
-        which brings the base into this cache) makes a missing proof
-        from the same arguments.  A lookup counts no hit or miss, and
-        a proof whose base is not resident is not kept.
+        The memo keys a clip's proofs by :func:`proof_edge`, the values
+        of both rules without their names.  ``load`` supplies the
+        proofs persisted for the clip, by the same keys, and runs once
+        per clip while its memo is resident; ``prove``
+        (:func:`~repro.analysis.semantics.restriction.prove_restriction`)
+        makes a missing proof from the same arguments.  A lookup counts
+        no hit or miss, and a memoized proof carries the names of the
+        call that made it.
         """
         key = (clip, looser.allow_via_shapes, wire_cost, via_cost)
-        edge = (looser, follower)
         with self._lock:
-            base = self._entries.get(key)
-        if base is not None and edge in base.proofs:
-            return base.proofs[edge]
+            memo = self._proofs.pop(key, None)
+            if memo is not None:
+                self._proofs[key] = memo  # re-insert: LRU order
+        if memo is None:
+            loaded = dict(load()) if load is not None else {}
+            with self._lock:
+                memo = self._proofs.setdefault(key, loaded)
+                while len(self._proofs) > self.max_entries:
+                    self._proofs.pop(next(iter(self._proofs)))
+        edge = proof_edge(looser, follower)
+        if edge in memo:
+            return memo[edge], False
         proof = prove(clip, looser, follower, wire_cost=wire_cost, via_cost=via_cost)
         with self._lock:
-            base = self._entries.get(key)
-            if base is not None:
-                base.proofs[edge] = proof
-        return proof
+            memo[edge] = proof
+        return proof, True
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._proofs.clear()
+
+
+@functools.lru_cache(maxsize=1024)
+def proof_edge(looser: RuleConfig, follower: RuleConfig) -> str:
+    """The key of a restriction proof between two rules: SHA-256 over
+    both rules' values without their names (a proof depends on what
+    the rules are, not on what they are called)."""
+    text = "\n".join(repr(replace(rule, name="")) for rule in (looser, follower))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 #: Module-level, not router-owned: the solve path, the restriction

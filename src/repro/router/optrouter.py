@@ -24,7 +24,7 @@ from repro.ilp.bnb import BnBOptions, solve_with_bnb
 from repro.ilp.highs_backend import solve_with_highs
 from repro.ilp.solve_cache import SolveCache, program_digest
 from repro.ilp.status import Solution, SolveStatus
-from repro.router.formulation import RoutingIlp, base_formulation, build_routing_ilp
+from repro.router.formulation import RoutingIlp, build_routing_ilp
 from repro.router.rules import RuleConfig
 from repro.router.solution import ClipRouting, decode_solution
 
@@ -60,6 +60,11 @@ class WarmStart:
       cache miss: one that meets the model's certified LP bound
       settles the pair without the MILP
       (:func:`~repro.ilp.highs_backend.solve_with_highs`).
+    - ``drc_clean``: ``routing`` already passed the follower rule's
+      DRC oracle on this clip (the sweep checks every routing it
+      offers), so the router does not run that check again.  The
+      verdict rides with the job, into an attempt process too; the
+      result audit still runs its own check.
     """
 
     routing: "ClipRouting | None" = None
@@ -67,6 +72,7 @@ class WarmStart:
     lower_bound: float | None = None
     infeasible: bool = False
     incumbents: "tuple[dict[int, float], ...]" = ()
+    drc_clean: bool = False
 
 
 class RouteStatus(enum.Enum):
@@ -241,43 +247,38 @@ class OptRouter:
     def _replayed(
         self, clip: Clip, rules: RuleConfig, pair_key: str
     ) -> "OptRouteResult | None":
-        """The pair's cached outcome when the pair index holds it, read
-        without building or hashing the model; None on any miss.
-
-        Decoding reads only the ``e`` columns, which every rule's model
-        shares with the clip's base formulation, so the base decodes
-        the entry and the index supplies the model's stats.
-        """
+        """The pair's cached outcome when the pair index holds it: the
+        entry the index record points at, with the routing the record
+        carries, so nothing is built, hashed or decoded; None on any
+        miss.  The sweep's audit checks the routing against the
+        entry's claims, and quarantines the entry when they differ."""
         assert self.solve_cache is not None
-        indexed = self.solve_cache.get_indexed(pair_key)
+        indexed = self.solve_cache.get_indexed(
+            pair_key, decode=ClipRouting.from_dict
+        )
         if indexed is None:
             return None
-        key, stats = indexed
-        entry = self.solve_cache.get(None, self._cache_options(), key=key)
+        entry = self.solve_cache.get(None, self._cache_options(), key=indexed.key)
         if entry is None:
             return None
-        base = base_formulation(
-            clip,
-            allow_via_shapes=rules.allow_via_shapes,
-            wire_cost=self.wire_cost,
-            via_cost=self.via_cost,
-            reuse=self.reuse_formulation,
-        )
-        core = RoutingIlp(
-            csr=base.core, graph=base.graph, nets=base.nets, rules=rules,
-            base=base,
+        solution = Solution(
+            status=entry.status,
+            objective=entry.objective,
+            best_bound=entry.best_bound,
+            n_nodes=entry.n_nodes,
+            solve_seconds=entry.solve_seconds,
         )
         return self._result(
-            clip, rules, core, entry.to_solution(base.core),
-            model_stats=dict(stats), cache_key=key,
+            clip, rules, solution, indexed.decoded,
+            model_stats=dict(indexed.stats), cache_key=indexed.key,
         )
 
     def _reused_optimal(
         self, clip: Clip, rules: RuleConfig, warm: WarmStart
     ) -> "OptRouteResult | None":
         """The warm routing as this rule's optimum, when it passes the
-        rule's DRC and its cost meets the proven lower bound; None
-        otherwise."""
+        rule's DRC (or the warm start says it did) and its cost meets
+        the proven lower bound; None otherwise."""
         if (
             warm.routing is None
             or warm.cost is None
@@ -287,7 +288,7 @@ class OptRouter:
             return None
         from repro.drc.checker import check_clip_routing  # avoid cycle
 
-        if check_clip_routing(clip, rules, warm.routing):
+        if not warm.drc_clean and check_clip_routing(clip, rules, warm.routing):
             return None  # infeasible under the new rule: never reuse
         return OptRouteResult(
             clip_name=clip.name,
@@ -313,16 +314,19 @@ class OptRouter:
 
         ``warm`` carries other rules' settled outcomes (see
         :class:`WarmStart`); it is only ever used through sound
-        shortcuts -- a routing re-verified by the DRC oracle whose cost
-        meets the inherited lower bound, or an inherited infeasibility
-        proof -- so results are identical to a cold solve.  The order
-        is: reused routing, static certifier, inherited proof, then
-        build and solve (through the solve cache when one is set; a
-        HiGHS solve starts from the warm start's incumbents).
+        shortcuts -- a routing that passes the DRC oracle (checked
+        here unless the warm start carries the sweep's verdict) whose
+        cost meets the inherited lower bound, or an inherited
+        infeasibility proof -- so results are identical to a cold
+        solve.  The order is: reused routing, static certifier,
+        inherited proof, then build and solve (through the solve cache
+        when one is set; a HiGHS solve starts from the warm start's
+        incumbents).
         With a solve cache, a pair the cache's pair index holds is
         replayed right after the reused routing, without certify,
-        build or hash: its index entry was written after certify found
-        nothing, and a pair with an inherited proof never looks.
+        build, hash or decode (the index record carries the routing):
+        its index record was written after certify found nothing, and
+        a pair with an inherited proof never looks.
         """
         if rules is None:
             rules = RuleConfig()
@@ -363,6 +367,7 @@ class OptRouter:
         stats = ilp.csr.stats()
         hit_key = ""
         serialize_seconds = 0.0
+        stored = False  # the outcome is in the solve cache
         if self.solve_cache is not None:
             cache_options = self._cache_options()
             t_ser = time.perf_counter()
@@ -377,26 +382,32 @@ class OptRouter:
             stored = bool(hit_key) or self.solve_cache.put(
                 ilp.csr, cache_options, solution, key=cache_key
             )
-            if stored and self.certify and pair_key is not None:
-                # Only here, where certify found nothing: an index hit
-                # skips the certifier.
-                self.solve_cache.put_indexed(pair_key, cache_key, stats)
         else:
             solution = self._solve_model(ilp, self.time_limit, warm)
-        return self._result(
-            clip, rules, ilp, solution,
+        routing = decode_solution(ilp, solution) if solution.values else None
+        result = self._result(
+            clip, rules, solution, routing,
             model_stats=stats,
             cache_key=hit_key,
             build_seconds=build_seconds,
             serialize_seconds=serialize_seconds,
         )
+        if stored and self.certify and pair_key is not None:
+            # Only here, where certify found nothing: an index hit
+            # skips the certifier.
+            assert self.solve_cache is not None
+            self.solve_cache.put_indexed(
+                pair_key, cache_key, stats,
+                routing.to_dict() if routing is not None else None,
+            )
+        return result
 
     def _result(
         self,
         clip: Clip,
         rules: RuleConfig,
-        ilp: RoutingIlp,
         solution: Solution,
+        routing: "ClipRouting | None",
         *,
         model_stats: "dict[str, int]",
         cache_key: str = "",
@@ -404,8 +415,9 @@ class OptRouter:
         serialize_seconds: float = 0.0,
     ) -> OptRouteResult:
         """The result of a solved or replayed model (``cache_key``: the
-        entry it was read from, "" for a solve); the routing is decoded
-        from ``ilp``'s ``e`` columns."""
+        entry it was read from, "" for a solve), with ``routing``, the
+        solution's decoded routing (None when it has no point), when
+        the solution is OPTIMAL or LIMIT."""
         result = OptRouteResult(
             clip_name=clip.name,
             rule_name=rules.name,
@@ -421,11 +433,10 @@ class OptRouter:
         )
         if result.status is RouteStatus.OPTIMAL:
             result.gap = 0.0
-        if solution.values and solution.status in (
+        if routing is not None and solution.status in (
             SolveStatus.OPTIMAL,
             SolveStatus.LIMIT,
         ):
-            routing = decode_solution(ilp, solution)
             result.routing = routing
             result.cost = solution.objective
             result.wirelength = routing.total_wirelength

@@ -78,6 +78,71 @@ class ClipRouting:
     def total_vias(self) -> int:
         return sum(net.n_vias for net in self.nets)
 
+    def to_dict(self) -> dict:
+        """JSON form (the solve cache's pair index stores it): per-net
+        wires, vias and shape vias, the cost, and the point as
+        ``[column, value]`` pairs."""
+        return {
+            "nets": [
+                {
+                    "name": net.net_name,
+                    "wires": [[list(a), list(b)] for a, b in net.wire_edges],
+                    "vias": [list(via) for via in net.vias],
+                    "shape_vias": [
+                        {
+                            "lower_slot": use.lower_slot,
+                            "shape": use.shape_name,
+                            "lower": [list(v) for v in use.lower_members],
+                            "upper": [list(v) for v in use.upper_members],
+                        }
+                        for use in net.shape_vias
+                    ],
+                }
+                for net in self.nets
+            ],
+            "cost": self.cost,
+            "point": [[column, value] for column, value in self.point.items()],
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "ClipRouting":
+        """Rebuild a routing from :meth:`to_dict`'s form; a malformed
+        one raises KeyError, TypeError or ValueError."""
+        nets = [
+            NetSolution(
+                net_name=_typed(net["name"], str),
+                wire_edges=[(_vertex(a), _vertex(b)) for a, b in net["wires"]],
+                vias=[_vertex(via) for via in net["vias"]],
+                shape_vias=[
+                    ShapeViaUse(
+                        lower_slot=_typed(use["lower_slot"], int),
+                        shape_name=_typed(use["shape"], str),
+                        lower_members=tuple(_vertex(v) for v in use["lower"]),
+                        upper_members=tuple(_vertex(v) for v in use["upper"]),
+                    )
+                    for use in net["shape_vias"]
+                ],
+            )
+            for net in data["nets"]
+        ]
+        point = {
+            _typed(column, int): _typed(value, (int, float))
+            for column, value in data["point"]
+        }
+        return cls(nets=nets, cost=_typed(data["cost"], (int, float)), point=point)
+
+
+def _typed(value, kind):
+    """``value`` when it is a ``kind`` (never a bool), else TypeError."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise TypeError(f"expected {kind}, got {value!r}")
+    return value
+
+
+def _vertex(value) -> Vertex:
+    x, y, z = value
+    return (_typed(x, int), _typed(y, int), _typed(z, int))
+
 
 def decode_solution(ilp: RoutingIlp, solution: Solution) -> ClipRouting:
     """Convert a solved ILP into per-net wiring."""

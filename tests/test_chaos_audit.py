@@ -237,8 +237,16 @@ class TestArtifactChaosResume:
         # consecutive replays only the first quarantines.  The second
         # re-solves the pair once and re-caches it, the third reads it.
         assert not entry.exists()
-        reason = cache_dir / "quarantine" / (entry.name + ".reason")
-        assert reason.read_text() == "failed its result audit\n"
+        # Both quarantines of the entry's key are kept, each with its
+        # own reason: the bit flip's and the audit's.
+        assert SolveCache(cache_dir).stats()["quarantined"] == 2
+        reasons = sorted(
+            path.read_text()
+            for path in (cache_dir / "quarantine").glob(f"{entry.stem}.*.reason")
+        )
+        assert len(reasons) == 2
+        assert reasons[0].startswith("checksum mismatch")
+        assert reasons[1] == "failed its result audit\n"
         for n, expect_hit in ((2, False), (3, True)):
             again = evaluate_clips(
                 population, rule_set, config,

@@ -797,7 +797,7 @@ def fresh_proofs():
 
 class TestProofMemo:
     """Restriction proofs are memoized per process on the clip's value,
-    with its base formulation: a second sweep over equal clips proves
+    beside its base formulation: a second sweep over equal clips proves
     nothing again, and still reports what the proofs said."""
 
     RULES = ("RULE1", "RULE3", "RULE6", "RULE9")
@@ -905,3 +905,272 @@ class TestProofMemo:
             assert not any(
                 o.warm_bound_from == "RULE1" for o in study.outcomes["RULE6"]
             )
+
+    def test_memo_does_not_need_the_base(self):
+        import dataclasses
+
+        from repro.router.formulation import FormulationCache, proof_edge
+
+        cache = FormulationCache(max_entries=2)
+        clip = self._clips()[0]
+        rules = [paper_rule(name) for name in ("RULE1", "RULE3")]
+        made = []
+
+        def prove(clip, looser, follower, **kwargs):
+            made.append((looser.name, follower.name))
+            return "proof"
+
+        def lookup(looser, follower, load=None):
+            return cache.restriction_proof(
+                clip, looser, follower, wire_cost=1.0, via_cost=4.0,
+                prove=prove, load=load,
+            )
+
+        loaded = {proof_edge(rules[1], rules[0]): "persisted"}
+        assert lookup(rules[1], rules[0], load=lambda: loaded) == ("persisted", False)
+        assert lookup(*rules) == ("proof", True)
+        # Another name for the same rule values reads the same proof.
+        renamed = [dataclasses.replace(rule, name=f"x{rule.name}") for rule in rules]
+        assert lookup(*renamed, load=lambda: {}) == ("proof", False)
+        assert made == [("RULE1", "RULE3")]
+        # No base was built, and evicting bases keeps the proofs.
+        assert (cache.hits, cache.misses) == (0, 0)
+        for seed in range(3):
+            cache.base_for(make_synthetic_clip(self._spec(), seed=seed + 5))
+        assert lookup(*rules) == ("proof", False)
+        cache.clear()
+        assert lookup(*rules) == ("proof", True)
+
+    @staticmethod
+    def _spec():
+        return SyntheticClipSpec(nx=4, ny=4, nz=2, n_nets=1, sinks_per_net=1)
+
+
+class TestProofSheets:
+    """Restriction proofs persist in the solve cache, one sealed sheet
+    per clip: a process with an empty memo (a fresh process) replays a
+    sweep without proving or building anything, a failed proof still
+    reports its disagreement, and a damaged or foreign sheet is proved
+    again and rewritten."""
+
+    @staticmethod
+    def _sweep(tmp_path, clips, journal="1"):
+        rules = [paper_rule(name) for name in TestProofMemo.RULES]
+        config = EvalConfig(
+            time_limit_per_clip=30.0, solve_cache_dir=str(tmp_path / "cache")
+        )
+        return evaluate_clips(
+            clips, rules, config, checkpoint_path=tmp_path / f"{journal}.jsonl"
+        )
+
+    @staticmethod
+    def _cache(tmp_path):
+        from repro.ilp import SolveCache
+
+        return SolveCache(tmp_path / "cache")
+
+    @staticmethod
+    def _count(monkeypatch, owner, name, wrap=None):
+        calls = []
+        real = owner.__dict__[name]
+        fn = real.__func__ if wrap is not None else real
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrap(counted) if wrap else counted)
+        return calls
+
+    def test_fresh_memo_replays_without_proving_or_building(
+        self, tmp_path, monkeypatch, fresh_proofs
+    ):
+        import pickle
+
+        import repro.router.optrouter as optrouter_mod
+        from repro.ilp import SolveCache
+        from repro.router.formulation import BaseFormulation, formulation_cache
+
+        proofs = TestProofMemo._counting_prover(monkeypatch)
+        writes = self._count(monkeypatch, SolveCache, "put_proofs")
+        clips = TestProofMemo._clips()
+        first = self._sweep(tmp_path, clips)
+        assert proofs
+        # One sheet per clip, each written once.
+        assert len(writes) == len(clips)
+        stats = self._cache(tmp_path).stats()
+        assert stats["proof_sheets"] == len(clips)
+        sheets = {p: p.read_bytes() for p in self._cache(tmp_path)._proof_files()}
+
+        formulation_cache().clear()
+        proofs.clear()
+        writes.clear()
+        builds = self._count(monkeypatch, BaseFormulation, "build", classmethod)
+        solves = self._count(monkeypatch, optrouter_mod, "solve_with_highs")
+        again = self._sweep(tmp_path, pickle.loads(pickle.dumps(clips)), "2")
+        assert proofs == builds == solves == writes == []
+        assert format_delta_cost_table(again) == format_delta_cost_table(first)
+        assert [
+            again.restriction_certified_count(rule) for rule in again.rule_names
+        ] == [
+            first.restriction_certified_count(rule) for rule in first.rule_names
+        ]
+        assert self._cache(tmp_path).stats() == stats
+        assert {
+            p: p.read_bytes() for p in self._cache(tmp_path)._proof_files()
+        } == sheets
+
+    def test_persisted_failed_proof_reports_its_disagreement(
+        self, tmp_path, monkeypatch, fresh_proofs
+    ):
+        from repro.router.formulation import formulation_cache
+
+        proofs = TestProofMemo._counting_prover(
+            monkeypatch, fail_edge=("RULE1", "RULE6")
+        )
+        clips = TestProofMemo._clips()
+        first = self._sweep(tmp_path, clips)
+        formulation_cache().clear()
+        proofs.clear()
+        again = self._sweep(tmp_path, clips, "2")
+        assert proofs == []
+        assert len(again.restriction_disagreements) == len(clips)
+        assert again.restriction_disagreements == first.restriction_disagreements
+        assert all(
+            "RULE1 -> RULE6" in message and "injected failure" in message
+            for message in again.restriction_disagreements
+        )
+        assert not any(
+            o.warm_bound_from == "RULE1" for o in again.outcomes["RULE6"]
+        )
+
+    def test_sheet_of_another_program_is_never_read(
+        self, tmp_path, monkeypatch, fresh_proofs
+    ):
+        import repro.eval.flow as flow_mod
+        from repro.router.formulation import formulation_cache
+
+        proofs = TestProofMemo._counting_prover(monkeypatch)
+        clips = TestProofMemo._clips()
+        with monkeypatch.context() as patch:
+            patch.setattr(flow_mod, "program_digest", lambda: "0" * 64)
+            first = self._sweep(tmp_path, clips)
+        n_proofs = len(proofs)
+        formulation_cache().clear()
+        proofs.clear()
+        again = self._sweep(tmp_path, clips, "2")
+        assert len(proofs) == n_proofs
+        assert format_delta_cost_table(again) == format_delta_cost_table(first)
+        assert self._cache(tmp_path).stats()["proof_sheets"] == 2 * len(clips)
+
+    @pytest.mark.parametrize("damage", ["bit-flip", "truncated", "other-version"])
+    def test_damaged_sheet_is_quarantined_proved_and_rewritten(
+        self, tmp_path, monkeypatch, fresh_proofs, damage
+    ):
+        import json
+
+        from repro.exec import flip_bit
+        from repro.router.formulation import formulation_cache
+        from repro.util.integrity import seal_record
+
+        proofs = TestProofMemo._counting_prover(monkeypatch)
+        clips = TestProofMemo._clips()
+        first = self._sweep(tmp_path, clips)
+        sheet = self._cache(tmp_path)._proof_files()[0]
+        good = sheet.read_bytes()
+        if damage == "bit-flip":
+            flip_bit(sheet, byte_index=len(good) // 2)
+        elif damage == "truncated":
+            sheet.write_bytes(good[: len(good) // 2])
+        else:
+            payload = json.loads(good)
+            payload["v"] += 1
+            sheet.write_text(json.dumps(seal_record(payload)))
+        formulation_cache().clear()
+        proofs.clear()
+        again = self._sweep(tmp_path, clips, "2")
+        # Only the damaged sheet's clip is proved again.
+        assert proofs and len({clip for clip, _, _ in proofs}) == 1
+        assert format_delta_cost_table(again) == format_delta_cost_table(first)
+        stats = self._cache(tmp_path).stats()
+        assert (stats["quarantined"], stats["proof_sheets"]) == (1, len(clips))
+        assert sheet.read_bytes() == good
+
+
+class TestDrcVerdict:
+    """``warm_job``'s DRC verdict on the routing it offers rides with
+    the warm start, so the router does not check that routing again,
+    inline or in an attempt process; the audit still checks it."""
+
+    @pytest.mark.parametrize("isolation", ["inline", "process"])
+    def test_the_router_repeats_no_sweep_check(
+        self, tmp_path, monkeypatch, isolation
+    ):
+        import collections
+        import sys
+
+        import repro.drc.checker as checker
+        from repro.exec import SupervisorConfig
+
+        log = tmp_path / "callers"
+        real = checker.check_clip_routing
+
+        def logged(*args, **kwargs):
+            # Appended by whichever process checks (the attempt process
+            # inherits this wrapper through fork): the calling function,
+            # past generator expressions.
+            frame = sys._getframe(1)
+            while frame.f_code.co_name.startswith("<"):
+                frame = frame.f_back
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(frame.f_code.co_name + "\n")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(checker, "check_clip_routing", logged)
+        study = evaluate_clips(
+            TestProofMemo._clips(),
+            [paper_rule(name) for name in TestProofMemo.RULES],
+            EvalConfig(time_limit_per_clip=30.0),
+            supervisor=SupervisorConfig(isolation=isolation),
+        )
+        reused = sum(
+            o.warm_used == "reused-optimal"
+            for rule in study.rule_names
+            for o in study.outcomes[rule]
+        )
+        assert reused > 0
+        callers = collections.Counter(log.read_text().split())
+        assert set(callers) == {"warm_job", "_certify_geometry"}
+        assert callers["_certify_geometry"] == len(study.clip_names) * len(
+            study.rule_names
+        )
+
+    def test_sweep_study_checks_130_routings(self, monkeypatch):
+        import repro.drc.checker as checker
+        from repro.clips import select_top_clips
+        from repro.eval import rules_for_technology
+
+        from .test_router_formulation import POOL_SPEC
+
+        clips = select_top_clips(
+            [make_synthetic_clip(POOL_SPEC, seed=s) for s in range(7000, 7040)], 6
+        )
+        calls = []
+        real = checker.check_clip_routing
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(checker, "check_clip_routing", counted)
+        study = evaluate_clips(clips, rules_for_technology("N28-12T"), EvalConfig())
+        reused = sum(
+            o.warm_used == "reused-optimal"
+            for rule in study.rule_names
+            for o in study.outcomes[rule]
+        )
+        assert reused == 57
+        # 64 while warm_job picks its candidates and 66 in the audit;
+        # 57 more in the router before its checks rode with the warm
+        # start.
+        assert len(calls) == 130

@@ -434,6 +434,45 @@ class TestExactObjective:
         assert certificate.ok, certificate.failures()
 
 
+class TestOptimalBound:
+    """An OPTIMAL MILP reports a bound equal to its objective when
+    HiGHS' dual bound sits a rounding error under it."""
+
+    @pytest.mark.parametrize("with_lp", [True, False])
+    def test_dual_bound_under_the_objective_is_raised(self, monkeypatch, with_lp):
+        _clip, _rule, model = _fractional_rule()
+        exact = _plain_milp(model)
+        dual = exact.fun - 1e-14
+        assert dual < exact.fun
+
+        def under(*args, **kwargs):
+            return OptimizeResult(
+                status=0, x=exact.x, fun=exact.fun, mip_node_count=3,
+                mip_dual_bound=dual,
+            )
+
+        monkeypatch.setattr(highs_backend, "milp", under)
+        solution = (
+            solve_with_highs(model) if with_lp else highs_backend.solve_milp(model)
+        )
+        assert solution.status is SolveStatus.OPTIMAL
+        assert solution.objective == solution.best_bound == 24.0
+
+    def test_bound_is_capped_at_the_objective(self, monkeypatch):
+        _clip, _rule, model = _fractional_rule()
+        exact = _plain_milp(model)
+
+        def over(*args, **kwargs):
+            return OptimizeResult(
+                status=0, x=exact.x, fun=exact.fun, mip_node_count=3,
+                mip_dual_bound=exact.fun + 1e-9,
+            )
+
+        monkeypatch.setattr(highs_backend, "milp", over)
+        solution = highs_backend.solve_milp(model)
+        assert solution.objective == solution.best_bound == 24.0
+
+
 class TestMilpModel:
     """The root LP and the incumbents read a routing model's strong
     rule rows; branch-and-cut runs on its weak ones."""

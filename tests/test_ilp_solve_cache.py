@@ -205,6 +205,174 @@ class TestCacheStore:
         assert CacheEntry.from_dict(entry.to_dict()) == entry
 
 
+class TestSparseEntries:
+    """Entries store a solution's nonzero values only, and replay every
+    value of its point, zeros included."""
+
+    def test_put_stores_only_nonzero_values(self, tmp_path):
+        cache = SolveCache(tmp_path)
+        model = knapsack_model()
+        solution = solve_with_highs(model)
+        assert 0 in solution.values.values()
+        assert cache.put(model, {}, solution)
+        (entry_file,) = cache._entry_files()
+        names = model.var_names
+        assert json.loads(entry_file.read_text())["values"] == {
+            names[j]: value for j, value in solution.values.items() if value
+        }
+        assert cache.get(model, {}).to_solution(model).values == solution.values
+
+    def test_an_all_zero_point_replays_as_a_point(self, tmp_path):
+        cache = SolveCache(tmp_path)
+        model = knapsack_model()
+        zero = Solution(
+            status=SolveStatus.OPTIMAL, objective=0.0, best_bound=0.0,
+            values={0: 0, 1: 0, 2: 0},
+        )
+        assert cache.put(model, {"o": 1}, zero)
+        assert cache.put(model, {"o": 2}, Solution(status=SolveStatus.LIMIT))
+        assert cache.get(model, {"o": 1}).to_solution(model).values == zero.values
+        assert cache.get(model, {"o": 2}).to_solution(model).values == {}
+
+    def test_entries_that_store_every_value_still_read(self, tmp_path):
+        from repro.util.integrity import seal_record
+
+        cache = SolveCache(tmp_path)
+        model = knapsack_model()
+        solution = solve_with_highs(model)
+        path = cache._path(cache.key_for(model, {}))
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps(seal_record({
+            "v": 2,
+            "status": "optimal",
+            "objective": solution.objective,
+            "values": {
+                model.var_names[j]: value for j, value in solution.values.items()
+            },
+            "best_bound": solution.best_bound,
+            "n_nodes": 0,
+            "solve_seconds": 0.0,
+        })))
+        entry = cache.get(model, {})
+        assert entry is not None and entry.has_point
+        assert entry.to_solution(model).values == solution.values
+
+
+class TestQuarantineEvents:
+    """Every quarantine keeps its own copy and reason."""
+
+    def test_a_key_quarantined_twice_keeps_both(self, tmp_path):
+        cache = SolveCache(tmp_path)
+        model = knapsack_model()
+        key = cache.key_for(model, {})
+        for reason in ("first", "second"):
+            assert cache.put(model, {}, solve_with_highs(model), key=key)
+            cache.quarantine(key, reason)
+        assert cache.quarantined == 2
+        assert cache.stats()["quarantined"] == 2
+        qdir = tmp_path / "quarantine"
+        assert sorted(
+            path.read_text() for path in qdir.glob(f"{key}.*.json.reason")
+        ) == ["first\n", "second\n"]
+
+    def test_record_kinds_are_named_apart(self, tmp_path):
+        from repro.exec import flip_bit
+
+        cache = SolveCache(tmp_path)
+        model = knapsack_model()
+        key = cache.key_for(model, {})
+        assert cache.put(model, {}, solve_with_highs(model), key=key)
+        assert cache.put_indexed("ab" * 32, key, model.stats())
+        assert cache.put_proofs("cd" * 32, {})
+        for path in cache._index_files() + cache._proof_files():
+            flip_bit(path, byte_index=20)
+        assert cache.get_indexed("ab" * 32) is None
+        assert cache.get_proofs("cd" * 32) is None
+        qdir = tmp_path / "quarantine"
+        assert [p.name.split(".")[0] for p in sorted(qdir.glob("*.json"))] == [
+            "index-" + "ab" * 32, "proofs-" + "cd" * 32,
+        ]
+
+
+def _reject(record):
+    raise ValueError("not a proof")
+
+
+class TestProofSheetStore:
+    """Proof sheets: sealed records of a caller's proofs, beside the
+    entries, seen by every maintenance command."""
+
+    SHEET = "ef" * 32
+    PROOFS = {"e1": {"holds": True}, "e2": {"holds": False}}
+
+    def test_round_trip_and_separate_counts(self, tmp_path):
+        cache = SolveCache(tmp_path)
+        assert cache.get_proofs(self.SHEET) is None
+        assert cache.put_proofs(self.SHEET, self.PROOFS)
+        assert cache.get_proofs(self.SHEET) == self.PROOFS
+        assert cache.get_proofs(self.SHEET, decode=len) == 2
+        stats = cache.stats()
+        assert (
+            stats["entries"], stats["index_entries"], stats["proof_sheets"]
+        ) == (0, 0, 1)
+        assert cache.hits == cache.misses == cache.quarantined == 0
+
+    @pytest.mark.parametrize(
+        "damage", ["bit-flip", "truncated", "other-version", "rejected"]
+    )
+    def test_damaged_sheet_is_a_quarantined_miss(self, tmp_path, damage):
+        from repro.exec import flip_bit
+        from repro.ilp.solve_cache import PROOF_VERSION
+        from repro.util.integrity import seal_record
+
+        cache = SolveCache(tmp_path)
+        assert cache.put_proofs(self.SHEET, self.PROOFS)
+        (sheet,) = cache._proof_files()
+        decode = None
+        if damage == "bit-flip":
+            flip_bit(sheet, byte_index=20)
+        elif damage == "truncated":
+            sheet.write_text(sheet.read_text()[:40])
+        elif damage == "other-version":
+            payload = json.loads(sheet.read_text())
+            payload["v"] = PROOF_VERSION + 1
+            sheet.write_text(json.dumps(seal_record(payload)))
+        else:
+            decode = _reject
+        assert cache.get_proofs(self.SHEET, decode=decode) is None
+        assert not sheet.exists()
+        assert cache.quarantined == cache.stats()["quarantined"] == 1
+        # The caller proves again and rewrites the sheet.
+        assert cache.put_proofs(self.SHEET, self.PROOFS)
+        assert cache.get_proofs(self.SHEET) == self.PROOFS
+
+    def test_scan_clear_and_evict(self, tmp_path):
+        import os
+
+        cache = SolveCache(tmp_path)
+        assert cache.put_proofs(self.SHEET, self.PROOFS)
+        assert cache.scan() == {"checked": 1, "valid": 1, "quarantined": []}
+        (sheet,) = cache._proof_files()
+        payload = json.loads(sheet.read_text())
+        payload["proofs"]["e2"]["holds"] = True  # without a fresh seal
+        sheet.write_text(json.dumps(payload))
+        report = cache.scan()
+        assert [name for name, _ in report["quarantined"]] == [
+            f"proofs/{sheet.name}"
+        ]
+        assert cache.stats()["proof_sheets"] == 0
+        assert cache.put_proofs(self.SHEET, self.PROOFS)
+        assert cache.clear() == 0
+        assert cache.stats()["proof_sheets"] == 0
+        # Sheets never count against the byte bound; they go by age.
+        assert cache.put_proofs(self.SHEET, self.PROOFS)
+        assert cache.evict(max_bytes=0)["sheets_removed"] == 0
+        os.utime(sheet, (1_000.0, 1_000.0))
+        result = cache.evict(older_than_seconds=60.0, now=2_000.0)
+        assert result["sheets_removed"] == 1
+        assert cache.stats()["proof_sheets"] == 0
+
+
 class TestEvict:
     """LRU eviction keeps the shared cross-tenant tier bounded."""
 
@@ -283,11 +451,17 @@ class TestPairIndexStore:
 
     def test_round_trip_and_separate_counts(self, tmp_path):
         cache, model, key = self._populate(tmp_path)
-        assert cache.get_indexed(self.PAIR) == (key, model.stats())
+        assert cache.get_indexed(self.PAIR) == (key, model.stats(), None)
         assert cache.get_indexed("cd" * 32) is None
         stats = cache.stats()
         assert (stats["entries"], stats["index_entries"]) == (1, 1)
         assert cache.hits == cache.misses == 0  # index reads are not gets
+        # A record carries the caller's decoded solution, through the
+        # caller's decode hook.
+        assert cache.put_indexed(self.PAIR, key, model.stats(), {"x": [1, 2]})
+        assert cache.get_indexed(self.PAIR).decoded == {"x": [1, 2]}
+        record = cache.get_indexed(self.PAIR, decode=lambda d: tuple(d["x"]))
+        assert record == (key, model.stats(), (1, 2))
 
     def test_corrupt_index_entry_is_a_quarantined_miss(self, tmp_path):
         from repro.exec import flip_bit
@@ -448,6 +622,42 @@ class TestPairIndexReplay:
             assert getattr(replay, name) == getattr(first, name), name
         assert replay.routing.nets == first.routing.nets
 
+    def test_replay_reads_the_routing_and_builds_no_base(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.router.formulation import formulation_cache
+
+        clip = _clip()
+        first = self._first(tmp_path, clip)
+        formulation_cache().clear()  # as in a fresh process
+        counts = _count_pair_work(monkeypatch)
+        replay = OptRouter(solve_cache=SolveCache(tmp_path)).route(clip, RULE6)
+        assert not counts
+        assert replay.routing == first.routing
+        assert replay.routing.point == first.routing.point
+        assert replay.routing.point and first.routing.point
+
+    def test_malformed_routing_is_a_quarantined_miss(self, tmp_path, monkeypatch):
+        from repro.util.integrity import seal_record
+
+        clip = _clip()
+        first = self._first(tmp_path, clip)
+        cache = SolveCache(tmp_path)
+        (index_file,) = cache._index_files()
+        payload = json.loads(index_file.read_text())
+        payload["decoded"]["cost"] = str(payload["decoded"]["cost"])
+        index_file.write_text(json.dumps(seal_record(payload)))
+        counts = _count_pair_work(monkeypatch)
+        healed = OptRouter(solve_cache=cache).route(clip, RULE6)
+        assert cache.quarantined == 1
+        assert counts["certify_infeasible"] == counts["key_for"] == 1
+        assert counts["solve_with_highs"] == 0 and healed.cache_hit
+        assert healed.routing == first.routing
+        counts.clear()
+        again = OptRouter(solve_cache=SolveCache(tmp_path)).route(clip, RULE6)
+        assert not counts
+        assert again.routing == first.routing
+
     def test_other_program_digest_misses(self, tmp_path, monkeypatch):
         import repro.router.optrouter as optrouter_mod
 
@@ -466,10 +676,16 @@ class TestPairIndexReplay:
         assert SolveCache(tmp_path).stats()["index_entries"] == 2
 
     @pytest.mark.parametrize(
-        "damage", ["index-corrupt", "entry-missing", "entry-corrupt"]
+        "damage",
+        [
+            "index-corrupt", "index-truncated", "index-other-version",
+            "entry-missing", "entry-corrupt",
+        ],
     )
     def test_damage_falls_back_and_heals(self, tmp_path, monkeypatch, damage):
         from repro.exec import flip_bit
+        from repro.ilp.solve_cache import INDEX_VERSION
+        from repro.util.integrity import seal_record
 
         clip = _clip()
         first = self._first(tmp_path, clip)
@@ -478,6 +694,12 @@ class TestPairIndexReplay:
         (entry_file,) = cache._entry_files()
         if damage == "index-corrupt":
             flip_bit(index_file, byte_index=20)
+        elif damage == "index-truncated":
+            index_file.write_text(index_file.read_text()[:100])
+        elif damage == "index-other-version":
+            payload = json.loads(index_file.read_text())
+            payload["v"] = INDEX_VERSION - 1
+            index_file.write_text(json.dumps(seal_record(payload)))
         elif damage == "entry-missing":
             entry_file.unlink()
         else:
@@ -488,8 +710,9 @@ class TestPairIndexReplay:
         # Today's path: certify, build, hash; a re-solve unless the
         # entry itself survived.
         assert counts["certify_infeasible"] == counts["key_for"] == 1
-        assert counts["solve_with_highs"] == (damage != "index-corrupt")
-        assert healed.cache_hit == (damage == "index-corrupt")
+        index_damage = damage.startswith("index")
+        assert counts["solve_with_highs"] == (not index_damage)
+        assert healed.cache_hit == index_damage
         for name in ("status", "cost", "wirelength", "n_vias"):
             assert getattr(healed, name) == getattr(first, name), name
         # Healed: the next route replays through the index again.
@@ -595,3 +818,42 @@ class TestSweepReplay:
                 assert replay["build_seconds"] == replay["serialize_seconds"] == 0
             assert untimed(dict(replay, cache_hit=False)) == untimed(record)
         assert n_hits > 0
+
+    def test_poisoned_routing_heals_through_the_entry_quarantine(self, tmp_path):
+        from repro.eval import EvalConfig, evaluate_clips, format_delta_cost_table
+        from repro.util.integrity import seal_record
+
+        clip = _clip()
+        rule_set = [RuleConfig(name="RULE1"), RULE6]
+        config = EvalConfig(
+            time_limit_per_clip=30.0, solve_cache_dir=str(tmp_path / "cache")
+        )
+        first = evaluate_clips([clip], rule_set, config)
+        table = format_delta_cost_table(first)
+        # Poison RULE1's index record: its routing loses a net's wires,
+        # under a valid seal.
+        router = OptRouter(time_limit=30.0)
+        cache = SolveCache(tmp_path / "cache")
+        record = cache._index_path(router._pair_key(clip, rule_set[0]))
+        payload = json.loads(record.read_text())
+        payload["decoded"]["nets"][0]["wires"] = []
+        record.write_text(json.dumps(seal_record(payload), sort_keys=True))
+        n_entries = cache.stats()["entries"]
+
+        def rule1(study):
+            (outcome,) = study.outcomes["RULE1"]
+            return outcome
+
+        replayed = evaluate_clips([clip], rule_set, config)
+        assert rule1(replayed).quarantined and rule1(replayed).healed
+        assert format_delta_cost_table(replayed) == table
+        # The audit quarantined the entry the record points at.
+        stats = cache.stats()
+        assert (stats["entries"], stats["quarantined"]) == (n_entries - 1, 1)
+        # The next sweep re-solves and re-indexes the pair, the one
+        # after reads it.
+        for expect_hit in (False, True):
+            again = evaluate_clips([clip], rule_set, config)
+            assert not rule1(again).quarantined
+            assert rule1(again).cache_hit is expect_hit
+            assert format_delta_cost_table(again) == table
