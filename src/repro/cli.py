@@ -146,7 +146,6 @@ def _cmd_evaluate(args) -> int:
                 audit=not args.no_audit,
                 cross_check_fraction=args.cross_check,
                 n_procs=args.procs,
-                race=args.race,
                 time_budget=args.time_budget,
             ),
             checkpoint_path=args.checkpoint,
@@ -600,14 +599,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="distributed sweep worker processes coordinated "
                          "through the --checkpoint journal (leases; any "
                          "worker may die without losing results)")
-    ev.add_argument("--race", action="store_true",
-                    help="race HiGHS and B&B on clips predicted hard; "
-                         "first certified answer wins, loser cancelled")
     ev.add_argument("--time-budget", type=float, default=None,
                     metavar="SECONDS",
                     help="sweep-level wall-clock budget allocated "
-                         "hardest-first with bounded degradation "
-                         "(racing -> single backend -> baseline)")
+                         "hardest-first; once nearly spent, pairs fall "
+                         "to the heuristic baseline (LIMIT, degraded)")
     ev.add_argument("--chaos-kill", type=int, default=0, metavar="N",
                     help="chaos scenario: SIGKILL N random workers "
                          "mid-sweep (requires --procs > 1)")

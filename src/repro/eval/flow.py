@@ -1,7 +1,7 @@
 """The Δcost evaluation flow of Figure 6.
 
-A sweep is planned once (:func:`_plan_sweep`: pair order, racing set,
-per-clip deadlines, one time budget) and run by one executor
+A sweep is planned once (:func:`_plan_sweep`: pair order, per-clip
+deadlines, one time budget) and run by one executor
 (:func:`_execute`) under the fault-tolerant supervisor
 (:mod:`repro.exec`), whether inline, on each lease worker's slice of
 the plan, or in the distributed coordinator's closing pass.
@@ -29,12 +29,10 @@ from repro.exec.checkpoint import CheckpointJournal, dedupe_results
 from repro.exec.faults import FaultPlan
 from repro.exec.policy import SupervisorConfig
 from repro.exec.portfolio import (
-    RACE_BACKENDS,
     SweepBudget,
     clip_deadlines,
     hardness,
     order_hardest_first,
-    predicted_hard,
 )
 from repro.exec.runner import RouteJob, SupervisedRunner
 from repro.ilp.solve_cache import SolveCache, program_digest
@@ -309,16 +307,11 @@ class EvalConfig:
     #: deterministic and deduplicated first-wins, so the Δcost table
     #: is byte-identical to a sequential run.
     n_procs: int = 1
-    #: portfolio-race both exact backends on the hardest half of the
-    #: clips by the paper's pin-cost metric (and on clips whose
-    #: journaled prior attempt hit LIMIT).  First *certified* answer
-    #: wins; both backends are exact, so results are unchanged -- only
-    #: latency.
-    race: bool = False
     #: sweep-level wall-clock budget in seconds (None = unbounded).
     #: Per-clip deadlines are allocated hardest-first from it, and the
-    #: runner degrades racing -> single backend -> baseline as it
-    #: drains (see :class:`repro.exec.portfolio.SweepBudget`).
+    #: runner degrades from the exact backend to the heuristic baseline
+    #: once it is nearly spent (see
+    #: :class:`repro.exec.portfolio.SweepBudget`).
     time_budget: float | None = None
 
 
@@ -334,9 +327,8 @@ class _SweepPlan:
     every settled outcome of the clip warm-starts the rules after it
     through :func:`warm_job` -- sound shortcuts only, identical results
     (see docs/performance.md).  Groups run hardest clip first when
-    racing or budgeted, so the most uncertain work runs while the
-    budget is still generous.  ``race_set`` names the clips raced on
-    both exact backends, ``deadlines`` is each clip's share of the time
+    budgeted, so the most uncertain work runs while the budget is
+    still generous.  ``deadlines`` is each clip's share of the time
     budget, and ``budget`` is the sweep's one budget, anchored at its
     start on the wall clock so that lease workers and the closing pass
     drain the same budget.
@@ -347,7 +339,6 @@ class _SweepPlan:
     config: EvalConfig
     pairs: tuple[tuple[Clip, RuleConfig], ...]
     groups: tuple[tuple[int, ...], ...]
-    race_set: frozenset[str]
     deadlines: "dict[str, float] | None"
     budget: SweepBudget | None
 
@@ -363,7 +354,7 @@ class _SweepPlan:
 
     def for_clip(self, name: str) -> "_SweepPlan":
         """A lease worker's slice: one clip's pairs in plan order, with
-        the sweep's race set, deadlines and budget."""
+        the sweep's deadlines and budget."""
         keep = [i for i, (clip, _) in enumerate(self.pairs) if clip.name == name]
         renumber = {old: new for new, old in enumerate(keep)}
         groups = (
@@ -390,9 +381,6 @@ def _plan_sweep(
             c * len(rules) + r for r in order
         )
     groups = list(by_clip.values())
-    race_set = (
-        frozenset(predicted_hard(list(clips))) if config.race else frozenset()
-    )
     deadlines = None
     budget = None
     if config.time_budget is not None:
@@ -400,7 +388,6 @@ def _plan_sweep(
         budget = SweepBudget(
             total=config.time_budget, started=time.time(), clock=time.time
         )
-    if race_set or budget is not None:
         # Execution order does not affect per-pair results, so reports
         # are unchanged.
         groups.sort(
@@ -412,7 +399,6 @@ def _plan_sweep(
         config=config,
         pairs=tuple(pairs),
         groups=tuple(tuple(group) for group in groups),
-        race_set=race_set,
         deadlines=deadlines,
         budget=budget,
     )
@@ -464,10 +450,8 @@ def evaluate_clips(
     where it stopped and reproduces the uninterrupted study exactly
     (results are deterministic per pair).  Without ``resume`` an
     existing journal is truncated.  ``supervisor`` selects isolation /
-    retry / fallback policy (default: inline, the in-process flow;
-    ``config.race`` lifts inline isolation to process isolation,
-    since racers are processes); ``fault_plan`` is for the robustness
-    tests.
+    retry / fallback policy (default: inline, the in-process flow);
+    ``fault_plan`` is for the robustness tests.
 
     ``config.n_procs > 1`` switches to the lease-coordinated
     distributed fabric (requires ``checkpoint_path``), the one way a
@@ -542,10 +526,6 @@ def _execute(
     clips.  The one executor behind the sequential sweep, each lease
     worker and the coordinator's closing pass."""
     config = plan.config
-    if plan.race_set and supervisor.isolation == "inline":
-        # Racers are child processes, which inline isolation never
-        # spawns: a raced plan runs its attempts in processes too.
-        supervisor = replace(supervisor, isolation="process")
     restriction_disagreements: list[str] = []
     # The edges this sweep has used (names are unique within a sweep).
     used: dict[tuple[str, str, str], bool] = {}
@@ -598,9 +578,6 @@ def _execute(
     # The job each pair actually ran, warm seed included.
     seeded: dict[tuple[str, str], RouteJob] = {}
 
-    # Clips whose journaled prior attempt hit LIMIT race as well.
-    limited = {o.clip_name for o in done.values() if o.status is RouteStatus.LIMIT}
-
     router = OptRouter(
         wire_cost=config.wire_cost,
         via_cost=config.via_cost,
@@ -617,14 +594,7 @@ def _execute(
             per_pair = plan.deadlines[clip.name] / len(plan.rules)
             if router.time_limit is None or per_pair < router.time_limit:
                 job_router = replace(router, time_limit=per_pair)
-        race_with = None
-        if (
-            plan.race_set
-            and config.backend != "baseline"
-            and (clip.name in plan.race_set or clip.name in limited)
-        ):
-            race_with = RACE_BACKENDS
-        return RouteJob(clip, rule, job_router, race_with=race_with)
+        return RouteJob(clip, rule, job_router)
 
     jobs = {
         i: make_job(clip, rule)

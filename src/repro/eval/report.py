@@ -110,7 +110,7 @@ def _attempt_summary_line(study: DeltaCostStudy) -> str:
     rather than in a report line that should be stable for a given
     execution configuration.
     """
-    pairs = attempts = retried = timeouts = raced = 0
+    pairs = attempts = retried = timeouts = 0
     for rule_name in study.rule_names:
         for outcome in study.outcomes[rule_name]:
             log = tuple(getattr(outcome, "attempt_log", ()) or ())
@@ -121,11 +121,9 @@ def _attempt_summary_line(study: DeltaCostStudy) -> str:
             for entry in log:
                 if entry.get("outcome") == "timeout":
                     timeouts += 1
-                if str(entry.get("backend", "")).startswith("race:"):
-                    raced += 1
     return (
         f"attempts: {attempts} across {pairs} pairs "
-        f"({retried} retried, {timeouts} timed out, {raced} raced)"
+        f"({retried} retried, {timeouts} timed out)"
     )
 
 

@@ -9,8 +9,8 @@ Public surface:
 - :func:`run_distributed` / :class:`DistributedConfig` — lease-coordinated
   multi-process sweep execution over the shared journal.
 - :class:`LeaseManager` / :class:`LeaseBoard` — the lease protocol.
-- :class:`SweepBudget` / :func:`race_solve` — wall-clock budgeting and
-  backend racing for hard clips.
+- :class:`SweepBudget` / :func:`clip_deadlines` — wall-clock budgeting
+  and hardest-first deadline allocation.
 - :class:`ChaosMonkey` / :class:`KillPlan` — SIGKILL injection for
   crash-tolerance scenarios.
 - :mod:`repro.exec.faults` — deterministic fault injection used by the
@@ -46,14 +46,10 @@ from repro.exec.faults import (
 from repro.exec.leases import Heartbeat, LeaseBoard, LeaseManager
 from repro.exec.policy import DEFAULT_FALLBACK_CHAIN, RetryPolicy, SupervisorConfig
 from repro.exec.portfolio import (
-    RACE_BACKENDS,
-    RaceOutcome,
     SweepBudget,
     allocate_deadlines,
     clip_deadlines,
     order_hardest_first,
-    predicted_hard,
-    race_solve,
 )
 from repro.exec.runner import RouteJob, SupervisedRunner, SweepAborted
 
@@ -72,9 +68,7 @@ __all__ = [
     "KillPlan",
     "LeaseBoard",
     "LeaseManager",
-    "RACE_BACKENDS",
     "RECORD_VERSION",
-    "RaceOutcome",
     "RetryPolicy",
     "RouteJob",
     "SupervisedRunner",
@@ -90,8 +84,6 @@ __all__ = [
     "mutate_result",
     "order_hardest_first",
     "parallel_map",
-    "predicted_hard",
-    "race_solve",
     "record_kind",
     "result_records",
     "run_distributed",

@@ -80,11 +80,6 @@ class RouteJob:
     #: Bookkeeping for the sweep's journal; the router ignores them.
     warm_bound_from: str = ""
     warm_routing_from: str = ""
-    #: backends to race concurrently for this job (portfolio mode);
-    #: None/empty = no racing.  The supervisor races them in separate
-    #: processes and keeps the first *certified* answer; on a failed
-    #: race the job falls through to the normal retry/fallback chain.
-    race_with: tuple[str, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -189,19 +184,6 @@ def _become_worker() -> None:
         signal.signal(signal.SIGTERM, lambda *_: _fast_exit())
     except ValueError:  # non-main thread (never expected; be safe)
         pass
-
-
-def _worker_main(job, backend, fault, attempt, conn) -> None:
-    """Racer entry (:func:`repro.exec.portfolio.race_solve`): route one
-    attempt, ship the payload back."""
-    _become_worker()
-    try:
-        _reply(conn, job, backend, fault, attempt)
-    finally:
-        try:
-            conn.close()
-        except Exception:
-            pass
 
 
 #: The supervisor ends of the live attempt processes' pipes.  Every
@@ -331,10 +313,10 @@ class SupervisedRunner:
     """Runs batches of :class:`RouteJob` under the supervision policy.
 
     ``budget`` (a :class:`repro.exec.portfolio.SweepBudget`) enables
-    runtime straggler control: as the sweep-level wall clock drains,
-    jobs are degraded in bounded steps -- racing is dropped first, then
-    the backend falls to the always-terminating heuristic baseline --
-    and per-job time limits are clamped to what is actually left.
+    runtime straggler control: per-job time limits are clamped to what
+    is actually left of the sweep-level wall clock, and once it is
+    nearly spent the backend falls to the always-terminating heuristic
+    baseline.
 
     A runner serves one call at a time (it holds the call's attempt
     process); concurrent sweeps each build their own, as
@@ -430,13 +412,9 @@ class SupervisedRunner:
         job = self._apply_budget(job)
         attempt_log: list[dict] = []
         notes: list[str] = []
-        if job.race_with:
-            raced = self._race(job, attempt_log, notes)
-            if raced is not None:
-                return raced
         chain = self._chain(job)
         policy = self.config.retry
-        attempts = len(attempt_log)
+        attempts = 0
         last_failure: _Failure | None = None
         for depth, backend in enumerate(chain):
             for retry in range(policy.max_attempts):
@@ -488,85 +466,29 @@ class SupervisedRunner:
         )
 
     def _apply_budget(self, job: RouteJob) -> RouteJob:
-        """Degrade the job to fit the sweep budget (bounded steps).
+        """Fit the job to the sweep budget.
 
-        Tiers (see :class:`repro.exec.portfolio.SweepBudget`): plenty
-        of budget -> run as scheduled (racing allowed); running low ->
-        drop racing, keep the single exact backend; nearly exhausted ->
-        heuristic baseline, whose LIMIT results are visibly degraded
-        rather than silently wrong.  Time limits are clamped so no
-        single job can overrun the whole remaining budget.
+        Once the budget is nearly spent (see
+        :meth:`repro.exec.portfolio.SweepBudget.nearly_spent`) the job
+        runs the heuristic baseline, whose LIMIT results are visibly
+        degraded rather than silently wrong.  Time limits are clamped
+        so no single job can overrun the whole remaining budget.
         """
         budget = self.budget
         if budget is None:
             return job
-        tier = budget.tier()  # "race" | "single" | "baseline"
         router = job.router
-        changes: dict = {}
         routing: dict = {}
-        if tier != "race" and job.race_with:
-            changes["race_with"] = None
-        if tier == "baseline" and router.backend != "baseline":
+        if budget.nearly_spent() and router.backend != "baseline":
             routing["backend"] = "baseline"
-            changes["race_with"] = None
         clamped = budget.clamp(router.time_limit)
         if clamped is not None and (
             router.time_limit is None or clamped < router.time_limit
         ):
             routing["time_limit"] = max(0.1, clamped)
-        if routing:
-            changes["router"] = replace(router, **routing)
-        return replace(job, **changes) if changes else job
-
-    def _race(
-        self, job: RouteJob, attempt_log: "list[dict]", notes: "list[str]"
-    ) -> "OptRouteResult | None":
-        """Portfolio-race the job's ``race_with`` backends.
-
-        Returns the certified winner, or None to fall through to the
-        sequential retry/fallback chain (bounded degradation: a failed
-        race costs one logged attempt, never the job).
-        """
-        assert job.race_with
-        if self.config.isolation != "process":
-            notes.append(
-                "race skipped: inline isolation cannot spawn racer "
-                "processes"
-            )
-            return None
-        from repro.exec.portfolio import race_solve  # lazy: cycle
-
-        backends = tuple(job.race_with)
-        outcome = race_solve(
-            job,
-            backends,
-            deadline=deadline_for(job.router.time_limit),
-            certify_winner=job.router.certify,
-        )
-        label = "race:" + "+".join(backends)
-        if outcome.winner is not None:
-            detail = f"winner={outcome.winner}"
-            if outcome.cancelled:
-                detail += f"; cancelled={','.join(outcome.cancelled)}"
-            if outcome.rejected:
-                detail += f"; rejected={','.join(outcome.rejected)}"
-            attempt_log.append(_attempt_entry(
-                1, label, "ok", detail, outcome.elapsed
-            ))
-            result = outcome.result
-            result.attempts = 1
-            if notes:
-                result.diagnostics = "; ".join(
-                    filter(None, [result.diagnostics, *notes])
-                )
-            result.attempt_log = attempt_log
-            return result
-        detail = outcome.result.diagnostics or "no racer certified"
-        attempt_log.append(_attempt_entry(
-            1, label, outcome.result.status.value, detail, outcome.elapsed
-        ))
-        notes.append(f"attempt 1 [{label}]: {detail}")
-        return None
+        if not routing:
+            return job
+        return replace(job, router=replace(router, **routing))
 
     # -- internals ----------------------------------------------------------
 

@@ -47,6 +47,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, TypeVar
 
 from repro.clips.clip import Clip, ClipNet
+from repro.clips.serialization import clip_digest
 from repro.ilp.csr import SENSE_EQ, SENSE_GE, SENSE_LE, CooBuilder, CsrModel
 from repro.ilp.model import Var
 from repro.router.graph import ArcKind, ShapeViaInstance, SwitchboxGraph, build_graph
@@ -200,11 +201,13 @@ class FormulationCache:
     plus the core knobs, so equal copies of a clip share one base: the
     clips a ``repro serve`` experiment deserializes, and the jobs an
     attempt process unpickles.  The default bound holds a six-clip
-    study.  Beside the bases, under the same keys and bound but
-    independent of them, sits a memo of the restriction proofs made
-    over each clip (:meth:`restriction_proof`): a proof stays while
-    its base is evicted or was never built, and every tenant of a
-    ``repro serve`` process after the first reads them.
+    study.  Beside the bases, under the same bound but independent of
+    them, sits a memo of the restriction proofs made over each clip
+    (:meth:`restriction_proof`), keyed on the clip's content
+    (:func:`~repro.clips.serialization.clip_digest`, no name) plus the
+    same knobs: a proof stays while its base is evicted or was never
+    built, clips that differ only in name share it, and every tenant
+    of a ``repro serve`` process after the first reads them.
     :meth:`clear` drops both.  Thread-safe: the service's scheduler
     threads (``repro serve --concurrency``) run sweeps in one
     process; ``specialize`` itself only reads the base.
@@ -279,16 +282,17 @@ class FormulationCache:
         """The proof that ``follower`` restricts ``looser`` on ``clip``,
         from the clip's proof memo, and whether this call made it.
 
-        The memo keys a clip's proofs by :func:`proof_edge`, the values
-        of both rules without their names.  ``load`` supplies the
-        proofs persisted for the clip, by the same keys, and runs once
-        per clip while its memo is resident; ``prove``
+        The memo is keyed on the clip's content digest, and keys a
+        clip's proofs by :func:`proof_edge`, the values of both rules
+        without their names.  ``load`` supplies the proofs persisted
+        for the clip, by the same keys, and runs once per clip content
+        while its memo is resident; ``prove``
         (:func:`~repro.analysis.semantics.restriction.prove_restriction`)
         makes a missing proof from the same arguments.  A lookup counts
         no hit or miss, and a memoized proof carries the names of the
-        call that made it.
+        call that made it -- possibly another clip's and other rules'.
         """
-        key = (clip, looser.allow_via_shapes, wire_cost, via_cost)
+        key = (clip_digest(clip), looser.allow_via_shapes, wire_cost, via_cost)
         with self._lock:
             memo = self._proofs.pop(key, None)
             if memo is not None:

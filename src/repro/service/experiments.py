@@ -128,7 +128,6 @@ class ResolvedExperiment:
     rules: list[RuleConfig]
     time_limit: float
     time_budget: "float | None"
-    race: bool
     canonical: dict = field(default_factory=dict)
 
     @property
@@ -192,8 +191,6 @@ def resolve_payload(
         if time_budget <= 0:
             raise PayloadError("time_budget must be > 0")
 
-    race = bool(payload.get("race", False))
-
     canonical = {
         "version": PAYLOAD_VERSION,
         "tech": tech,
@@ -201,7 +198,6 @@ def resolve_payload(
         "rules": [rule.name for rule in rules],
         "time_limit": time_limit,
         "time_budget": time_budget,
-        "race": race,
     }
     return ResolvedExperiment(
         tenant=resolved_tenant,
@@ -210,7 +206,6 @@ def resolve_payload(
         rules=rules,
         time_limit=time_limit,
         time_budget=time_budget,
-        race=race,
         canonical=canonical,
     )
 

@@ -16,13 +16,12 @@ runs while the service is freshest.  Ordering never affects results
 **Tiered degradation.**  Queue depth picks a service tier at the
 moment an experiment is scheduled:
 
-- tier 0 (light load): the payload's racing request is honored;
-- tier 1 (:data:`DEGRADE_AT_DEPTH`): racing is disabled -- same
-  results, less CPU per pair;
-- tier 2 (:data:`BASELINE_AT_DEPTH`): a tight :class:`SweepBudget` is
-  imposed, engaging the existing racing->single->baseline budget
-  ladder inside the sweep; the experiment is marked DEGRADED because
-  budget-expired pairs carry no optimality guarantee.
+- tier 0: the experiment runs as submitted;
+- tier 1 (:data:`BASELINE_AT_DEPTH`): a tight :class:`SweepBudget` is
+  imposed, under which the sweep degrades from the exact backend to
+  the heuristic baseline once the budget is nearly spent; the
+  experiment is marked DEGRADED because budget-expired pairs carry no
+  optimality guarantee.
 
 **Crash / drain / cancel.**  Every experiment runs with
 ``resume=True`` against its own checkpoint journal, so a re-run after
@@ -51,11 +50,9 @@ from repro.exec.distributed import SweepInterrupted
 from repro.service.experiments import Experiment, ExperimentState
 from repro.service.store import ExperimentStore, TransitionError
 
-#: Queue depth at which racing is disabled (tier 1).
-DEGRADE_AT_DEPTH = 4
-#: Queue depth at which the budget ladder engages (tier 2).
+#: Queue depth at which the sweep budget is imposed (tier 1).
 BASELINE_AT_DEPTH = 8
-#: Tier-2 budget: this many seconds per (clip, rule) pair.
+#: Tier-1 budget: this many seconds per (clip, rule) pair.
 BASELINE_SECONDS_PER_PAIR = 5.0
 
 
@@ -155,11 +152,7 @@ class Scheduler:
 
     def _tier(self) -> int:
         depth = self.store.counts()["pending_total"]
-        if depth >= BASELINE_AT_DEPTH:
-            return 2
-        if depth >= DEGRADE_AT_DEPTH:
-            return 1
-        return 0
+        return 1 if depth >= BASELINE_AT_DEPTH else 0
 
     def _pick_next(self) -> "Experiment | None":
         queued = self.store.queued()
@@ -216,11 +209,11 @@ class Scheduler:
         with self._lock:
             self._active[experiment.id] = stop
         try:
-            if tier >= 2:
+            if tier >= 1:
                 self.store.transition(
                     experiment.id,
                     ExperimentState.DEGRADED,
-                    "overload: budget ladder engaged (tier 2)",
+                    "overload: sweep budget imposed (tier 1)",
                     degraded=True,
                 )
             study = self._evaluate(experiment, tier, stop)
@@ -280,7 +273,7 @@ class Scheduler:
 
         resolved = experiment.resolved
         time_budget = resolved.time_budget
-        if tier >= 2:
+        if tier >= 1:
             tight = BASELINE_SECONDS_PER_PAIR * experiment.n_pairs
             time_budget = (
                 tight if time_budget is None else min(time_budget, tight)
@@ -289,7 +282,6 @@ class Scheduler:
             time_limit_per_clip=resolved.time_limit,
             solve_cache_dir=self.config.solve_cache_dir,
             n_procs=self.config.sweep_procs,
-            race=resolved.race and tier == 0,
             time_budget=time_budget,
         )
         journal_path = self.store.journal_path(experiment.id)

@@ -35,13 +35,12 @@ class AuditConfig:
 
     ``cross_check_fraction`` in [0, 1] selects the deterministic
     sample of pairs re-solved on the alternate backend (0 disables
-    sampling).  ``confirm_infeasible`` escalates statically-unreached
-    INFEASIBLE claims to the alternate backend.  ``time_limit`` bounds
-    each audit solve (None = unbounded).
+    sampling).  Statically-unreached INFEASIBLE claims always go to
+    the alternate backend.  ``time_limit`` bounds each audit solve
+    (None = unbounded).
     """
 
     cross_check_fraction: float = 0.0
-    confirm_infeasible: bool = True
     time_limit: float | None = None
 
     def __post_init__(self) -> None:
@@ -100,10 +99,7 @@ class ResultAuditor:
             clip, rules, result,
             wire_cost=self.wire_cost, via_cost=self.via_cost,
         )
-        needs_infeasible_confirm = (
-            "infeasible-claim" in certificate.unverified
-            and self.config.confirm_infeasible
-        )
+        needs_infeasible_confirm = "infeasible-claim" in certificate.unverified
         needs_sample = result.status in (
             RouteStatus.OPTIMAL, RouteStatus.INFEASIBLE
         ) and self.sampled(result.clip_name, result.rule_name)

@@ -10,6 +10,8 @@ byte-identical reports.
 
 import json
 
+import pytest
+
 from repro.clips import SyntheticClipSpec, make_synthetic_clip
 from repro.eval import (
     EvalConfig,
@@ -277,3 +279,100 @@ class TestServiceWalForwardCompat:
         assert summary["experiments"] == 1
         # The non-terminal experiment was requeued, not lost.
         assert recovered.get(experiment.id).state is ExperimentState.QUEUED
+
+
+class TestArtifactsOfRacedRuns:
+    """Sweeps once raced HiGHS against B&B on predicted-hard clips: the
+    service payload carried a ``race`` flag, and raced pairs journaled a
+    ``race:highs+bnb`` attempt and, where B&B won, ``backend: "bnb"``.
+    Racing is gone; these pin what becomes of what it wrote."""
+
+    PAYLOAD = {
+        "synthetic": {"count": 1, "nx": 4, "ny": 5, "nz": 3, "nets": 2},
+        "rules": ["RULE1"],
+    }
+
+    def test_race_key_of_a_payload_is_ignored(self):
+        from repro.service.experiments import experiment_id, resolve_payload
+
+        plain = resolve_payload(self.PAYLOAD)
+        raced = resolve_payload({**self.PAYLOAD, "race": True})
+        assert "race" not in raced.canonical
+        assert raced.canonical == plain.canonical
+        assert experiment_id(raced.tenant, raced.canonical) == experiment_id(
+            plain.tenant, plain.canonical
+        )
+
+    def test_recovery_skips_a_submission_whose_payload_holds_race(
+        self, tmp_path
+    ):
+        from repro.service import ExperimentState, ExperimentStore
+        from repro.service.experiments import resolve_payload
+
+        store = ExperimentStore(tmp_path)
+        # What a server from before racing was retired journaled: the
+        # canonical payload, and the id over it, with a ``race`` key.
+        old = resolve_payload(self.PAYLOAD)
+        old.canonical = {**old.canonical, "race": True}
+        queued, created = store.submit(old)
+        assert created
+        store.transition(queued.id, ExperimentState.RUNNING)
+        journal = store.journal_path(queued.id)
+        journal.parent.mkdir(parents=True, exist_ok=True)
+        journal.write_text("{}\n", encoding="utf-8")
+        current, _ = store.submit(
+            resolve_payload({**self.PAYLOAD, "time_limit": 11.0})
+        )
+
+        recovered = ExperimentStore(tmp_path)
+        summary = recovered.recover()
+        assert summary == {
+            "experiments": 1, "requeued": 0, "quarantined_records": 0,
+        }
+        with pytest.raises(KeyError):
+            recovered.get(queued.id)
+        assert recovered.get(current.id).state is ExperimentState.QUEUED
+        # Its checkpoint journal stays on disk.
+        assert journal.read_text(encoding="utf-8") == "{}\n"
+
+    def test_journal_of_a_raced_sweep_resumes_without_solves(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.eval.report import format_audit_table
+
+        clips, rules = _clips(), _rules()
+        path = tmp_path / "journal.jsonl"
+        expected = _render(
+            evaluate_clips(clips, rules, _config(), checkpoint_path=path)
+        )
+        lines = []
+        for line in path.read_text().splitlines():
+            record = json.loads(line)
+            record.pop("sha", None)
+            record["backend"] = "bnb"
+            record["attempt_log"] = [{
+                "attempt": 1,
+                "backend": "race:highs+bnb",
+                "outcome": "ok",
+                "detail": "winner=bnb; cancelled=highs",
+                "seconds": 0.25,
+            }]
+            lines.append(json.dumps(seal_record(record), sort_keys=True))
+        path.write_text("".join(line + "\n" for line in lines))
+
+        import repro.router.optrouter as optrouter_mod
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("backend solve on a complete journal")
+
+        monkeypatch.setattr(optrouter_mod, "solve_with_highs", no_solve)
+        monkeypatch.setattr(optrouter_mod, "solve_with_bnb", no_solve)
+        resumed = evaluate_clips(
+            clips, rules, _config(), checkpoint_path=path, resume=True
+        )
+        assert _render(resumed) == expected
+        n_pairs = len(clips) * len(rules)
+        assert format_audit_table(resumed).endswith(
+            f"attempts: {n_pairs} across {n_pairs} pairs "
+            "(0 retried, 0 timed out)"
+        )

@@ -292,11 +292,11 @@ class TestDistributedEvaluation:
         assert elapsed_at_close >= report.elapsed
 
 
-class TestRacedBudgetedSweeps:
-    """Racing and a sweep time budget through :func:`evaluate_clips`:
-    the race set, the per-clip deadline shares and the Δcost report,
-    sequential under process isolation, sequential with the default
-    (inline) supervisor, and on two lease workers."""
+class TestBudgetedSweeps:
+    """A sweep time budget through :func:`evaluate_clips`: the per-clip
+    deadline shares and the Δcost report, sequential under process
+    isolation, sequential with the default (inline) supervisor, and on
+    two lease workers."""
 
     BUDGET = 600.0
 
@@ -328,19 +328,7 @@ class TestRacedBudgetedSweeps:
     def _check(self, study, clips, rules, log_path):
         import json
 
-        from repro.exec import clip_deadlines, predicted_hard
-
-        hard = predicted_hard(clips)
-        raced = {
-            (o.clip_name, o.rule_name)
-            for rule in study.rule_names
-            for o in study.outcomes[rule]
-            if any(
-                str(entry.get("backend", "")).startswith("race:")
-                for entry in o.attempt_log
-            )
-        }
-        assert raced == {(c, r.name) for c in hard for r in rules}
+        from repro.exec import clip_deadlines
 
         shares = clip_deadlines(clips, self.BUDGET)
         logged = [
@@ -354,6 +342,13 @@ class TestRacedBudgetedSweeps:
             assert time_limit == pytest.approx(
                 shares[clip_name] / len(rules)
             )
+        # The budget is never nearly spent: every pair ran the exact
+        # backend.
+        assert {
+            (o.backend, o.degraded)
+            for rule in study.rule_names
+            for o in study.outcomes[rule]
+        } == {("highs", False)}
 
         reference = evaluate_clips(
             clips, rules, EvalConfig(time_limit_per_clip=None)
@@ -370,22 +365,18 @@ class TestRacedBudgetedSweeps:
         self._record_time_limits(monkeypatch, log_path)
         study = evaluate_clips(
             clips, rules,
-            EvalConfig(time_limit_per_clip=None, race=True,
-                       time_budget=self.BUDGET),
+            EvalConfig(time_limit_per_clip=None, time_budget=self.BUDGET),
             supervisor=SupervisorConfig(isolation="process"),
         )
         self._check(study, clips, rules, log_path)
 
-    def test_default_supervisor_races(self, tmp_path, monkeypatch):
-        # No ``supervisor=``: the default single inline worker must
-        # still race the predicted-hard clips.
+    def test_default_inline_supervisor(self, tmp_path, monkeypatch):
         clips, rules = self._population(), self._rules()
         log_path = tmp_path / "limits.jsonl"
         self._record_time_limits(monkeypatch, log_path)
         study = evaluate_clips(
             clips, rules,
-            EvalConfig(time_limit_per_clip=None, race=True,
-                       time_budget=self.BUDGET),
+            EvalConfig(time_limit_per_clip=None, time_budget=self.BUDGET),
         )
         self._check(study, clips, rules, log_path)
 
@@ -395,7 +386,7 @@ class TestRacedBudgetedSweeps:
         self._record_time_limits(monkeypatch, log_path)
         study = evaluate_clips(
             clips, rules,
-            EvalConfig(time_limit_per_clip=None, n_procs=2, race=True,
+            EvalConfig(time_limit_per_clip=None, n_procs=2,
                        time_budget=self.BUDGET),
             checkpoint_path=tmp_path / "dist.jsonl",
         )
@@ -796,9 +787,10 @@ def fresh_proofs():
 
 
 class TestProofMemo:
-    """Restriction proofs are memoized per process on the clip's value,
-    beside its base formulation: a second sweep over equal clips proves
-    nothing again, and still reports what the proofs said."""
+    """Restriction proofs are memoized per process on the clip's content,
+    beside its base formulation: a second sweep over equal clips, or a
+    clip that differs from a swept one only in name, proves nothing
+    again, and still reports what the proofs said."""
 
     RULES = ("RULE1", "RULE3", "RULE6", "RULE9")
 
@@ -905,6 +897,26 @@ class TestProofMemo:
             assert not any(
                 o.warm_bound_from == "RULE1" for o in study.outcomes["RULE6"]
             )
+
+    def test_clips_differing_only_in_name_share_their_proofs(
+        self, monkeypatch, fresh_proofs
+    ):
+        import dataclasses
+
+        calls = self._counting_prover(monkeypatch, fail_edge=("RULE1", "RULE6"))
+        rules = [paper_rule(name) for name in self.RULES]
+        clip = self._clips()[0]
+        twins = [clip, dataclasses.replace(clip, name=f"{clip.name}_twin")]
+        study = evaluate_clips(twins, rules, EvalConfig(time_limit_per_clip=30.0))
+        # Each edge is proved once, over one of the twins.
+        assert calls
+        assert len({call[1:] for call in calls}) == len(calls)
+        assert len({call[0] for call in calls}) == 1
+        # The memoized failure is reported for each clip swept, by its
+        # own name.
+        assert sorted(
+            message.split(":")[0] for message in study.restriction_disagreements
+        ) == sorted(twin.name for twin in twins)
 
     def test_memo_does_not_need_the_base(self):
         import dataclasses

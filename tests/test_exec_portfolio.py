@@ -1,19 +1,15 @@
-"""Tests for backend racing and budgeted straggler control."""
+"""Tests for budgeted straggler control."""
 
 import pytest
 
 from repro.clips import SyntheticClipSpec, make_synthetic_clip
 from repro.exec import (
-    RouteJob,
     SweepBudget,
     allocate_deadlines,
     clip_deadlines,
     order_hardest_first,
-    predicted_hard,
-    race_solve,
 )
-from repro.exec.portfolio import TIER_BASELINE, TIER_RACE, TIER_SINGLE, hardness
-from repro.router import OptRouter, RouteStatus, RuleConfig
+from repro.exec.portfolio import hardness
 
 
 def clips(n=3):
@@ -35,15 +31,6 @@ class TestHardnessOrdering:
             (-hardness(population[i]), population[i].name) for i in order
         ]
         assert ranked == sorted(ranked)
-
-    def test_predicted_hard_returns_at_least_one(self):
-        population = clips(3)
-        assert len(predicted_hard(population, fraction=0.01)) == 1
-        assert predicted_hard(population, fraction=1.0) == {
-            c.name for c in population
-        }
-        assert predicted_hard([], fraction=0.5) == set()
-        assert predicted_hard(population, fraction=0.0) == set()
 
 
 class TestDeadlineAllocation:
@@ -79,9 +66,9 @@ class TestDeadlineAllocation:
 
 
 class TestSweepBudget:
-    def test_unbudgeted_is_always_race_tier(self):
+    def test_unbudgeted_is_never_nearly_spent(self):
         budget = SweepBudget(total=None)
-        assert budget.tier() == TIER_RACE
+        assert not budget.nearly_spent()
         assert budget.remaining() == float("inf")
         assert not budget.exhausted()
         assert budget.clamp(5.0) == 5.0
@@ -89,16 +76,17 @@ class TestSweepBudget:
 
     def test_tiers_degrade_as_budget_drains(self):
         now = [0.0]
-        budget = SweepBudget(
-            total=100.0, race_fraction=0.5, baseline_fraction=0.1,
-            started=0.0, clock=lambda: now[0],
-        )
-        assert budget.tier() == TIER_RACE
-        now[0] = 60.0  # 40% left
-        assert budget.tier() == TIER_SINGLE
+        budget = SweepBudget(total=100.0, started=0.0, clock=lambda: now[0])
+        assert not budget.nearly_spent()
+        now[0] = 89.0  # 11% left
+        assert not budget.nearly_spent()
+        now[0] = 90.0  # 10% left: BASELINE_FRACTION
+        assert budget.nearly_spent()
         now[0] = 95.0  # 5% left
-        assert budget.tier() == TIER_BASELINE
+        assert budget.nearly_spent()
+        assert not budget.exhausted()
         now[0] = 200.0
+        assert budget.nearly_spent()
         assert budget.exhausted()
         assert budget.remaining() == 0.0
 
@@ -114,36 +102,5 @@ class TestSweepBudget:
         with pytest.raises(ValueError):
             SweepBudget(total=0.0)
         with pytest.raises(ValueError):
-            SweepBudget(total=10.0, race_fraction=0.2, baseline_fraction=0.5)
+            SweepBudget(total=-1.0)
 
-
-class TestRaceSolve:
-    def test_race_produces_certified_optimal_and_cancels_loser(self):
-        clip = clips(1)[0]
-        router = OptRouter(time_limit=30.0)
-        job = RouteJob(clip, RuleConfig(), router)
-        outcome = race_solve(job, ("highs", "bnb"), deadline=60.0)
-        assert outcome.winner in ("highs", "bnb")
-        assert outcome.result.status is RouteStatus.OPTIMAL
-        assert outcome.result.backend == outcome.winner
-        # Exactly one lane wins; the other was cancelled, finished and
-        # lost, or was rejected -- never two winners.
-        assert len(outcome.cancelled) + len(outcome.rejected) <= 1
-
-    def test_race_matches_sequential_answer(self):
-        clip = clips(1)[0]
-        router = OptRouter(time_limit=30.0)
-        sequential = router.route(clip, RuleConfig())
-        job = RouteJob(clip, RuleConfig(), router)
-        outcome = race_solve(job, ("highs", "bnb"), deadline=60.0)
-        assert outcome.result.cost == sequential.cost
-        assert outcome.result.status is sequential.status
-
-    def test_race_deadline_yields_timeout_result(self):
-        clip = clips(1)[0]
-        router = OptRouter(time_limit=30.0)
-        job = RouteJob(clip, RuleConfig(), router)
-        outcome = race_solve(job, ("highs", "bnb"), deadline=0.0)
-        assert outcome.winner is None
-        assert outcome.result.status is RouteStatus.TIMEOUT
-        assert set(outcome.cancelled) == {"highs", "bnb"}

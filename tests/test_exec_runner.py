@@ -726,41 +726,13 @@ class TestAttemptProcess:
                 os.kill(attempt_pid, signal.SIGKILL)
 
 
-class TestRacingIntegration:
-    def test_raced_job_matches_sequential_and_logs_race(self):
-        population = clips(1)
-        router = OptRouter(time_limit=30.0)
-        sequential = router.route(population[0], RuleConfig())
-        job = RouteJob(population[0], RuleConfig(), router)
-        job = replace(job, race_with=("highs", "bnb"))
-        result = SupervisedRunner(
-            SupervisorConfig(isolation="process")
-        ).run_one(job)
-        assert result.status is sequential.status
-        assert result.cost == sequential.cost
-        assert result.backend in ("highs", "bnb")
-        assert result.attempt_log[0]["backend"] == "race:highs+bnb"
-
-    def test_inline_isolation_skips_race_with_note(self):
-        population = clips(1)
-        router = OptRouter(time_limit=30.0)
-        job = RouteJob(population[0], RuleConfig(), router)
-        job = replace(job, race_with=("highs", "bnb"))
-        result = SupervisedRunner(
-            SupervisorConfig(isolation="inline")
-        ).run_one(job)
-        assert result.status is RouteStatus.OPTIMAL
-        assert "race skipped" in (result.diagnostics or "")
-
-
 class TestBudgetedDegradation:
     def _job(self):
         population = clips(1)
         router = OptRouter(time_limit=30.0)
-        job = RouteJob(population[0], RuleConfig(), router)
-        return replace(job, race_with=("highs", "bnb"))
+        return RouteJob(population[0], RuleConfig(), router)
 
-    def test_generous_budget_keeps_racing(self):
+    def test_generous_budget_runs_the_exact_backend(self):
         from repro.exec import SweepBudget
 
         budget = SweepBudget(total=10_000.0)
@@ -769,22 +741,9 @@ class TestBudgetedDegradation:
         )
         result = runner.run_one(self._job())
         assert result.status is RouteStatus.OPTIMAL
-        assert result.attempt_log[0]["backend"].startswith("race:")
-
-    def test_low_budget_drops_racing(self):
-        from repro.exec import SweepBudget
-
-        now = [75.0]
-        budget = SweepBudget(
-            total=100.0, started=0.0, clock=lambda: now[0]
-        )  # 25% left -> single tier
-        runner = SupervisedRunner(
-            SupervisorConfig(isolation="process"), budget=budget
-        )
-        result = runner.run_one(self._job())
-        assert result.status is RouteStatus.OPTIMAL
         assert result.backend == "highs"
-        assert not result.attempt_log[0]["backend"].startswith("race:")
+        assert not result.degraded
+        assert [entry["backend"] for entry in result.attempt_log] == ["highs"]
 
     def test_exhausted_budget_degrades_to_baseline(self):
         from repro.exec import SweepBudget
@@ -796,4 +755,5 @@ class TestBudgetedDegradation:
         )
         result = runner.run_one(self._job())
         assert result.backend == "baseline"
-        assert result.status in (RouteStatus.LIMIT, RouteStatus.INFEASIBLE)
+        assert result.degraded
+        assert result.status is RouteStatus.LIMIT

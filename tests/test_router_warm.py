@@ -8,7 +8,6 @@ objectives to a cold solve.  These tests attack each shortcut.
 
 import collections
 import random
-from dataclasses import dataclass
 
 import pytest
 
@@ -378,19 +377,6 @@ class TestPairIndexOrder:
             ]
 
 
-@dataclass
-class _IncumbentLog(OptRouter):
-    """Appends how many incumbents each ``route`` call was offered to
-    ``log`` (one line per call, from any process)."""
-
-    log: str = ""
-
-    def route(self, clip, rules=None, warm=None):
-        with open(self.log, "a") as handle:
-            handle.write(f"{len(warm.incumbents) if warm else 0}\n")
-        return super().route(clip, rules, warm)
-
-
 def _s7034():
     """The sweep benchmark's ``synth_s7034`` and the N28 rules: RULE3's
     LP stays fractional at its optimum, 24, which RULE10's settled
@@ -452,22 +438,6 @@ class TestIncumbents:
         assert result.status is RouteStatus.OPTIMAL
         assert result.cost == 24.0
         assert result.n_nodes > 0
-
-    def test_racers_get_no_incumbents(self, tmp_path):
-        from repro.exec import RouteJob, race_solve
-
-        clip, rules = _s7034()
-        source = OptRouter().route(clip, rules["RULE10"])
-        log = tmp_path / "offered.txt"
-        job = RouteJob(
-            clip, rules["RULE3"], _IncumbentLog(time_limit=30.0, log=str(log)),
-            warm=WarmStart(incumbents=(source.routing.point,)),
-        )
-        outcome = race_solve(job, ("highs", "bnb"), deadline=60.0)
-        assert outcome.result.status is RouteStatus.OPTIMAL
-        assert outcome.result.cost == 24.0
-        offered = log.read_text().split()
-        assert offered and set(offered) == {"0"}
 
     def test_settled_pair_is_cached_and_replayed(self, tmp_path, monkeypatch):
         import repro.router.optrouter as mod

@@ -1,8 +1,9 @@
 """Tests for the experiment scheduler's load tiers.
 
-Queue depth picks a tier when an experiment is scheduled: tier 0
-honors the payload's racing request, tier 1 turns racing off, and
-tier 2 imposes a tight sweep budget and marks the experiment DEGRADED.
+Queue depth picks a tier when an experiment is scheduled: tier 0 runs
+the experiment as submitted, and tier 1 (from ``BASELINE_AT_DEPTH``
+pending experiments) imposes a tight sweep budget and marks the
+experiment DEGRADED.
 """
 
 import pytest
@@ -16,12 +17,11 @@ def payload(time_limit):
         "synthetic": {"count": 1, "nx": 4, "ny": 5, "nz": 3, "nets": 2},
         "rules": ["RULE1", "RULE3"],
         "time_limit": time_limit,
-        "race": True,
     }
 
 
 def queue(tmp_path, depth):
-    """A store holding ``depth`` distinct QUEUED racing experiments."""
+    """A store holding ``depth`` distinct QUEUED experiments."""
     store = ExperimentStore(tmp_path)
     for i in range(depth):
         store.submit(resolve_payload(payload(10.0 + i)))
@@ -29,20 +29,21 @@ def queue(tmp_path, depth):
 
 
 class TestTiers:
-    @pytest.mark.parametrize("depth, tier", [(3, 0), (4, 1), (8, 2)])
+    @pytest.mark.parametrize("depth, tier", [(3, 0), (4, 0), (7, 0), (8, 1)])
     def test_tier_follows_queue_depth(self, tmp_path, depth, tier):
         assert Scheduler(queue(tmp_path, depth))._tier() == tier
 
     @pytest.mark.parametrize(
-        "depth, race, budget_per_pair, state",
+        "depth, budget_per_pair, state",
         [
-            (3, True, None, ExperimentState.RUNNING),
-            (4, False, None, ExperimentState.RUNNING),
-            (8, False, 5.0, ExperimentState.DEGRADED),
+            (3, None, ExperimentState.RUNNING),
+            (4, None, ExperimentState.RUNNING),
+            (7, None, ExperimentState.RUNNING),
+            (8, 5.0, ExperimentState.DEGRADED),
         ],
     )
     def test_tier_shapes_the_sweep(
-        self, tmp_path, monkeypatch, depth, race, budget_per_pair, state
+        self, tmp_path, monkeypatch, depth, budget_per_pair, state
     ):
         import repro.eval.flow as flow
 
@@ -63,7 +64,6 @@ class TestTiers:
         scheduler._run(experiment, tier)
 
         [(config, state_during_sweep)] = handed
-        assert config.race is race
         if budget_per_pair is None:
             assert config.time_budget is None
         else:

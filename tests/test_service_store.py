@@ -221,7 +221,7 @@ class TestStore:
         experiment, _ = store.submit(resolve_payload(payload()))
         store.transition(experiment.id, ExperimentState.RUNNING)
         experiment.cancel_requested = True
-        experiment.degrade_tier = 2
+        experiment.degrade_tier = 1
         store.transition(experiment.id, ExperimentState.QUEUED)
         assert not experiment.cancel_requested
         assert experiment.degrade_tier == 0
