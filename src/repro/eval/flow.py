@@ -20,6 +20,7 @@ import time
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from functools import partial
+from typing import TYPE_CHECKING
 
 from repro.analysis.semantics import restriction
 from repro.clips.clip import Clip
@@ -34,12 +35,15 @@ from repro.exec.portfolio import (
     hardness,
     order_hardest_first,
 )
-from repro.exec.runner import RouteJob, SupervisedRunner
+from repro.exec.runner import RouteJob, SupervisedRunner, _mp_context
 from repro.ilp.solve_cache import SolveCache, program_digest
 from repro.router.formulation import formulation_cache, proof_edge
 from repro.router.optrouter import OptRouteResult, OptRouter, RouteStatus, WarmStart
 from repro.router.rules import RuleConfig, is_restriction
 from repro.router.solution import ClipRouting
+
+if TYPE_CHECKING:
+    from multiprocessing.synchronize import Event
 
 #: Edge gate: (clip, looser rule, follower rule) -> the edge carries a
 #: model-level :class:`RestrictionProof`.
@@ -517,7 +521,7 @@ def _execute(
     done: "dict[tuple[str, str], ClipRuleOutcome]",
     *,
     fault_plan: FaultPlan | None = None,
-    stop_event: "threading.Event | None" = None,
+    stop_event: "threading.Event | Event | None" = None,
     on_outcome: "Callable[[ClipRuleOutcome], None] | None" = None,
 ) -> DeltaCostStudy:
     """Run the plan's pairs missing from ``done`` (the journaled
@@ -817,6 +821,7 @@ def _run_lease_group(
     journal_path: str,
     supervisor: SupervisorConfig,
     fault_plan: FaultPlan | None,
+    stop_event: "Event | None" = None,
 ) -> None:
     """A lease worker's share of the sweep: one clip's slice of the plan
     (module-level so it is picklable on spawn-only platforms).
@@ -824,7 +829,9 @@ def _run_lease_group(
     The journal is only read tolerantly -- peers are appending, so no
     healing compaction and no truncation -- and already-journaled pairs
     are skipped, which is what makes a lease reclaim re-solve only the
-    *unfinished* remainder of a dead worker's group.
+    *unfinished* remainder of a dead worker's group.  ``stop_event``
+    (the sweep's shared ``over`` event) is checked after each journaled
+    pair, as in the sequential sweep.
     """
     journal = CheckpointJournal(journal_path)
     _execute(
@@ -833,6 +840,7 @@ def _run_lease_group(
         journal,
         _journaled(journal.read()),
         fault_plan=fault_plan,
+        stop_event=stop_event,
     )
 
 
@@ -853,11 +861,16 @@ def _evaluate_distributed(
     The journal was healed (or cleared) before any worker started.
     Clip groups are claimed hardest-first by ``config.n_procs`` workers
     via :func:`repro.exec.distributed.run_distributed`, each running its
-    clip's slice of the plan.  A closing sequential pass then heals the
-    journal (quarantining any line torn by a SIGKILL mid-write),
-    re-solves anything still missing on what is left of the sweep's
-    budget, and builds the study -- so the returned report is
-    byte-identical to a single-process run of the same sweep.
+    clip's slice of the plan under the caller's ``supervisor`` (inline
+    by default, as in the sequential sweep).  A group a process may
+    have died on -- taken over from a holder that lost its lease, or
+    finished by the coordinator's inline floor -- runs under process
+    isolation.  Workers stop after their current pair once the sweep is
+    stopped.  A closing sequential pass then heals the journal
+    (quarantining any line torn by a SIGKILL mid-write), re-solves
+    anything still missing on what is left of the sweep's budget, and
+    builds the study -- so the returned report is byte-identical to a
+    single-process run of the same sweep.
 
     ``on_outcome`` sees each result record the coordinator's journal
     snapshots hold that is neither in ``done`` nor already reported,
@@ -869,12 +882,18 @@ def _evaluate_distributed(
     from repro.exec.chaos import ChaosMonkey, KillPlan
     from repro.exec.distributed import DistributedConfig, run_distributed
 
+    supervisor = supervisor or SupervisorConfig(isolation="inline")
+    over = _mp_context().Event()
     work = partial(
         _run_lease_group,
         plan=plan,
         journal_path=str(journal.path),
-        supervisor=replace(supervisor or SupervisorConfig(), isolation="process"),
+        supervisor=supervisor,
         fault_plan=fault_plan,
+        stop_event=over,
+    )
+    isolated_work = partial(
+        work, supervisor=replace(supervisor, isolation="process")
     )
     monkey = None
     dist_config = DistributedConfig(n_procs=plan.config.n_procs)
@@ -904,6 +923,8 @@ def _evaluate_distributed(
         monkey=monkey,
         stop_event=stop_event,
         on_snapshot=report_new if on_outcome is not None else None,
+        isolated_work=isolated_work,
+        over=over,
     )
     # Closing pass: ``load`` heals the journal, and the plan's budget
     # has been draining since the sweep started.

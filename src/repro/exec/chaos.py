@@ -70,12 +70,15 @@ class ChaosMonkey:
     #: worker slot -> live PID, registered by the coordinator as it
     #: spawns workers (and re-registered for replacements).
     pids: dict = field(default_factory=dict)
+    #: worker slot -> the lease-record name of its live worker.
+    names: dict = field(default_factory=dict)
     killed: "list[int]" = field(default_factory=list)
     _stop: threading.Event = field(default_factory=threading.Event)
     _thread: "threading.Thread | None" = None
 
-    def register(self, slot: int, pid: int) -> None:
+    def register(self, slot: int, pid: int, name: str) -> None:
         self.pids[slot] = pid
+        self.names[slot] = name
 
     def start(self) -> None:
         self._thread = threading.Thread(target=self._run, daemon=True)
@@ -101,7 +104,7 @@ class ChaosMonkey:
                 pid = self.pids.get(slot)
                 if pid is None:
                     continue
-                if worker_name(slot) in holders:
+                if self.names.get(slot) in holders:
                     self._kill(slot, pid)
                     pending.remove(slot)
             self._stop.wait(POLL_INTERVAL)
@@ -114,11 +117,11 @@ class ChaosMonkey:
         self.killed.append(slot)
 
 
-def worker_name(slot: int) -> str:
+def worker_name(slot: int, generation: int = 0) -> str:
     """Canonical lease-record worker id for a coordinator worker slot.
 
-    Shared with :mod:`repro.exec.distributed`, which uses the same
-    names when spawning workers, so the monkey can match lease holders
-    to the PIDs it registered.
+    ``generation`` counts the slot's respawns: a replacement worker
+    gets a name of its own (``worker-0.1``), so its claim on a lease
+    its dead predecessor held counts as a reclaim.
     """
-    return f"worker-{slot}"
+    return f"worker-{slot}" if generation == 0 else f"worker-{slot}.{generation}"

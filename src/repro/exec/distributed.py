@@ -23,6 +23,23 @@ workers), and as a last resort finishes any remaining groups *inline*
 The ``work`` callable must be picklable (a module-level function or a
 :func:`functools.partial` of one) and is responsible for appending its
 own result records and for skipping pairs already journaled.
+
+A worker runs a group in its own process, as ``work(group)``.  Only a
+group that a process may already have died on runs as
+``isolated_work(group)`` (the eval layer's process isolation): a group
+claimed after an earlier holder lost its lease
+(:meth:`~repro.exec.leases.LeaseBoard.taken_over`), and every group
+the coordinator's inline floor finishes.  So a pair that kills its
+process costs one worker, one lease TTL and the isolated re-run of
+the rest of its group, never the sweep.  While an in-process attempt
+runs past its hard deadline the worker stops heartbeating
+(:func:`~repro.exec.runner.attempt_overdue`), and a wedged pair's
+group moves to a peer the same way.
+
+One multiprocessing event, ``over``, is shared by the coordinator and
+every worker: set once every group is done, or when the sweep is
+stopped.  The coordinator and idle workers wait on it instead of
+sleeping, and ``work`` may hold it to stop after its current pair.
 """
 
 from __future__ import annotations
@@ -32,16 +49,22 @@ import threading
 import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.exec.chaos import ChaosMonkey, worker_name
 from repro.exec.checkpoint import CheckpointJournal
 from repro.exec.leases import Heartbeat, LeaseBoard, LeaseManager
-from repro.exec.runner import _detach_wakeup_fd, _mp_context
+from repro.exec.runner import _detach_wakeup_fd, _mp_context, attempt_overdue
+
+if TYPE_CHECKING:
+    from multiprocessing.synchronize import Event
 
 
-#: Seconds between the coordinator's journal polls (and between a
-#: worker's claim attempts while every remaining group is held).
+#: Longest wait, in seconds, between the coordinator's journal polls
+#: (and between a worker's claim attempts while every remaining group
+#: is held); setting ``over`` ends a wait at once.
 POLL_INTERVAL = 0.05
 
 #: Replacements of dead workers per run; past it, the coordinator
@@ -93,6 +116,9 @@ class DistributedReport:
     respawns: int = 0
     #: groups the coordinator had to finish inline (all workers dead).
     inline_groups: list[str] = field(default_factory=list)
+    #: groups run (in part) as ``isolated_work``: taken over from a
+    #: holder that lost its lease, or finished inline.
+    isolated_groups: list[str] = field(default_factory=list)
     #: worker slots the chaos monkey killed (empty without chaos).
     killed: list[int] = field(default_factory=list)
     #: expired-lease takeovers observed in the final lease board.
@@ -105,15 +131,19 @@ def _worker_entry(
     worker: str,
     group_keys: "list[str]",
     work: "Callable[[str], None]",
+    isolated_work: "Callable[[str], None]",
+    over: "Event",
     lease_ttl: float,
     heartbeat_interval: float,
 ) -> None:
     """Worker-process main loop: claim, heartbeat, work, mark done.
 
-    Exits cleanly when every group is done.  SIGTERM (the
-    coordinator's graceful shutdown) releases held leases on the way
-    out; SIGKILL releases nothing -- by design, that is the crash case
-    the lease TTL exists for.
+    Exits cleanly when every group is done (setting ``over``, which
+    wakes the coordinator and idle peers) or once ``over`` is set.
+    SIGTERM (the coordinator's graceful shutdown) and a
+    :class:`SweepInterrupted` from ``work`` release held leases on the
+    way out; SIGKILL releases nothing -- by design, that is the crash
+    case the lease TTL exists for.
     """
     def _graceful_term(*_args) -> None:
         raise SystemExit(0)
@@ -125,27 +155,36 @@ def _worker_entry(
         pass
     journal = CheckpointJournal(journal_path)
     manager = LeaseManager(journal, worker, ttl=lease_ttl)
+    overdue = partial(attempt_overdue, threading.get_ident())
     try:
-        while True:
+        while not over.is_set():
             board = LeaseBoard.from_records(journal.read())
             now = time.time()
             remaining = [g for g in group_keys if not board.is_done(g)]
             if not remaining:
+                over.set()
                 return
             claimed: str | None = None
             for group in remaining:
-                if board.available(group, now) and manager.try_claim(group):
-                    claimed = group
-                    break
+                if board.available(group, now):
+                    won = manager.claim(group)
+                    if won is not None:
+                        claimed, board = group, won
+                        break
             if claimed is None:
                 # Everything left is held by live peers; wait for a
-                # completion or an expiry.
-                time.sleep(POLL_INTERVAL)
+                # completion, an expiry or the end of the sweep.
+                over.wait(POLL_INTERVAL)
                 continue
-            heartbeat = Heartbeat(manager, claimed, heartbeat_interval)
+            run = isolated_work if board.taken_over(claimed) else work
+            heartbeat = Heartbeat(
+                manager, claimed, heartbeat_interval, paused=overdue
+            )
             heartbeat.start()
             try:
-                work(claimed)
+                run(claimed)
+            except SweepInterrupted:
+                return
             finally:
                 heartbeat.stop()
             manager.done(claimed)
@@ -161,23 +200,34 @@ def run_distributed(
     monkey: ChaosMonkey | None = None,
     stop_event: "threading.Event | None" = None,
     on_snapshot: "Callable[[list[dict]], None] | None" = None,
+    *,
+    isolated_work: "Callable[[str], None] | None" = None,
+    over: "Event | None" = None,
 ) -> DistributedReport:
     """Run ``work`` over every group with lease-coordinated workers.
 
     Blocks until every group is marked done in the journal.  Dead
-    workers are respawned up to :data:`MAX_RESPAWNS`; if all workers
-    die past that bound, the coordinator finishes the remaining groups
-    inline -- no group is ever lost.  ``monkey`` (the chaos scenario)
-    gets each worker PID registered before it starts shooting.
-    ``stop_event`` is the graceful-shutdown hook: when set (by a
-    signal handler), workers are reaped and :class:`SweepInterrupted`
-    is raised with the journal path.  ``on_snapshot`` sees the records
-    of every journal snapshot the coordinator polls, and a last one
-    after the workers are reaped (which also holds the groups it
-    finished inline).
+    workers are respawned up to :data:`MAX_RESPAWNS`, each under a
+    name of its own; if all workers die past that bound, the
+    coordinator finishes the remaining groups inline -- no group is
+    ever lost.  ``isolated_work`` (default: ``work``) runs the groups
+    a process may have died on: those taken over from a holder that
+    lost its lease, and those the coordinator finishes inline.
+    ``monkey`` (the chaos scenario) gets each worker PID registered
+    before it starts shooting.  ``stop_event`` is the graceful-shutdown
+    hook: when set (by a signal handler), ``over`` is set, workers are
+    reaped and :class:`SweepInterrupted` is raised with the journal
+    path.  ``over`` is the multiprocessing event shared with the
+    workers (made here when not given; a caller passes its own to hand
+    it to ``work`` as well).  ``on_snapshot`` sees the records of every
+    journal snapshot the coordinator polls, and a last one after the
+    workers are reaped (which also holds the groups it finished
+    inline).
     """
     if config is None:
         config = DistributedConfig()
+    if isolated_work is None:
+        isolated_work = work
     journal = CheckpointJournal(journal_path)
     keys = list(group_keys)
     report = DistributedReport(n_procs=config.n_procs, n_groups=len(keys))
@@ -185,26 +235,33 @@ def run_distributed(
         return report
     t0 = time.monotonic()
     ctx = _mp_context()
+    if over is None:
+        over = ctx.Event()
+    generations = dict.fromkeys(range(config.n_procs), 0)
 
     def spawn(slot: int):
+        name = worker_name(slot, generations[slot])
+        generations[slot] += 1
         proc = ctx.Process(
             target=_worker_entry,
             args=(
                 str(journal_path),
-                worker_name(slot),
+                name,
                 keys,
                 work,
+                isolated_work,
+                over,
                 config.lease_ttl,
                 config.heartbeat_interval,
             ),
-            name=worker_name(slot),
+            name=name,
             # Not daemonic: a daemonic process may not start children,
-            # and a worker's runner starts attempt processes.
+            # and a worker's runner may start attempt processes.
             daemon=False,
         )
         proc.start()
         if monkey is not None and proc.pid is not None:
-            monkey.register(slot, proc.pid)
+            monkey.register(slot, proc.pid, name)
         return proc
 
     workers = {slot: spawn(slot) for slot in range(config.n_procs)}
@@ -236,7 +293,8 @@ def run_distributed(
             if not workers:
                 # Bounded degradation floor: every worker is dead and
                 # the respawn budget is spent.  Finish what is left
-                # inline so the sweep still loses zero groups.
+                # inline, isolated (a process died on some group), so
+                # the sweep still loses zero groups.
                 coordinator = LeaseManager(
                     journal, "coordinator", ttl=config.lease_ttl
                 )
@@ -244,12 +302,14 @@ def run_distributed(
                     board = LeaseBoard.from_records(journal.read())
                     if board.is_done(group):
                         continue
-                    work(group)
+                    isolated_work(group)
                     coordinator.done(group)
                     report.inline_groups.append(group)
                 break
-            time.sleep(POLL_INTERVAL)
+            over.wait(POLL_INTERVAL)
     finally:
+        # Wakes idle workers, and stops busy ones after their pair.
+        over.set()
         if monkey is not None:
             monkey.stop()
             report.killed = list(monkey.killed)
@@ -257,7 +317,11 @@ def run_distributed(
     records = journal.read()
     if on_snapshot is not None:
         on_snapshot(records)
-    report.reclaims = LeaseBoard.from_records(records).reclaim_count()
+    board = LeaseBoard.from_records(records)
+    report.reclaims = board.reclaim_count()
+    report.isolated_groups = [
+        g for g in keys if board.taken_over(g) or g in report.inline_groups
+    ]
     report.elapsed = time.monotonic() - t0
     return report
 

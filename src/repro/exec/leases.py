@@ -60,6 +60,9 @@ class _GroupLease:
     expires: float = 0.0
     done: bool = False
     reclaims: int = 0
+    #: claims that made a worker the holder (the first, and each one
+    #: after a release or an expiry).
+    claims: int = 0
 
 
 @dataclass
@@ -93,6 +96,8 @@ class LeaseBoard:
             return  # terminal
         if event == CLAIM:
             if lease.holder is None or lease.holder == worker:
+                if lease.holder is None:
+                    lease.claims += 1
                 lease.holder = str(worker)
                 lease.expires = ts + ttl
             elif ts > lease.expires:
@@ -101,6 +106,7 @@ class LeaseBoard:
                 lease.holder = str(worker)
                 lease.expires = ts + ttl
                 lease.reclaims += 1
+                lease.claims += 1
             # else: contested claim against a live holder -- ignored,
             # deterministically, by every reader.
         elif event == HEARTBEAT:
@@ -136,6 +142,13 @@ class LeaseBoard:
     def reclaim_count(self) -> int:
         """Total expired-lease takeovers observed across all groups."""
         return sum(lease.reclaims for lease in self.groups.values())
+
+    def taken_over(self, group: str) -> bool:
+        """True when an earlier holder lost the group's lease (it
+        expired or was released) and another claim took it: whoever
+        holds it now, or held it last, is not its first holder."""
+        lease = self.groups.get(group)
+        return lease is not None and lease.claims > 1
 
 
 class LeaseManager:
@@ -179,12 +192,17 @@ class LeaseManager:
         first claim in file order).  The loser returns False and is
         expected to move on.
         """
+        return self.claim(group) is not None
+
+    def claim(self, group: str) -> "LeaseBoard | None":
+        """:meth:`try_claim`, returning the re-read board that shows
+        this manager holding ``group``, or None when the claim lost."""
         self._append(CLAIM, group)
         board = LeaseBoard.from_records(self.journal.read())
-        won = board.holder(group, self.clock()) == self.worker
-        if won:
-            self.held.add(group)
-        return won
+        if board.holder(group, self.clock()) != self.worker:
+            return None
+        self.held.add(group)
+        return board
 
     def heartbeat(self, group: str) -> None:
         self._append(HEARTBEAT, group)
@@ -209,20 +227,32 @@ class Heartbeat(threading.Thread):
 
     Runs while the worker solves the group; a SIGKILL kills the thread
     with the process, the heartbeats stop, and the lease expires --
-    exactly the signal peers need to reclaim the group.
+    exactly the signal peers need to reclaim the group.  While
+    ``paused()`` returns True (a lease worker passes "an in-process
+    attempt is past its hard deadline") no heartbeat is written, so a
+    wedged worker's lease lapses the same way.
     """
 
-    def __init__(self, manager: LeaseManager, group: str, interval: float):
+    def __init__(
+        self,
+        manager: LeaseManager,
+        group: str,
+        interval: float,
+        paused: "Callable[[], bool] | None" = None,
+    ):
         super().__init__(daemon=True)
         self.manager = manager
         self.group = group
         self.interval = interval
+        self.paused = paused
         # NB: must not be named ``_stop`` -- that would shadow
         # ``threading.Thread._stop()`` and break ``join()``.
         self._halt = threading.Event()
 
     def run(self) -> None:  # pragma: no cover - timing-dependent loop
         while not self._halt.wait(self.interval):
+            if self.paused is not None and self.paused():
+                continue
             try:
                 self.manager.heartbeat(self.group)
             except Exception:

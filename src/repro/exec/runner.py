@@ -22,9 +22,14 @@ then waits on the pipe with a timeout, so a crash (EOF), a wedge (poll
 timeout), and a success (payload) are all first-class outcomes.  The
 process serves the call's next attempt after a success; any failed
 attempt reaps it, so the attempt after a failure (a retry included)
-starts in a fresh process, and none outlives the call.  A sweep runs
-in parallel only on lease workers (:mod:`repro.exec.distributed`),
-each with its own runner.  See ``docs/robustness.md``.
+starts in a fresh process, and none outlives the call.  Under inline
+isolation attempts run in the calling thread, and
+:func:`attempt_overdue` tells whether the one running on a thread is
+past its hard deadline: a lease worker stops heartbeating then, so a
+peer reclaims the group and re-runs it under process isolation.  A
+sweep runs in parallel only on lease workers
+(:mod:`repro.exec.distributed`), each with its own runner.  See
+``docs/robustness.md``.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ import multiprocessing as mp
 import os
 import pickle
 import signal
+import threading
 import time
 from collections.abc import Callable, Sequence
 from contextlib import contextmanager
@@ -274,6 +280,18 @@ class _AttemptProcess:
             self.proc.join(2.0)
         if self.proc.is_alive():
             SupervisedRunner._reap(self.proc)
+
+
+#: The hard deadlines (``time.monotonic()``) of the in-process attempts
+#: now running, by thread.
+_INLINE_DEADLINES: dict[int, float] = {}
+
+
+def attempt_overdue(thread: int) -> bool:
+    """True while the in-process attempt running on ``thread`` (a
+    ``threading.get_ident()``) is past its hard deadline."""
+    deadline = _INLINE_DEADLINES.get(thread)
+    return deadline is not None and time.monotonic() > deadline
 
 
 def _detach_wakeup_fd() -> None:
@@ -523,15 +541,20 @@ class SupervisedRunner:
     def _attempt_inline(
         self, job: RouteJob, backend: str, fault: FaultSpec | None, attempt: int
     ) -> "tuple[OptRouteResult | None, _Failure | None]":
+        deadline = deadline_for(job.router.time_limit)
+        thread = threading.get_ident()
         t0 = time.perf_counter()
+        if deadline is not None:
+            _INLINE_DEADLINES[thread] = time.monotonic() + deadline
         try:
             payload = _attempt_payload(job, backend, fault, attempt, inline=True)
         except InjectedCrash as exc:
             return None, _Failure("crash", str(exc))
         except Exception as exc:  # worker-equivalent containment
             return None, _Failure("error", f"{type(exc).__name__}: {exc}")
+        finally:
+            _INLINE_DEADLINES.pop(thread, None)
         elapsed = time.perf_counter() - t0
-        deadline = deadline_for(job.router.time_limit)
         if deadline is not None and elapsed > deadline:
             # Inline isolation cannot preempt; enforce the deadline
             # post-hoc so both isolation modes share semantics.

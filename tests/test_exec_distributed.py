@@ -211,6 +211,231 @@ class TestRunDistributed:
             DistributedConfig(lease_ttl=1.0, heartbeat_interval=1.0)
 
 
+def _clips(n):
+    from repro.clips import SyntheticClipSpec, make_synthetic_clip
+
+    spec = SyntheticClipSpec(nx=5, ny=6, nz=3, n_nets=2, sinks_per_net=1,
+                             access_points_per_pin=2, pin_spacing_cols=1)
+    return [make_synthetic_clip(spec, seed=s) for s in range(n)]
+
+
+def _rules():
+    from repro.eval import paper_rule
+    from repro.router import RuleConfig, ViaRestriction
+
+    return [
+        paper_rule("RULE1"),
+        RuleConfig(name="RULE6", via_restriction=ViaRestriction.ORTHOGONAL),
+    ]
+
+
+def _pairs(study):
+    return {
+        (o.clip_name, rule): (o.status, o.cost)
+        for rule in study.rule_names
+        for o in study.outcomes[rule]
+    }
+
+
+class TestLeaseWorkerIsolation:
+    """Lease workers run their groups in their own process; a group
+    runs under process isolation only where a process may already have
+    died on it: taken over from a holder that lost its lease, or
+    finished by the coordinator's inline floor."""
+
+    def _count_attempt_processes(self, monkeypatch, log_path):
+        """Append a line to ``log_path`` per attempt process started.
+        Patched before the sweep forks, so lease workers inherit it."""
+        from repro.exec import runner
+
+        original = runner._AttemptProcess.__init__
+
+        def init(self):
+            with open(log_path, "a", encoding="utf-8") as handle:
+                handle.write(f"{os.getpid()}\n")
+            original(self)
+
+        monkeypatch.setattr(runner._AttemptProcess, "__init__", init)
+
+    def _started(self, log_path):
+        if not log_path.exists():
+            return 0
+        return len(log_path.read_text(encoding="utf-8").splitlines())
+
+    def test_healthy_sweep_starts_no_attempt_process(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.eval import EvalConfig, evaluate_clips, format_delta_cost_table
+
+        clips, rules = _clips(4), _rules()
+        log_path = tmp_path / "attempt-processes.log"
+        self._count_attempt_processes(monkeypatch, log_path)
+        sequential = evaluate_clips(
+            clips, rules, EvalConfig(time_limit_per_clip=30.0)
+        )
+        distributed = evaluate_clips(
+            clips, rules, EvalConfig(time_limit_per_clip=30.0, n_procs=2),
+            checkpoint_path=tmp_path / "dist.jsonl",
+        )
+        assert self._started(log_path) == 0
+        report = distributed.distributed_report
+        assert report.isolated_groups == [] and report.respawns == 0
+        assert format_delta_cost_table(distributed) == format_delta_cost_table(
+            sequential
+        )
+
+    def test_caller_process_isolation_isolates_every_group(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.eval import EvalConfig, evaluate_clips, format_delta_cost_table
+        from repro.exec import SupervisorConfig
+
+        clips, rules = _clips(4), _rules()
+        log_path = tmp_path / "attempt-processes.log"
+        self._count_attempt_processes(monkeypatch, log_path)
+        sequential = evaluate_clips(
+            clips, rules, EvalConfig(time_limit_per_clip=30.0)
+        )
+        distributed = evaluate_clips(
+            clips, rules, EvalConfig(time_limit_per_clip=30.0, n_procs=2),
+            checkpoint_path=tmp_path / "dist.jsonl",
+            supervisor=SupervisorConfig(isolation="process"),
+        )
+        # One attempt process per group: each run_groups call starts
+        # one and keeps it while its attempts succeed.
+        assert self._started(log_path) == len(clips)
+        assert format_delta_cost_table(distributed) == format_delta_cost_table(
+            sequential
+        )
+
+    def test_poison_pair_costs_one_error(self, tmp_path, monkeypatch):
+        from repro.eval import EvalConfig, evaluate_clips
+        from repro.router.optrouter import OptRouter, RouteStatus
+
+        clips, rules = _clips(4), _rules()
+        sequential = evaluate_clips(
+            clips, rules, EvalConfig(time_limit_per_clip=30.0)
+        )
+        poison = (clips[1].name, "RULE6")
+        coordinator = os.getpid()
+        original = OptRouter.route
+
+        def route(self, clip, rule, *args, **kwargs):
+            # Kills whichever process routes the pair: a lease worker
+            # in-process, an attempt process under isolation.
+            if os.getpid() != coordinator and (clip.name, rule.name) == poison:
+                os._exit(70)
+            return original(self, clip, rule, *args, **kwargs)
+
+        monkeypatch.setattr(OptRouter, "route", route)
+        distributed = evaluate_clips(
+            clips, rules, EvalConfig(time_limit_per_clip=30.0, n_procs=2),
+            checkpoint_path=tmp_path / "dist.jsonl",
+        )
+        got, want = _pairs(distributed), _pairs(sequential)
+        assert got.pop(poison)[0] is RouteStatus.ERROR
+        want.pop(poison)
+        assert got == want
+        report = distributed.distributed_report
+        assert report.respawns == 1
+        assert report.reclaims == 1
+        assert report.isolated_groups == [poison[0]]
+        assert report.inline_groups == []
+
+    def test_wedged_inline_attempt_is_reclaimed_and_times_out(self, tmp_path):
+        from repro.eval import EvalConfig
+        from repro.eval.flow import _plan_sweep, _run_lease_group
+        from repro.exec import FaultKind, FaultPlan, FaultSpec, SupervisorConfig
+
+        clips, rules = _clips(2), _rules()
+        plan = _plan_sweep(clips, rules, EvalConfig(time_limit_per_clip=1.0))
+        wedged = (clips[0].name, "RULE1")
+        path = str(tmp_path / "j.jsonl")
+        work = partial(
+            _run_lease_group,
+            plan=plan,
+            journal_path=path,
+            supervisor=SupervisorConfig(isolation="inline"),
+            fault_plan=FaultPlan(by_key={
+                wedged: FaultSpec(FaultKind.SLEEP, sleep_seconds=60.0)
+            }),
+        )
+        t0 = time.monotonic()
+        report = run_distributed(
+            path, plan.lease_keys({}), work,
+            DistributedConfig(n_procs=2, lease_ttl=0.5,
+                              heartbeat_interval=0.1, join_grace=0.5),
+            isolated_work=partial(
+                work, supervisor=SupervisorConfig(isolation="process")
+            ),
+        )
+        # Past its 1.5 s hard deadline the wedged worker stopped
+        # heartbeating; a peer took the group over, and its attempt
+        # process was reaped at the deadline.  The sweep did not wait
+        # out the 60 s sleep.
+        assert time.monotonic() - t0 < 30.0
+        records = {
+            (r["clip"], r["rule"]): r
+            for r in dedupe_results(CheckpointJournal(path).read())
+        }
+        assert set(records) == {(c.name, r.name) for c in clips for r in rules}
+        assert records[wedged]["status"] == "timeout"
+        assert "worker terminated" in records[wedged]["attempt_log"][0]["detail"]
+        assert report.reclaims == 1
+        assert report.isolated_groups == [wedged[0]]
+
+
+class TestInterruptedSweep:
+    def test_stop_ends_lease_workers_after_their_pair(self, tmp_path):
+        """A stop reaches the lease workers: each journals the pair it
+        is on and exits, and a resume gives the sequential table."""
+        import threading
+
+        from repro.eval import EvalConfig, evaluate_clips, format_delta_cost_table
+        from repro.exec import FaultKind, FaultPlan, FaultSpec, SweepInterrupted
+
+        clips, rules = _clips(8), _rules()
+        latency = FaultPlan(by_key={
+            (clip.name, rule.name): FaultSpec(FaultKind.SLEEP, sleep_seconds=1.0)
+            for clip in clips
+            for rule in rules
+        })
+        path = tmp_path / "dist.jsonl"
+        config = EvalConfig(time_limit_per_clip=30.0, n_procs=2)
+        stop = threading.Event()
+        stopped_at: list[float] = []
+
+        def request_stop():
+            stopped_at.append(time.monotonic())
+            stop.set()
+
+        timer = threading.Timer(1.5, request_stop)
+        timer.start()
+        try:
+            with pytest.raises(SweepInterrupted):
+                evaluate_clips(
+                    clips, rules, config, checkpoint_path=path,
+                    fault_plan=latency, stop_event=stop,
+                )
+            raised_at = time.monotonic()
+        finally:
+            timer.cancel()
+        # Within about one 1 s pair of the stop, not after the sweep
+        # (16 pairs on two workers) or the 10 s join grace.
+        assert raised_at - stopped_at[0] <= 3.0
+        journaled = len(dedupe_results(CheckpointJournal(path).read()))
+        assert journaled < len(clips) * len(rules)
+        resumed = evaluate_clips(
+            clips, rules, config, checkpoint_path=path, resume=True
+        )
+        sequential = evaluate_clips(
+            clips, rules, EvalConfig(time_limit_per_clip=30.0)
+        )
+        assert format_delta_cost_table(resumed) == format_delta_cost_table(
+            sequential
+        )
+
+
 class TestParallelMap:
     def test_preserves_order(self):
         assert parallel_map(double, [3, 1, 2], n_procs=2) == [6, 2, 4]

@@ -95,6 +95,25 @@ class TestLeaseBoardReplay:
         ])
         assert board.holder("g1", now=101.0) == "worker-0"
 
+    def test_taken_over_after_expiry_or_release(self):
+        first = [rec(CLAIM, "g1", "worker-0", 100.0, ttl=5.0)]
+        board = LeaseBoard.from_records(first + [
+            rec(CLAIM, "g1", "worker-1", 101.0),  # contested: ignored
+            rec(HEARTBEAT, "g1", "worker-0", 102.0, ttl=5.0),
+        ])
+        assert not board.taken_over("g1")
+        assert not LeaseBoard.from_records([]).taken_over("g1")
+        expired = LeaseBoard.from_records(
+            first + [rec(CLAIM, "g1", "worker-1", 106.0)]
+        )
+        assert expired.taken_over("g1")
+        released = LeaseBoard.from_records(first + [
+            rec(RELEASE, "g1", "worker-0", 101.0),
+            rec(CLAIM, "g1", "worker-1", 102.0),
+        ])
+        assert released.taken_over("g1")
+        assert released.reclaim_count() == 0
+
     def test_replay_is_deterministic_for_every_reader(self):
         records = [
             rec(CLAIM, "g1", "worker-0", 100.0, ttl=5.0),
@@ -138,6 +157,41 @@ class TestLeaseManager:
         board = LeaseBoard.from_records(journal.read())
         assert board.available("g1", now=1e12)
         assert board.available("g2", now=0.0)
+
+    def test_claim_returns_the_board_it_won_on(self, tmp_path):
+        journal = CheckpointJournal(tmp_path / "j.jsonl")
+        a = LeaseManager(journal, "worker-0", ttl=10.0)
+        b = LeaseManager(journal, "worker-1", ttl=10.0)
+        board = a.claim("g1")
+        assert board is not None and board.holder("g1") == "worker-0"
+        assert b.claim("g1") is None
+        a.release("g1")
+        board = b.claim("g1")
+        assert board is not None and board.taken_over("g1")
+
+    def test_paused_heartbeat_writes_nothing(self, tmp_path):
+        import threading
+        import time
+
+        from repro.exec import Heartbeat
+
+        journal = CheckpointJournal(tmp_path / "j.jsonl")
+        manager = LeaseManager(journal, "worker-0", ttl=10.0)
+        assert manager.try_claim("g1")
+        paused = threading.Event()
+        paused.set()
+        beat = Heartbeat(manager, "g1", 0.02, paused=paused.is_set)
+        beat.start()
+        try:
+            time.sleep(0.2)
+            assert [r["event"] for r in journal.read()] == [CLAIM]
+            paused.clear()
+            deadline = time.monotonic() + 5.0
+            while len(journal.read()) == 1 and time.monotonic() < deadline:
+                time.sleep(0.02)
+        finally:
+            beat.stop()
+        assert journal.read()[1]["event"] == HEARTBEAT
 
     def test_ttl_must_be_positive(self, tmp_path):
         journal = CheckpointJournal(tmp_path / "j.jsonl")
