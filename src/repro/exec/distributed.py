@@ -167,7 +167,7 @@ def _worker_entry(
             claimed: str | None = None
             for group in remaining:
                 if board.available(group, now):
-                    won = manager.claim(group)
+                    won = manager.try_claim(group)
                     if won is not None:
                         claimed, board = group, won
                         break

@@ -20,7 +20,7 @@ Claim conflicts are resolved deterministically from the record order:
 a claim against an unexpired holder is simply ignored, so every reader
 of the same journal prefix agrees on the holder.  The claim protocol
 is therefore *append, then re-read and check*: :meth:`LeaseManager.try_claim`
-returns False for the loser, who moves on to another group.
+returns None for the loser, who moves on to another group.
 
 Timestamps are wall-clock seconds from the writer; workers are
 expected to share a machine (or closely synchronized clocks), and TTLs
@@ -184,19 +184,15 @@ class LeaseManager:
             "ttl": self.ttl,
         })
 
-    def try_claim(self, group: str) -> bool:
+    def try_claim(self, group: str) -> "LeaseBoard | None":
         """Append a claim, then re-read to learn whether it won.
 
         Two workers may race the same free group; both append, both
         re-read, and the deterministic replay picks one winner (the
-        first claim in file order).  The loser returns False and is
+        first claim in file order).  The winner gets the re-read board,
+        which shows it holding ``group``; the loser gets None and is
         expected to move on.
         """
-        return self.claim(group) is not None
-
-    def claim(self, group: str) -> "LeaseBoard | None":
-        """:meth:`try_claim`, returning the re-read board that shows
-        this manager holding ``group``, or None when the claim lost."""
         self._append(CLAIM, group)
         board = LeaseBoard.from_records(self.journal.read())
         if board.holder(group, self.clock()) != self.worker:

@@ -162,11 +162,11 @@ class TestLeaseManager:
         journal = CheckpointJournal(tmp_path / "j.jsonl")
         a = LeaseManager(journal, "worker-0", ttl=10.0)
         b = LeaseManager(journal, "worker-1", ttl=10.0)
-        board = a.claim("g1")
+        board = a.try_claim("g1")
         assert board is not None and board.holder("g1") == "worker-0"
-        assert b.claim("g1") is None
+        assert b.try_claim("g1") is None
         a.release("g1")
-        board = b.claim("g1")
+        board = b.try_claim("g1")
         assert board is not None and board.taken_over("g1")
 
     def test_paused_heartbeat_writes_nothing(self, tmp_path):
