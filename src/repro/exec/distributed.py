@@ -282,6 +282,11 @@ def run_distributed(
             remaining = [g for g in keys if not board.is_done(g)]
             if not remaining:
                 break
+            if over.is_set():
+                # A worker saw every group done after this read; the
+                # workers exiting now are not dead, and the next read
+                # ends the loop.
+                continue
             for slot, proc in list(workers.items()):
                 if proc.is_alive():
                     continue

@@ -94,6 +94,28 @@ class TestRunDistributed:
         assert report.respawns == 0
         assert report.inline_groups == []
 
+    def test_workers_done_with_the_sweep_are_not_respawned(self, tmp_path):
+        """Workers exit once every group is done.  A coordinator that
+        read the journal before the last ``done`` record must not take
+        those exits for deaths."""
+        path = str(tmp_path / "j.jsonl")
+        keys = [f"g{i}" for i in range(2)]
+
+        def slow_snapshot(records):
+            board = LeaseBoard.from_records(records)
+            if not all(board.is_done(g) for g in keys):
+                # The workers finish the sweep and exit meanwhile.
+                time.sleep(1.5)
+
+        report = run_distributed(
+            path, keys, partial(slow_append_result, journal_path=path),
+            DistributedConfig(n_procs=2, lease_ttl=2.0,
+                              heartbeat_interval=0.2),
+            on_snapshot=slow_snapshot,
+        )
+        assert groups_done(path, keys) == keys
+        assert report.respawns == 0
+
     def test_empty_group_list_is_a_noop(self, tmp_path):
         path = str(tmp_path / "j.jsonl")
         report = run_distributed(
